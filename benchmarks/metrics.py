@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
+from typing import NamedTuple
 
 from tracing import DRAW_SPAN, Tracer, self_times
 
@@ -40,6 +42,33 @@ def tail_percentile(n: int):
     return best
 
 
+class Window(NamedTuple):
+    """Passes timed back to back between two calibration probes."""
+
+    probe_ns: float  # mean of the probes before and after
+    ops: int
+    elapsed_ns: int  # wall time of the timed regions
+    first: int  # the window's latency samples are samples[first:end]
+    end: int
+
+
+def rescale(ns: float, probe_ns: float, ref_ns: float) -> float:
+    """A time measured next to a probe of ``probe_ns``, as it would read on
+    a host where the probe takes ``ref_ns``."""
+    return ns * ref_ns / probe_ns
+
+
+def rescaled_rate(windows, ref_ns: float) -> float:
+    """Median over windows of operations per rescaled second."""
+    return statistics.median(
+        w.ops * 1e9 / rescale(w.elapsed_ns, w.probe_ns, ref_ns) for w in windows)
+
+
+def rescaled_samples(windows, samples, ref_ns: float) -> list:
+    """Every latency sample rescaled by its own window's probe, ascending."""
+    return sorted(rescale(x, w.probe_ns, ref_ns) for w in windows for x in samples[w.first:w.end])
+
+
 def ratio(numerator, denominator) -> float:
     """numerator / denominator, 0.0 when nothing was attempted."""
     return numerator / denominator if denominator else 0.0
@@ -49,8 +78,10 @@ class LayerTotals:
     """Per-layer sums over traced passes, reduced one pass's tracer at a time
     so that a long run does not hold every span."""
 
-    def __init__(self, layers):
+    def __init__(self, layers, outside_ns=None):
         self.layers = tuple(layers)
+        # tracing cost per span outside it, charged off its parent's self time
+        self.outside_ns = outside_ns or {}
         self.calls = Counter()
         self.busy_ns = Counter()
         self.span_counts = Counter()
@@ -59,7 +90,11 @@ class LayerTotals:
         self.root_ns = 0
 
     def add(self, tracer: Tracer):
-        self_ns = self_times(tracer.starts, tracer.ends, tracer.parents)
+        charged = None
+        if self.outside_ns:
+            per_name = [self.outside_ns.get(name, self.outside_ns.get("span", 0.0)) for name in tracer.names]
+            charged = [per_name[nid] for nid in tracer.name_of]
+        self_ns = self_times(tracer.starts, tracer.ends, tracer.parents, charged)
         for i, nid in enumerate(tracer.name_of):
             name = tracer.names[nid]
             layer = name.split(".", 1)[0]

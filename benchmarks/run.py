@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import array
+import hashlib
 import json
-import math
 import os
 import resource
 import statistics
@@ -26,17 +26,19 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 import metrics
 import tracing
 import workloads as wl
 
-SETUP_REPEATS = 7
-#: End-to-end times come from the quietest QUIET_FRACTION of the windows,
-#: widened in order of quietness until they hold QUIET_SAMPLES latency
-#: samples (p99 then has 20 beyond it).
-QUIET_FRACTION = 0.05
-QUIET_SAMPLES = 2000
+SETUP_REPEATS = 9
+#: A window is at least this long; the calibration probe runs between windows.
 WINDOW_S = 0.05
+#: Timings are rescaled to a host on which one calibration probe takes this
+#: long, close to the fastest it ran on the reference host (see README).
+PROBE_REF_NS = 700_000
+PROBE_REPEATS = 3
 #: Spans kept in memory for the spans file; later passes are only reduced.
 SPAN_BUDGET = 200_000
 OUT_DIR = wl.BENCH_DIR / "out"
@@ -46,26 +48,79 @@ class BenchmarkError(Exception):
     """The benchmark itself could not run; no result is printed."""
 
 
+# --- calibration ------------------------------------------------------------
+
+
+def _probe_once() -> int:
+    """ns for a fixed piece of work made only of the standard library and
+    numpy, in the proportions the workloads use them: dict and list
+    updates, blake2b keys, Philox generators with one draw each, and a
+    sorted ``json.dumps``.  It slows down as the workloads do while another
+    tenant of the host shares the core, and no change to ``restoragent``
+    changes its cost."""
+    start = time.perf_counter_ns()
+    table = {}
+    for i in range(4000):
+        key = i & 255
+        table[key] = table.get(key, 0) + i
+    rows = []
+    for i in range(24):
+        h = hashlib.blake2b(digest_size=16)
+        h.update(i.to_bytes(16, "little"))
+        h.update(b"s" + str(i).encode())
+        digest = h.digest()
+        key = (int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little"))
+        x = np.random.Generator(np.random.Philox(key=key)).random()
+        rows.append({"i": i, "x": x, "tags": [str(i), "a", "b"], "nested": {"k": 2 * i, "v": (i, x)}})
+    text = json.dumps(rows, sort_keys=True)
+    groups = {}
+    for row in rows:
+        groups.setdefault(row["i"] & 7, []).append(dict(row, size=len(text)))
+    return time.perf_counter_ns() - start
+
+
+def calibration_probe() -> int:
+    """The fastest of PROBE_REPEATS probes, in ns."""
+    return min(_probe_once() for _ in range(PROBE_REPEATS))
+
+
+def pin_to_one_cpu() -> None:
+    """Run on one CPU, the one the probe finds fastest now, so that the probe,
+    the passes and the set-up children (which inherit the affinity) share it."""
+    cpus = sorted(os.sched_getaffinity(0))
+    timed = []
+    for cpu in cpus:
+        os.sched_setaffinity(0, {cpu})
+        timed.append((calibration_probe(), cpu))
+    os.sched_setaffinity(0, {min(timed)[1]})
+
+
 # --- set-up time ------------------------------------------------------------
 
 
 def setup_probe(name: str):
-    """Child process: time import, construction and warm-up of one workload."""
+    """Child process: time the import of ``restoragent``, the construction
+    of the workload and its warm-up, between two calibration probes.  numpy
+    is imported first and untimed: it is a dependency, its import is most
+    of a fresh process's start and most of its noise, and no change to the
+    package moves it (this module imports it)."""
+    before = calibration_probe()
     start = time.perf_counter()
     wl.setup(name)
-    print(repr(time.perf_counter() - start))
+    elapsed = time.perf_counter() - start
+    print(repr(elapsed), repr((before + calibration_probe()) / 2))
 
 
-def measure_setup(name: str) -> float:
-    """Seconds one fresh process takes to set up the workload.  The child
-    inherits this process's CPU affinity."""
+def measure_setup(name: str) -> tuple:
+    """(s, probe ns) of one set-up in a fresh process."""
     proc = subprocess.run(
         [sys.executable, __file__, "--setup-probe", "--workload", name],
         capture_output=True, text=True, timeout=120,
     )
     if proc.returncode != 0:
         raise BenchmarkError(f"set-up of {name} failed:\n{proc.stderr.strip()}")
-    return float(proc.stdout.split()[-1])
+    seconds, probe = proc.stdout.split()[-2:]
+    return float(seconds), float(probe)
 
 
 # --- runs -------------------------------------------------------------------
@@ -82,12 +137,12 @@ class Run:
         self.problems = []
         self.first = None  # PassResult of pass 0
         self.passes = 0
-        # untraced: (probe ns, ops, elapsed ns, first sample, end sample) per
-        # window, the quiet ones, their sorted per-op times in ns, and the
-        # set-up times in s
-        self.windows, self.quiet, self.samples, self.setups = [], [], [], []
+        # untraced: one metrics.Window per window, the raw per-op times in ns,
+        # and (set-up s, probe ns) per set-up
+        self.windows, self.samples, self.setups = [], None, []
         # traced: per-layer metrics, span count, traced ops, spans kept
         self.layer, self.spans, self.traced_ops, self.kept = {}, 0, 0, []
+        self.outside = {}  # traced: tracing cost per span outside it, ns
 
     def record(self, result):
         self.attempted += result.ops
@@ -111,48 +166,23 @@ class Run:
         self.failed = self.attempted
 
 
-def contention_probe() -> int:
-    """ns for a fixed pure-Python loop.  It slows down, as the workload
-    does, while another tenant of the host shares the core."""
-    start = time.perf_counter_ns()
-    table = {}
-    for i in range(4000):
-        key = i & 255
-        table[key] = table.get(key, 0) + i
-    return time.perf_counter_ns() - start
-
-
-def settle_on_quietest_cpu(cpus) -> int:
-    """Pin this process to the allowed CPU whose probe runs fastest now;
-    returns that probe's ns."""
-    best = None
-    for cpu in cpus:
-        os.sched_setaffinity(0, {cpu})
-        probe = min(contention_probe(), contention_probe())
-        if best is None or probe < best[0]:
-            best = (probe, cpu)
-    os.sched_setaffinity(0, {best[1]})
-    return best[0]
-
-
 def untraced(workload, seed: int, seconds: float):
     """Windows of passes until ``seconds`` have elapsed; times every
-    workflow run.  A window is at least WINDOW_S of passes between two
-    contention probes; its quietness is the slower of the two probes.
-    Each window runs on the CPU that was quietest when it opened.  Between
-    windows, SETUP_REPEATS set-ups are timed at even intervals, so that
-    they meet the same mix of contention as the windows."""
+    workflow run.  A window is at least WINDOW_S of passes; the calibration
+    probe runs before and after it, and the window's probe is the mean of
+    the two.  SETUP_REPEATS set-ups are timed between windows at even
+    intervals; each set-up child probes before and after itself."""
     cpus = sorted(os.sched_getaffinity(0))
+    pin_to_one_cpu()
     try:
-        return _untraced(workload, seed, seconds, cpus)
+        return _untraced(workload, seed, seconds)
     finally:
         os.sched_setaffinity(0, cpus)
 
 
-def _untraced(workload, seed: int, seconds: float, cpus):
+def _untraced(workload, seed: int, seconds: float):
     run = Run(workload, seed)
     samples = array.array("d")  # ns per op
-    windows = run.windows
     is_plan = isinstance(workload, wl.PlanWorkload)
     with tracing.Patch() as patch:
         if is_plan:
@@ -161,11 +191,11 @@ def _untraced(workload, seed: int, seconds: float, cpus):
         started = time.perf_counter()
         deadline = started + seconds
         index = 0
+        probe = calibration_probe()
         while index == 0 or time.perf_counter() < deadline:
-            probe = settle_on_quietest_cpu(cpus)
             if time.perf_counter() >= started + len(run.setups) * seconds / SETUP_REPEATS:
                 run.setups.append(measure_setup(workload.name))
-                probe = settle_on_quietest_cpu(cpus)
+                probe = calibration_probe()
             opened = time.perf_counter()
             first, ops, elapsed_ns = len(samples), 0, 0
             while index == 0 or time.perf_counter() - opened < WINDOW_S:
@@ -182,20 +212,13 @@ def _untraced(workload, seed: int, seconds: float, cpus):
                 elapsed_ns += result.elapsed_ns
                 run.record(result)
                 index += 1
-            probe = max(probe, min(contention_probe(), contention_probe()))
-            windows.append((probe, ops, elapsed_ns, first, len(samples)))
+            after = calibration_probe()
+            run.windows.append(metrics.Window((probe + after) / 2, ops, elapsed_ns, first, len(samples)))
+            probe = after
         while len(run.setups) < SETUP_REPEATS:
-            settle_on_quietest_cpu(cpus)
             run.setups.append(measure_setup(workload.name))
-    ranked = sorted(windows)
-    least = math.ceil(QUIET_FRACTION * len(ranked))
-    count = taken = 0
-    while count < len(ranked) and (count < least or taken < QUIET_SAMPLES):
-        taken += ranked[count][4] - ranked[count][3]
-        count += 1
     run.passes = index
-    run.quiet = ranked[:count]
-    run.samples = sorted(x for window in run.quiet for x in samples[window[3]:window[4]])
+    run.samples = samples
     return run
 
 
@@ -231,7 +254,8 @@ def traced(workload, seed: int, seconds: float):
     after it; the spans of the first passes, up to SPAN_BUDGET, are kept
     and written out at the end."""
     run = Run(workload, seed)
-    totals = metrics.LayerTotals(wl.LAYERS)
+    outside = tracing.outside_cost_ns()
+    totals = metrics.LayerTotals(wl.LAYERS, outside)
     kept, kept_spans = [], 0
     plain_ns = traced_ns = traced_ops = 0
     outcomes = {}
@@ -281,20 +305,20 @@ def traced(workload, seed: int, seconds: float):
     run.layer = layer
     run.spans = sum(totals.span_counts.values())
     run.kept = kept
+    run.outside = outside
     return run
 
 
 # --- reporting --------------------------------------------------------------
 
 
-def end_to_end(run) -> dict:
-    ops = sum(window[1] for window in run.quiet)
-    seconds = sum(window[2] for window in run.quiet) / 1e9
-    samples = run.samples
+def end_to_end(run, scaled: list) -> dict:
+    """Times rescaled by the probe beside them (see metrics.rescale)."""
     return {
-        "setup_s": (statistics.median(run.setups), "s"),
-        "runs_per_s": (ops / seconds, "1/s"),
-        "run_us.p50": (metrics.percentile(samples, 50) / 1e3, "us"),
+        "setup_s": (statistics.median(metrics.rescale(s, p, PROBE_REF_NS) for s, p in run.setups), "s"),
+        "runs_per_s": (metrics.rescaled_rate(run.windows, PROBE_REF_NS), "1/s"),
+        "run_us.p50": (metrics.percentile(scaled, 50) / 1e3, "us"),
+        "run_us.p99": (metrics.percentile(scaled, 99) / 1e3, "us"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
 
@@ -359,24 +383,32 @@ def run_workload(args) -> int:
         values = {name: (value, layer_unit(name)) for name, value in run.layer.items()}
         extra = [f"  {run.spans} spans over {run.traced_ops} traced operations "
                  f"({sum(len(t) for _, t in run.kept)} written out); "
-                 f"trace.overhead = traced / untraced wall time - 1"]
+                 f"trace.overhead = traced / untraced wall time - 1",
+                 "  self time excludes the tracing cost outside each child span, charged off its "
+                 "parent: {:.0f} ns per span, {:.0f} ns per rng draw".format(
+                     run.outside["span"], run.outside[tracing.DRAW_SPAN])]
     else:
         run = untraced(workload, args.seed, args.seconds)
-        values = end_to_end(run)
-        n = len(run.samples)
+        scaled = metrics.rescaled_samples(run.windows, run.samples, PROBE_REF_NS)
+        values = end_to_end(run, scaled)
+        n = len(scaled)
         tail = metrics.tail_percentile(n)
-        all_ops = sum(window[1] for window in run.windows)
-        all_s = sum(window[2] for window in run.windows) / 1e9
-        extra = [f"  setup_s is the median of {SETUP_REPEATS} set-ups, each in a fresh process: "
-                 + ", ".join(f"{v:.4f}" for v in run.setups),
-                 f"  times from the quietest {len(run.quiet)} of {len(run.windows)} windows "
-                 f"(probe <= {run.quiet[-1][0] / 1e3:.1f} us, quietest {run.quiet[0][0] / 1e3:.1f} us); "
-                 f"over all windows: {all_ops / all_s:.6g} runs/s",
-                 f"  run_us samples: n = {n}; p99 has {metrics.samples_beyond(n, 99)} beyond",
-                 f"  run_us.p99 {metrics.percentile(run.samples, 99) / 1e3:.6g} us "
-                 f"(printed, not in the result: it spreads too widely between runs on a shared host)"]
+        raw = sorted(run.samples)
+        all_ops = sum(w.ops for w in run.windows)
+        all_s = sum(w.elapsed_ns for w in run.windows) / 1e9
+        probes = [w.probe_ns for w in run.windows]
+        extra = [f"  times are rescaled to a calibration probe of {PROBE_REF_NS / 1e3:g} us; this run's "
+                 f"probe: median {statistics.median(probes) / 1e3:.1f} us, range "
+                 f"{min(probes) / 1e3:.1f}-{max(probes) / 1e3:.1f} us over {len(run.windows)} windows",
+                 f"  as measured, not rescaled: runs_per_s {all_ops / all_s:.6g}, run_us.p50 "
+                 f"{metrics.percentile(raw, 50) / 1e3:.6g}, run_us.p99 {metrics.percentile(raw, 99) / 1e3:.6g}, "
+                 f"setup_s {statistics.median(s for s, _ in run.setups):.6g}",
+                 f"  setup_s is the median of {SETUP_REPEATS} set-ups, each in a fresh process "
+                 "(s as measured, probe us): "
+                 + ", ".join(f"{s:.4f} ({p / 1e3:.0f})" for s, p in run.setups),
+                 f"  run_us samples: n = {n}; p99 has {metrics.samples_beyond(n, 99)} beyond"]
         if tail is not None:
-            extra.append(f"  tail rule: p{tail:g} = {metrics.percentile(run.samples, tail) / 1e3:.6g} us "
+            extra.append(f"  tail rule: p{tail:g} = {metrics.percentile(scaled, tail) / 1e3:.6g} us "
                          f"({metrics.samples_beyond(n, tail)} of {n} samples beyond)")
         if metrics.samples_beyond(n, 99) < metrics.MIN_BEYOND:
             run.fail_all(f"only {n} latency samples: p99 needs {metrics.MIN_BEYOND} beyond it")
@@ -386,7 +418,8 @@ def run_workload(args) -> int:
     details = dict(result, workload=workload_name, seed=args.seed, seconds=args.seconds,
                    passes=run.passes, digest_pass0=run.first.digest,
                    outcomes_pass0=run.first.outcomes, problems=run.problems,
-                   windows=[window[:3] for window in run.windows])
+                   windows=[window[:3] for window in run.windows],
+                   setups=run.setups)
     (OUT_DIR / f"{stem}.json").write_text(json.dumps(details, indent=2, sort_keys=True) + "\n")
     if args.trace:
         with open(OUT_DIR / f"{stem}.spans.tsv", "w", encoding="utf-8") as fh:

@@ -34,6 +34,20 @@ def test_self_time_counts_overlapping_children_once():
     assert tracing.self_times(starts, ends, parents)[0] == 50
 
 
+def test_self_time_takes_charged_tracing_cost_off_the_parent():
+    # parent [0, 100] > a [10, 40], b [50, 70]; each child left 5 ns outside itself
+    starts, ends, parents = [0, 10, 50], [100, 40, 70], [-1, 0, 0]
+    assert tracing.self_times(starts, ends, parents, [0, 5, 5]) == [40, 30, 20]
+    # never below 0
+    assert tracing.self_times([0, 0], [10, 10], [-1, 0], [0, 50]) == [0, 10]
+
+
+def test_outside_cost_is_measured_for_spans_and_draws():
+    cost = tracing.outside_cost_ns(repeats=2, calls=2000)
+    assert set(cost) == {"span", tracing.DRAW_SPAN}
+    assert all(value >= 0.0 for value in cost.values())
+
+
 def test_tracer_records_parent_and_run_id():
     tracer = tracing.Tracer()
     tracer.run_id = 7
@@ -66,6 +80,18 @@ def test_nearest_rank_percentile():
     assert metrics.percentile(samples, 100) == 100
     with pytest.raises(ValueError):
         metrics.percentile([], 50)
+
+
+# --- rescaling by the calibration probe ------------------------------------
+
+
+def test_rescaled_rate_and_samples_use_each_windows_probe():
+    # two windows, the second measured while the probe ran twice as slow
+    windows = [metrics.Window(100.0, 10, 1000, 0, 2), metrics.Window(200.0, 10, 2000, 2, 3)]
+    samples = [50.0, 150.0, 300.0]
+    assert metrics.rescaled_rate(windows, 100.0) == pytest.approx(1e7)
+    assert metrics.rescaled_samples(windows, samples, 100.0) == [50.0, 150.0, 150.0]
+    assert metrics.rescale(2.0, 400.0, 100.0) == 0.5
 
 
 # --- draw-counting proxy ----------------------------------------------------

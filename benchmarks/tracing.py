@@ -68,10 +68,12 @@ class Tracer:
             )
 
 
-def self_times(starts, ends, parents) -> list:
+def self_times(starts, ends, parents, charged=None) -> list:
     """Per-span self time: duration minus the part of the span's own
     interval that its children cover (child intervals are clipped to the
-    parent and overlaps between children are counted once)."""
+    parent and overlaps between children are counted once).  ``charged[i]``,
+    if given, is the tracing cost that span ``i`` adds to its parent's
+    interval outside its own; it is taken off the parent too, down to 0."""
     self_ns = [end - start for start, end in zip(starts, ends)]
     children = {}
     for index, parent in enumerate(parents):
@@ -91,7 +93,9 @@ def self_times(starts, ends, parents) -> list:
                 cur_end = max(cur_end, end)
         if cur_end is not None:
             covered += cur_end - cur_start
-        self_ns[parent] -= covered
+        if charged is not None:
+            covered += sum(charged[k] for k in kids)
+        self_ns[parent] = max(0, self_ns[parent] - covered)
     return self_ns
 
 
@@ -192,6 +196,42 @@ def timing_wrapper(fn, samples: array.array):
         return result
 
     return functools.wraps(fn)(wrapper)
+
+
+def outside_cost_ns(repeats: int = 5, calls: int = 20_000) -> dict:
+    """ns per call that tracing adds to the caller outside the span it
+    records: the wrapper's own call and the bookkeeping before the first
+    and after the last clock read, and for a draw also the proxy's
+    attribute lookup.  It is the time of a traced call minus the span it
+    records minus the time of the same call untraced, for an empty function
+    and for one ``random()`` draw; the fastest of ``repeats`` rounds.
+    Keys: "span" and DRAW_SPAN."""
+    import numpy as np
+
+    tracer = Tracer()
+
+    def per_call(call) -> float:
+        best = None
+        for _ in range(repeats):
+            tracer.__init__()
+            start = perf_counter_ns()
+            for _ in range(calls):
+                call()
+            total = perf_counter_ns() - start
+            inside = sum(e - s for s, e in zip(tracer.starts, tracer.ends))
+            best = min(best if best is not None else total, (total - inside) / calls)
+        return best
+
+    def empty():
+        return None
+
+    traced = span_wrapper(empty, tracer, "calibration.empty")
+    bare = np.random.Generator(np.random.Philox(key=(1, 2)))
+    proxy = CountingGenerator(np.random.Generator(np.random.Philox(key=(1, 2))), tracer)
+    return {
+        "span": max(0.0, per_call(traced) - per_call(empty)),
+        DRAW_SPAN: max(0.0, per_call(lambda: proxy.random()) - per_call(lambda: bare.random())),
+    }
 
 
 class Patch:
