@@ -4,7 +4,10 @@ plus an offline replay stub keyed by prompt hash."""
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 
 from .core import Severity, TaskKind
@@ -95,20 +98,25 @@ class HttpTransport:
         self.cfg = cfg
 
     def complete(self, prompt: str) -> str:
-        import requests
-
+        request = urllib.request.Request(
+            self.cfg.endpoint,
+            data=json.dumps({"prompt": prompt}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         try:
-            response = requests.post(
-                self.cfg.endpoint, json={"prompt": prompt}, timeout=self.cfg.timeout
-            )
-            response.raise_for_status()
-        except requests.Timeout as exc:
+            with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
+                body = response.read()
+        except TimeoutError as exc:
             raise Timeout(str(exc)) from exc
-        except requests.RequestException as exc:
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise Timeout(str(exc)) from exc
+            raise Transport(str(exc)) from exc
+        except (OSError, http.client.HTTPException) as exc:
             raise Transport(str(exc)) from exc
         try:
-            return response.json()["text"]
-        except (ValueError, KeyError) as exc:
+            return json.loads(body)["text"]
+        except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponse(f"bad completion payload: {exc}") from exc
 
 

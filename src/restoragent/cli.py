@@ -4,7 +4,6 @@ consistency studies, and report verification."""
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, explore
 from .harness import (
     RUN_MODES,
-    load_env_and_evaluator,
     parse_combinations,
     recompute_report,
     run_batch,
@@ -283,10 +281,6 @@ def cmd_verify(report_path: Path, trace_dir: Path):
             click.echo(f"MISMATCH {line}", err=True)
         sys.exit(EXIT_INTERNAL_ERROR)
     click.echo("report verified: every table cell matches the trace files")
-
-
-def bridge_url_from_env() -> str | None:
-    return os.environ.get("AGENT_BRIDGE_URL")
 
 
 if __name__ == "__main__":  # pragma: no cover

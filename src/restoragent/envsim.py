@@ -9,7 +9,6 @@ published per-order fail statistics directly.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 from .core import (
@@ -462,14 +461,3 @@ def calibration_from_dict(data: dict) -> TabularCalibration:
             )
         )
     return calibration
-
-
-def load_env(path) -> Environment:
-    with open(path, encoding="utf-8") as fh:
-        return env_from_dict(json.load(fh))
-
-
-def save_env(env: Environment, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(env_to_dict(env), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -147,24 +147,25 @@ def execute_subtask(
     if not tools:
         raise NoTools(f"no tools registered for {task.value!r}")
 
-    if policy.tool_order is ToolOrder.SEEDED_SHUFFLE:
-        order = stream.child("tool-order").generator().permutation(len(tools))
+    # A one-element permutation takes no draw, so a single tool needs no shuffle.
+    if policy.tool_order is ToolOrder.SEEDED_SHUFFLE and len(tools) > 1:
+        order = stream.child("tool-order").permutation(len(tools))
         tools = [tools[i] for i in order]
 
     if comparator is None:
-        comparator = default_comparator(evaluator, stream.child("compare").generator())
+        comparator = default_comparator(evaluator, stream.child("compare"))
 
     candidates = []
     produced = []
     tried = []
     for i, adapter in enumerate(tools):
-        result = adapter.invoke(profile, stream.child("invoke", i).generator())
+        result = adapter.invoke(profile, stream.child("invoke", i))
         tried.append(adapter.id)
         produced.append(result)
         if not use_reflection:
             # Reflection ablated: the first tool result is accepted as-is.
             return SubtaskOutcome(Status.SUCCESS, result, tried, len(tried), 0)
-        severity = reflect(evaluator, result, task, stream.child("reflect", i).generator())
+        severity = reflect(evaluator, result, task, stream.child("reflect", i))
         if severity <= policy.accept_now:
             return SubtaskOutcome(Status.SUCCESS, result, tried, len(tried), len(candidates))
         if severity <= policy.accept_candidate:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ from .core import (
     Severity,
     builtin_combinations,
 )
-from .envsim import Environment, load_env, env_from_dict
+from .envsim import Environment, env_from_dict
 from .execution import ExecutionPolicy, ToolOrder, adapters_for
 from .knowledge import KnowledgeBase
 from .perception import NoiseModel, NoisyOracle, PerfectOracle
@@ -21,16 +20,6 @@ from .scheduling import ExperienceScheduler, RandomScheduler
 from .search import WorkflowDeps, run_workflow
 
 RUN_MODES = ("full", "no-reflection", "no-rollback", "no-retrieval", "strict-threshold")
-
-
-def load_env_and_evaluator(path):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    env = env_from_dict(data)
-    evaluator = PerfectOracle()
-    if "evaluator" in data:
-        evaluator = NoisyOracle(NoiseModel.from_dict(data["evaluator"]))
-    return env, evaluator
 
 
 def make_deps(

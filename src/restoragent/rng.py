@@ -4,6 +4,10 @@ One root seed plus an arbitrary tuple of key parts (ints, strings, enums)
 deterministically selects an independent Philox stream.  Streams keyed
 differently never share draws, so adding trials or interleaving workers
 cannot perturb existing streams.
+
+A ``Stream`` is a lazy handle: it builds its Philox generator on its first
+draw and ``generator()`` returns that same generator on every later call, so
+streams that are keyed but never drawn from cost no key derivation at all.
 """
 
 from __future__ import annotations
@@ -47,19 +51,36 @@ def substream(seed: int, *parts) -> np.random.Generator:
 
 
 class Stream:
-    """A substream handle that can spawn child streams by key extension."""
+    """A substream handle that can spawn child streams by key extension.
 
-    __slots__ = ("seed", "parts")
+    Draws go through ``random``, ``integers`` and ``permutation``, which
+    behave exactly like the same calls on ``substream(seed, *parts)``.
+    """
+
+    __slots__ = ("seed", "parts", "_generator")
 
     def __init__(self, seed: int, *parts):
         self.seed = int(seed)
         self.parts = parts
+        self._generator = None
 
     def child(self, *parts) -> "Stream":
         return Stream(self.seed, *self.parts, *parts)
 
     def generator(self) -> np.random.Generator:
-        return substream(self.seed, *self.parts)
+        """The stream's generator, built on the first call."""
+        if self._generator is None:
+            self._generator = substream(self.seed, *self.parts)
+        return self._generator
+
+    def random(self) -> float:
+        return self.generator().random()
+
+    def integers(self, high):
+        return self.generator().integers(high)
+
+    def permutation(self, n):
+        return self.generator().permutation(n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Stream(seed={self.seed}, parts={self.parts!r})"

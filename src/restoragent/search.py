@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from .core import DegradationProfile, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
+    EmptyCandidates,
     ExecutionPolicy,
+    NoTools,
     Status,
     default_comparator,
     execute_subtask,
@@ -146,14 +148,12 @@ def _dfs(profile, plan, deps, stream, counters, children):
                     deps.scheduler,
                     plan,
                     attempts,
-                    stream.child("reschedule", branch).generator(),
+                    stream.child("reschedule", branch),
                 )
             )
             branch += 1
         else:
-            compare = default_comparator(
-                deps.evaluator, stream.child("pickbest").generator()
-            )
+            compare = default_comparator(deps.evaluator, stream.child("pickbest"))
             best = inferiors[0]
             for challenger in inferiors[1:]:
                 if compare(best.profile, challenger.profile) is not best.profile:
@@ -166,9 +166,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
     stream = Stream(seed, "workflow", *run_key)
     trace = SearchTrace()
     try:
-        agenda = evaluate_agenda(
-            deps.evaluator, initial, stream.child("evaluate").generator()
-        )
+        agenda = evaluate_agenda(deps.evaluator, initial, stream.child("evaluate"))
         trace.agenda = sorted(t.value for t in agenda)
         if not agenda:
             trace.final = initial.to_dict()
@@ -178,7 +176,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
             return _run_straight_line(initial, agenda, deps, stream, trace)
 
         plan = tuple(
-            deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0).generator())
+            deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0))
         )
         profile = initial
         outer = 0
@@ -197,13 +195,11 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
                 break
             outer += 1
             plan = tuple(
-                deps.scheduler.schedule(
-                    remaining, rng=stream.child("schedule", outer).generator()
-                )
+                deps.scheduler.schedule(remaining, rng=stream.child("schedule", outer))
             )
         trace.final = profile.to_dict()
         return profile, trace
-    except (Unschedulable, ValueError) as exc:
+    except (Unschedulable, NoTools, EmptyCandidates) as exc:
         trace.status = "error"
         trace.error = f"{type(exc).__name__}: {exc}"
         trace.final = initial.to_dict()
@@ -213,7 +209,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
 def _run_straight_line(initial, agenda, deps, stream, trace):
     """Ablated control flow: execute the plan once, keep best-effort results."""
     plan = tuple(
-        deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0).generator())
+        deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0))
     )
     profile = initial
     all_passed = True

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -12,6 +13,7 @@ from restoragent.bridge import (
     RemoteEvaluator,
     RemoteScheduler,
     ReplayTransport,
+    Timeout,
     Transport,
     build_schedule_prompt,
     build_severity_prompt,
@@ -139,7 +141,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        payload = json.dumps({"text": body["prompt"].upper()}).encode("utf-8")
+        if body.get("prompt") == "slow":
+            time.sleep(0.5)
+        if body.get("prompt") == "garbled":
+            payload = b"not json"
+        else:
+            payload = json.dumps({"text": body["prompt"].upper()}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -168,3 +175,21 @@ def test_http_transport_server_error(http_endpoint):
     transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=5))
     with pytest.raises(Transport):
         transport.complete("boom")
+
+
+def test_http_transport_malformed_payload(http_endpoint):
+    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=5))
+    with pytest.raises(MalformedResponse):
+        transport.complete("garbled")
+
+
+def test_http_transport_timeout(http_endpoint):
+    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=0.1))
+    with pytest.raises(Timeout):
+        transport.complete("slow")
+
+
+def test_http_transport_unreachable_endpoint():
+    transport = HttpTransport(BridgeConfig(endpoint="http://127.0.0.1:9/", timeout=5))
+    with pytest.raises(Transport):
+        transport.complete("hello")

@@ -16,7 +16,7 @@ from restoragent.execution import ExecutionPolicy, ToolOrder, adapters_for
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream
-from restoragent.scheduling import ExperienceScheduler
+from restoragent.scheduling import ExperienceScheduler, Unschedulable
 from restoragent.search import (
     NondeterministicEnv,
     SearchTrace,
@@ -169,13 +169,23 @@ def test_run_workflow_no_reflection_accepts_blindly():
 def test_run_workflow_error_status_on_unschedulable():
     class BrokenScheduler:
         def schedule(self, agenda, banned_first=frozenset(), rng=None):
-            raise ValueError("no plan today")
+            raise Unschedulable("no plan today")
 
     deps = _deps(order_sensitive_env(), scheduler=BrokenScheduler())
     profile, trace = run_workflow(RAIN_HAZE, deps, seed=0)
     assert trace.status == "error"
     assert "no plan today" in trace.error
     assert profile == RAIN_HAZE
+
+
+def test_run_workflow_propagates_programming_errors():
+    class BuggyScheduler:
+        def schedule(self, agenda, banned_first=frozenset(), rng=None):
+            raise ValueError("a bug, not an unschedulable agenda")
+
+    deps = _deps(order_sensitive_env(), scheduler=BuggyScheduler())
+    with pytest.raises(ValueError, match="a bug"):
+        run_workflow(RAIN_HAZE, deps, seed=0)
 
 
 def test_run_workflow_determinism_same_seed():
