@@ -52,7 +52,6 @@ from .scheduling import (
     ExperienceScheduler,
     RandomScheduler,
     measure_consistency,
-    random_schedule,
     reschedule,
 )
 from .search import SearchTrace, WorkflowDeps, brute_force_oracle, dfs, run_workflow

@@ -10,7 +10,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .core import Severity, TaskKind
+from .core import Severity, TaskKind, degradation_for
 from .knowledge import render_experience_text
 
 
@@ -202,9 +202,7 @@ class RemoteScheduler:
         experience = ""
         if self.kb is not None:
             experience = render_experience_text(retrieve(self.kb, agenda_list).records)
-        degradations = sorted(
-            {d.value for t in agenda_list for d in (_degradation_of(t),)}
-        )
+        degradations = sorted({degradation_for(t).value for t in agenda_list})
         banned = sorted(frozenset(banned_first), key=lambda t: t.value)
         plan, thought = remote_schedule(self.cfg, degradations, agenda_list, experience, banned)
         self.last_thought = thought
@@ -219,9 +217,3 @@ class RemoteEvaluator:
 
     def assess(self, profile, degradation, rng=None) -> Severity:
         return remote_assess(self.cfg, profile.origin, degradation)
-
-
-def _degradation_of(task: TaskKind):
-    from .core import degradation_for
-
-    return degradation_for(task)

@@ -12,12 +12,7 @@ import click
 from .core import Degradation, TaskKind, builtin_combinations
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, explore
-from .harness import (
-    RUN_MODES,
-    parse_combinations,
-    recompute_report,
-    run_batch,
-)
+from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
 from .knowledge import (
     KnowledgeBase,
     SchemaError,
@@ -29,7 +24,7 @@ from .knowledge import (
     render_experience_text,
     save_kb,
 )
-from .perception import NoiseModel, NoisyOracle, PerfectOracle
+from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
 from .core import Severity
 
@@ -43,13 +38,17 @@ def _fail(message: str, code: int = EXIT_USER_ERROR):
     sys.exit(code)
 
 
-def _load_json(path: Path):
+def _load_json(path: Path) -> dict:
+    """A config or report file, which must hold one JSON object."""
     if not path.exists():
         _fail(f"file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         _fail(f"invalid JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        _fail(f"bad input {path}: expected a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _dump_json(data, path: Path):
@@ -77,8 +76,8 @@ def main():
 def cmd_explore(config_path: Path, out_path: Path):
     """Run self-exploration trials; write one JSON tuple per line."""
     config = _load_json(config_path)
-    env = _environment_from_config(config)
     try:
+        env = _environment_from_config(config)
         combos = parse_combinations(config.get("combinations", "group-A"))
         exploration = ExplorationConfig(
             combinations=combos,
@@ -87,12 +86,10 @@ def cmd_explore(config_path: Path, out_path: Path):
             success_threshold=Severity.from_label(config.get("success_threshold", "low")),
             seed=config.get("seed", 0),
         )
-        evaluator = PerfectOracle()
-        if "evaluator" in config:
-            evaluator = NoisyOracle(NoiseModel.from_dict(config["evaluator"]))
+        evaluator = evaluator_from_model(config.get("evaluator"))
         trials = explore(env, exploration, evaluator)
-    except ValueError as exc:
-        _fail(str(exc))
+    except (KeyError, ValueError) as exc:
+        _fail(f"bad explore config {config_path}: {exc}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8") as fh:
         for combination, order, flags in trials:
@@ -162,9 +159,10 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
     config = _load_json(config_path)
     try:
         env = env_from_dict(config)
+        evaluator_model = config.get("evaluator")
+        evaluator_from_model(evaluator_model)  # validates the model before any run
     except (KeyError, ValueError) as exc:
         _fail(f"bad environment config {config_path}: {exc}")
-    evaluator_model = config.get("evaluator")
     kb = None
     if kb_path is not None:
         try:
@@ -256,7 +254,8 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
 @click.option("--report", "report_path", type=click.Path(path_type=Path), required=True)
 @click.option("--traces", "trace_dir", type=click.Path(path_type=Path), required=True)
 def cmd_verify(report_path: Path, trace_dir: Path):
-    """Recompute report aggregates from trace files; exit 2 on mismatch."""
+    """Recompute every report cell from the trace files and check each
+    trace's invocation count against its tree; exit 2 on any mismatch."""
     report = _load_json(report_path)
     trace_dir = Path(trace_dir)
     if not trace_dir.is_dir():
@@ -266,21 +265,41 @@ def cmd_verify(report_path: Path, trace_dir: Path):
         combo_traces = json.loads(path.read_text(encoding="utf-8"))
         if combo_traces:
             traces[combo_traces[0]["combination"]] = combo_traces
-    rebuilt = recompute_report(report, traces)
+    # Groups come from the report, so a relabelled combination shows up as
+    # a group cell the report lacks or gets wrong; str() turns a missing
+    # group into a mismatch rather than an unsortable key.
+    group_of = {
+        label: str(cell.get("group")) for label, cell in report.get("combinations", {}).items()
+    }
+    rebuilt = report_cells(traces, group_of)
     mismatches = []
-    for label, stats in report.get("combinations", {}).items():
-        got = rebuilt.get(label)
-        if got is None:
-            mismatches.append(f"{label}: no traces found")
-            continue
-        for key in ("runs", "success_rate", "mean_invocations", "mean_rollbacks"):
-            if abs(stats[key] - got[key]) > 1e-9:
-                mismatches.append(f"{label}.{key}: report {stats[key]} != traces {got[key]}")
+    for section, cells in rebuilt.items():
+        printed = report.get(section, {})
+        for name in sorted(set(cells) | set(printed)):
+            if printed.get(name) != cells.get(name):
+                mismatches.append(
+                    f"{section}.{name}: report {printed.get(name)} != traces {cells.get(name)}"
+                )
+    for label, combo_traces in sorted(traces.items()):
+        for i, trace in enumerate(combo_traces):
+            counted, in_tree = trace["counters"]["invocations"], _tree_invocations(trace["tree"])
+            if counted != in_tree:
+                mismatches.append(
+                    f"{label}[{i}]: counters.invocations {counted} != {in_tree} over its tree"
+                )
     if mismatches:
         for line in mismatches:
             click.echo(f"MISMATCH {line}", err=True)
         sys.exit(EXIT_INTERNAL_ERROR)
-    click.echo("report verified: every table cell matches the trace files")
+    click.echo("report verified: every table cell and trace invocation count matches")
+
+
+def _tree_invocations(nodes) -> int:
+    """Tool invocations over every node of a trace tree, recursively."""
+    return sum(
+        node.get("invocations", 0) + _tree_invocations(node.get("children", []))
+        for node in nodes
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

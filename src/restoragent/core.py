@@ -192,6 +192,15 @@ class DegradationCombination:
         return " + ".join(d.value for d in self.degradations)
 
 
+def initial_profile(combo: DegradationCombination, index: int,
+                    severity: Severity = Severity.HIGH) -> DegradationProfile:
+    """The profile a workflow run or an exploration sample starts from:
+    every degradation of ``combo`` at ``severity``, no history."""
+    return DegradationProfile(
+        {d: severity for d in combo.degradations}, (), f"{combo.label()}#{index}"
+    )
+
+
 _D = Degradation
 
 _BUILTIN_COMBINATIONS = (

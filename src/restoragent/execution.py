@@ -132,18 +132,16 @@ def execute_subtask(
     evaluator,
     policy: ExecutionPolicy,
     stream,
-    comparator=None,
     use_reflection: bool = True,
 ) -> SubtaskOutcome:
     """Iterate tools for one subtask with reflection-gated acceptance.
 
-    ``tools`` is either a task->adapters mapping or a list of adapters for
-    this task.  ``stream`` is an rng Stream handle; each invocation and
-    reflection draws from its own child substream.
+    ``tools`` is the task -> adapters mapping from ``adapters_for``.
+    ``stream`` is an rng Stream handle; each invocation and reflection draws
+    from its own child substream, and PickBest compares under the
+    ``compare`` child.
     """
-    if isinstance(tools, dict):
-        tools = tools.get(task, [])
-    tools = [adapter for adapter in tools if adapter.task == task]
+    tools = tools.get(task, [])
     if not tools:
         raise NoTools(f"no tools registered for {task.value!r}")
 
@@ -152,8 +150,7 @@ def execute_subtask(
         order = stream.child("tool-order").permutation(len(tools))
         tools = [tools[i] for i in order]
 
-    if comparator is None:
-        comparator = default_comparator(evaluator, stream.child("compare"))
+    comparator = default_comparator(evaluator, stream.child("compare"))
 
     candidates = []
     produced = []

@@ -6,13 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import (
-    DegradationCombination,
-    DegradationProfile,
-    Severity,
-    combinations_in_group,
-    task_for,
-)
+from .core import Severity, combinations_in_group, initial_profile, task_for
 from .envsim import Environment, apply_tool
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
@@ -39,14 +33,6 @@ class ExplorationConfig:
             raise ValueError("success_threshold must be VERY_LOW or LOW")
 
 
-def _sample_profile(combo: DegradationCombination, sample: int, severity: Severity):
-    return DegradationProfile(
-        {d: severity for d in combo.degradations},
-        (),
-        f"{'+'.join(d.value for d in combo.degradations)}#{sample}",
-    )
-
-
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:
     """Run every permutation of every combination straight through.
 
@@ -63,7 +49,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     for ci, combo in enumerate(config.combinations):
         tasks = sorted(combo.tasks, key=lambda t: t.value)
         for si in range(config.samples_per_combination):
-            base = _sample_profile(combo, si, config.initial_severity)
+            base = initial_profile(combo, si, config.initial_severity)
             for pi, order in enumerate(itertools.permutations(tasks)):
                 for ti in range(config.trials_per_sample):
                     rng = substream(config.seed, "explore", ci, si, pi, ti)

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .core import (
     DegradationCombination,
     DegradationProfile,
-    Severity,
     builtin_combinations,
+    initial_profile,
 )
-from .envsim import Environment, env_from_dict
-from .execution import ExecutionPolicy, ToolOrder, adapters_for
+from .envsim import Environment, env_from_dict, env_to_dict
+from .execution import ExecutionPolicy, adapters_for
 from .knowledge import KnowledgeBase
-from .perception import NoiseModel, NoisyOracle, PerfectOracle
+from .perception import PerfectOracle, evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler
 from .search import WorkflowDeps, run_workflow
 
@@ -23,16 +22,12 @@ RUN_MODES = ("full", "no-reflection", "no-rollback", "no-retrieval", "strict-thr
 
 
 def make_deps(
-    env: Environment,
-    kb: KnowledgeBase | None,
-    mode: str,
-    evaluator=None,
-    tool_order: ToolOrder = ToolOrder.SEEDED_SHUFFLE,
+    env: Environment, kb: KnowledgeBase | None, mode: str, evaluator=None
 ) -> WorkflowDeps:
     if mode not in RUN_MODES:
         raise ValueError(f"unknown run mode: {mode!r} (expected one of {RUN_MODES})")
     evaluator = evaluator or PerfectOracle()
-    policy = ExecutionPolicy(tool_order=tool_order)
+    policy = ExecutionPolicy()
     if mode == "strict-threshold":
         policy = policy.strict()
     if mode == "no-retrieval":
@@ -49,36 +44,17 @@ def make_deps(
     )
 
 
-def initial_profile(combo: DegradationCombination, run: int,
-                    severity: Severity = Severity.HIGH) -> DegradationProfile:
-    return DegradationProfile(
-        {d: severity for d in combo.degradations}, (), f"{combo.label()}#{run}"
-    )
-
-
 def run_success(profile: DegradationProfile) -> bool:
     """Ground-truth success: no degradation left at presence level."""
     return not profile.present()
 
 
-@dataclass
-class CombinationResult:
-    combo: DegradationCombination
-    traces: list
-    successes: int
-    invocations: int
-    rollbacks: int
-    wall_clock: float
-
-
 def _run_combination(args):
+    """One combination's runs; returns (traces, wall-clock seconds)."""
     env_data, kb, mode, combo, runs, seed = args
-    env = env_from_dict(env_data["env"])
-    evaluator = PerfectOracle()
-    if env_data.get("evaluator"):
-        evaluator = NoisyOracle(NoiseModel.from_dict(env_data["evaluator"]))
-    deps = make_deps(env, kb, mode, evaluator)
-    traces, successes, invocations, rollbacks = [], 0, 0, 0
+    evaluator = evaluator_from_model(env_data["evaluator"])
+    deps = make_deps(env_from_dict(env_data["env"]), kb, mode, evaluator)
+    traces = []
     started = time.perf_counter()
     for run in range(runs):
         profile = initial_profile(combo, run)
@@ -89,11 +65,7 @@ def _run_combination(args):
         trace_dict["run"] = run
         trace_dict["true_success"] = run_success(final)
         traces.append(trace_dict)
-        successes += run_success(final)
-        invocations += trace.counters.invocations
-        rollbacks += trace.counters.rollbacks
-    wall = time.perf_counter() - started
-    return CombinationResult(combo, traces, successes, invocations, rollbacks, wall)
+    return traces, time.perf_counter() - started
 
 
 def run_batch(
@@ -107,8 +79,7 @@ def run_batch(
     jobs: int = 1,
 ):
     """Executes the batch; returns (report, traces_by_combination, timings)."""
-    from .envsim import env_to_dict
-
+    combinations = list(combinations)
     env_data = {"env": env_to_dict(env), "evaluator": evaluator_model}
     tasks = [(env_data, kb, mode, combo, runs, seed) for combo in combinations]
     if jobs > 1 and len(tasks) > 1:
@@ -117,61 +88,54 @@ def run_batch(
     else:
         results = [_run_combination(t) for t in tasks]
 
-    per_combination = {}
-    groups = {}
-    traces = {}
-    timings = {}
-    for res in results:
-        label = res.combo.label()
-        traces[label] = res.traces
-        timings[label] = res.wall_clock / runs if runs else 0.0
-        per_combination[label] = {
-            "group": res.combo.group,
-            "runs": runs,
-            "success_rate": res.successes / runs if runs else 0.0,
-            "mean_invocations": res.invocations / runs if runs else 0.0,
-            "mean_rollbacks": res.rollbacks / runs if runs else 0.0,
-        }
-        g = groups.setdefault(
-            res.combo.group, {"runs": 0, "successes": 0, "invocations": 0, "rollbacks": 0}
-        )
-        g["runs"] += runs
-        g["successes"] += res.successes
-        g["invocations"] += res.invocations
-        g["rollbacks"] += res.rollbacks
+    traces, timings = {}, {}
+    for combo, (combo_traces, wall_clock) in zip(combinations, results):
+        traces[combo.label()] = combo_traces
+        timings[combo.label()] = wall_clock / runs if runs else 0.0
+    group_of = {combo.label(): combo.group for combo in combinations}
     report = {
         "mode": mode,
         "seed": seed,
         "runs_per_combination": runs,
-        "groups": {
-            group: {
-                "success_rate": g["successes"] / g["runs"] if g["runs"] else 0.0,
-                "mean_invocations": g["invocations"] / g["runs"] if g["runs"] else 0.0,
-                "mean_rollbacks": g["rollbacks"] / g["runs"] if g["runs"] else 0.0,
-            }
-            for group, g in sorted(groups.items())
-        },
-        "combinations": dict(sorted(per_combination.items())),
+        **report_cells(traces, group_of),
     }
     return report, traces, timings
 
 
+def _rates(traces) -> dict:
+    runs = len(traces)
+    if not runs:
+        return {"success_rate": 0.0, "mean_invocations": 0.0, "mean_rollbacks": 0.0}
+    return {
+        "success_rate": sum(t["true_success"] for t in traces) / runs,
+        "mean_invocations": sum(t["counters"]["invocations"] for t in traces) / runs,
+        "mean_rollbacks": sum(t["counters"]["rollbacks"] for t in traces) / runs,
+    }
+
+
+def report_cells(traces_by_combination: dict, group_of: dict) -> dict:
+    """A report's ``groups`` and ``combinations`` cells, from traces alone.
+
+    There is one combination cell per label of ``group_of`` (label ->
+    group); a label without traces gets a zero-run cell.  A group cell
+    pools the traces of every combination in the group.
+    """
+    members = {}
+    combinations = {}
+    for label, group in sorted(group_of.items()):
+        traces = traces_by_combination.get(label, [])
+        members.setdefault(group, []).extend(traces)
+        combinations[label] = {"group": group, "runs": len(traces), **_rates(traces)}
+    groups = {group: _rates(traces) for group, traces in sorted(members.items())}
+    return {"groups": groups, "combinations": combinations}
+
+
 def recompute_report(report: dict, traces_by_combination: dict) -> dict:
-    """Rebuild the per-combination aggregates from raw traces."""
-    rebuilt = {}
-    for label, traces in traces_by_combination.items():
-        runs = len(traces)
-        rebuilt[label] = {
-            "runs": runs,
-            "success_rate": sum(t["true_success"] for t in traces) / runs if runs else 0.0,
-            "mean_invocations": sum(t["counters"]["invocations"] for t in traces) / runs
-            if runs
-            else 0.0,
-            "mean_rollbacks": sum(t["counters"]["rollbacks"] for t in traces) / runs
-            if runs
-            else 0.0,
-        }
-    return rebuilt
+    """The report's combination cells (``group``, ``runs``, ``success_rate``,
+    ``mean_invocations``, ``mean_rollbacks``) rebuilt from raw traces, for
+    every label in the report."""
+    group_of = {label: cell["group"] for label, cell in report["combinations"].items()}
+    return report_cells(traces_by_combination, group_of)["combinations"]
 
 
 def parse_combinations(spec) -> list:

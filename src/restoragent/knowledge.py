@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
 
-from .core import TaskKind, task_for
+from .core import Degradation, TaskKind, task_for
 from .envsim import TabularCalibration, reference_calibration
 
 #: Total-fail differences at or below this count as "no significant effect".
@@ -200,7 +200,7 @@ def render_experience_text(records) -> str:
         for record in by_combo[combination]:
             order_text = " and then ".join(t.value for t in record.order)
             rates = [
-                f"'{display_percent(record.per_task_fail[_task_by_degradation_name(d)])}%'"
+                f"'{display_percent(record.per_task_fail[task_for(Degradation(d))])}%'"
                 for d in degradations
             ]
             parts.append(
@@ -212,12 +212,6 @@ def render_experience_text(records) -> str:
             f"To address {'+'.join(degradations)} in the image, " + "; ".join(parts) + "."
         )
     return "\n".join(lines)
-
-
-def _task_by_degradation_name(name: str) -> TaskKind:
-    from .core import Degradation, task_for as _task_for
-
-    return _task_for(Degradation(name))
 
 
 KB_VERSION = 1

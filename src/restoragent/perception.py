@@ -84,10 +84,17 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
-        return cls(
-            {Degradation(d): p for d, p in data.get("p_miss", {}).items()},
-            {Degradation(d): p for d, p in data.get("p_false", {}).items()},
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"a noise model must be a JSON object, not {data!r}")
+        tables = []
+        for key in ("p_miss", "p_false"):
+            table = data.get(key, {})
+            if not isinstance(table, dict) or not all(
+                isinstance(p, (int, float)) for p in table.values()
+            ):
+                raise ValueError(f"{key} must map degradation names to numbers, not {table!r}")
+            tables.append({Degradation(d): p for d, p in table.items()})
+        return cls(*tables)
 
 
 class NoisyOracle:
@@ -111,6 +118,14 @@ class NoisyOracle:
         if rng.random() < self.model.false(degradation):
             return Severity.MEDIUM
         return true
+
+
+def evaluator_from_model(model: dict | None):
+    """The evaluator a config's ``"evaluator"`` entry selects: the perfect
+    oracle when it is missing or empty, else a noisy oracle over it."""
+    if not model:
+        return PerfectOracle()
+    return NoisyOracle(NoiseModel.from_dict(model))
 
 
 def evaluate_agenda(evaluator, profile: DegradationProfile, rng=None) -> Agenda:

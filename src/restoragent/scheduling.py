@@ -76,10 +76,6 @@ class RandomScheduler:
         return (first,) + tuple(rest[i] for i in order)
 
 
-def random_schedule(agenda, rng):
-    return RandomScheduler().schedule(agenda, rng=rng)
-
-
 def reschedule(scheduler, plan, attempts, rng=None):
     """New plan over the same tasks whose head avoids all prior attempts."""
     tasks = frozenset(plan)

@@ -14,6 +14,7 @@ from .execution import (
     Status,
     default_comparator,
     execute_subtask,
+    pick_best,
 )
 from .perception import evaluate_agenda
 from .rng import Stream
@@ -154,10 +155,9 @@ def _dfs(profile, plan, deps, stream, counters, children):
             branch += 1
         else:
             compare = default_comparator(deps.evaluator, stream.child("pickbest"))
-            best = inferiors[0]
-            for challenger in inferiors[1:]:
-                if compare(best.profile, challenger.profile) is not best.profile:
-                    best = challenger
+            best = pick_best(
+                inferiors, lambda a, b: a if compare(a.profile, b.profile) is a.profile else b
+            )
             return best, False
 
 
@@ -172,12 +172,10 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
             trace.final = initial.to_dict()
             return initial, trace
 
+        plan = tuple(deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0)))
         if not deps.use_rollback or not deps.use_reflection:
-            return _run_straight_line(initial, agenda, deps, stream, trace)
+            return _run_straight_line(initial, plan, deps, stream, trace)
 
-        plan = tuple(
-            deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0))
-        )
         profile = initial
         outer = 0
         while True:
@@ -206,11 +204,8 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
         return initial, trace
 
 
-def _run_straight_line(initial, agenda, deps, stream, trace):
+def _run_straight_line(initial, plan, deps, stream, trace):
     """Ablated control flow: execute the plan once, keep best-effort results."""
-    plan = tuple(
-        deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0))
-    )
     profile = initial
     all_passed = True
     for i, subtask in enumerate(plan):

@@ -10,6 +10,7 @@ from restoragent.harness import (
     make_deps,
     parse_combinations,
     recompute_report,
+    report_cells,
     run_batch,
 )
 from restoragent.knowledge import load_kb, reference_kb
@@ -99,7 +100,25 @@ def test_run_report_is_deterministic(runner, tmp_path, env_config):
         assert trace.read_bytes() == (b / "traces" / trace.name).read_bytes()
 
 
-def test_verify_accepts_then_rejects_tampered_report(runner, tmp_path, env_config):
+@pytest.mark.parametrize(
+    "relpath, keys, value",
+    [
+        pytest.param("report.json", ["combinations", "rain + haze", "success_rate"], 0.123,
+                     id="combination-cell"),
+        pytest.param("report.json", ["combinations", "rain + haze", "runs"], 3,
+                     id="combination-runs"),
+        pytest.param("report.json", ["combinations", "rain + haze", "group"], "Z",
+                     id="combination-group"),
+        pytest.param("report.json", ["groups", "A", "success_rate"], 0.123, id="group-cell"),
+        pytest.param("traces/rain_-_haze.json", [0, "counters", "invocations"], 99,
+                     id="trace-invocations"),
+        pytest.param("traces/rain_-_haze.json", [0, "tree", 0, "invocations"], 99,
+                     id="tree-node-invocations"),
+    ],
+)
+def test_verify_accepts_then_rejects_tampered_report(
+    runner, tmp_path, env_config, relpath, keys, value
+):
     out = tmp_path / "out"
     result = runner.invoke(
         main,
@@ -113,15 +132,46 @@ def test_verify_accepts_then_rejects_tampered_report(runner, tmp_path, env_confi
     assert result.exit_code == 0, result.output
     assert "report verified" in result.output
 
-    report = json.loads((out / "report.json").read_text())
-    label = next(iter(report["combinations"]))
-    report["combinations"][label]["success_rate"] += 0.25
-    (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    path = out / relpath
+    data = json.loads(path.read_text())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
     result = runner.invoke(
         main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
     )
-    assert result.exit_code == 2
+    assert result.exit_code == 2, result.output
     assert "MISMATCH" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, config, exit_code",
+    [
+        pytest.param("run", [], 1, id="run-config-not-an-object"),
+        pytest.param("explore", {"environment": {"tools": []}}, 1, id="explore-env-without-mode"),
+        pytest.param("explore", {"evaluator": [0.1]}, 1, id="explore-evaluator-not-an-object"),
+        pytest.param("explore", {"evaluator": None}, 0, id="explore-null-evaluator-is-perfect"),
+        pytest.param("run", {**env_to_dict(reference_tabular_env()),
+                             "evaluator": {"p_miss": {"rain": 2.0}}}, 1,
+                     id="run-p-miss-out-of-range"),
+        pytest.param("run", {**env_to_dict(reference_tabular_env()),
+                             "evaluator": {"p_miss": {"rain": "high"}}}, 1,
+                     id="run-p-miss-not-a-number"),
+    ],
+)
+def test_config_edge_cases_exit_without_traceback(runner, tmp_path, command, config, exit_code):
+    if command == "explore":
+        config = {"samples_per_combination": 1, "trials_per_sample": 1, **config}
+    path = _write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert not isinstance(result.exception, Exception), result.exception
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert "error: bad" in result.output
+        assert not out.exists()
 
 
 def test_missing_config_is_user_error(runner, tmp_path):
@@ -185,7 +235,13 @@ def test_recompute_report_matches_run_batch():
     env = reference_tabular_env()
     combos = [c for c in builtin_combinations() if c.group == "A"][:3]
     report, traces, _ = run_batch(env, reference_kb(), "full", combos, 3, 1)
-    rebuilt = recompute_report(report, traces)
-    for label, stats in report["combinations"].items():
-        for key in ("success_rate", "mean_invocations", "mean_rollbacks"):
-            assert stats[key] == pytest.approx(rebuilt[label][key])
+    assert recompute_report(report, traces) == report["combinations"]
+    group_of = {c.label(): c.group for c in combos}
+    assert report_cells(traces, group_of) == {
+        "groups": report["groups"],
+        "combinations": report["combinations"],
+    }
+    pooled = [t for combo_traces in traces.values() for t in combo_traces]
+    assert report["groups"]["A"]["mean_invocations"] == (
+        sum(t["counters"]["invocations"] for t in pooled) / len(pooled)
+    )

@@ -13,7 +13,6 @@ from restoragent.scheduling import (
     Unschedulable,
     entropy_bits,
     measure_consistency,
-    random_schedule,
     reschedule,
     variation_ratio,
 )
@@ -99,9 +98,9 @@ def test_schedule_is_permutation_of_agenda(agenda):
 
 
 def test_random_schedule_singleton_and_determinism():
-    assert random_schedule({T.DERAINING}, substream(0, 1)) == (T.DERAINING,)
-    a = random_schedule(set(TaskKind), substream(0, 2))
-    b = random_schedule(set(TaskKind), substream(0, 2))
+    assert RandomScheduler().schedule({T.DERAINING}, rng=substream(0, 1)) == (T.DERAINING,)
+    a = RandomScheduler().schedule(set(TaskKind), rng=substream(0, 2))
+    b = RandomScheduler().schedule(set(TaskKind), rng=substream(0, 2))
     assert a == b
 
 
@@ -109,7 +108,7 @@ def test_random_schedule_uniform_two_tasks():
     agenda = {T.DERAINING, T.DEHAZING}
     n = 10_000
     first_derain = sum(
-        random_schedule(agenda, substream(1, i))[0] is T.DERAINING for i in range(n)
+        RandomScheduler().schedule(agenda, rng=substream(1, i))[0] is T.DERAINING for i in range(n)
     )
     sigma = math.sqrt(0.25 / n)
     assert abs(first_derain / n - 0.5) <= 3 * sigma
