@@ -8,10 +8,9 @@ import http.client
 import json
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 
-from .core import Severity, TaskKind, degradation_for
-from .knowledge import render_experience_text
+from .core import Degradation, Severity, TaskKind, degradation_for
+from .knowledge import render_experience_text, retrieve
 
 
 class BridgeError(RuntimeError):
@@ -59,18 +58,8 @@ FAILED_TRIES_SUFFIX = (
     "{failed_tries} in the first place."
 )
 
-COMPARE_PROMPT = (
-    "Which of the two images, Image A or Image B, do you consider to be of "
-    "better quality? Answer the question using a single word or phrase."
-)
-
-
-@dataclass
-class BridgeConfig:
-    endpoint: str = ""
-    timeout: float = 30.0
-    max_retries: int = 2
-    replay_file: str | None = None
+#: Extra attempts after a scheduling reply that fails validation.
+MAX_RETRIES = 2
 
 
 def prompt_key(prompt: str) -> str:
@@ -78,7 +67,8 @@ def prompt_key(prompt: str) -> str:
 
 
 class ReplayTransport:
-    """Canned responses keyed by prompt hash; never touches the network."""
+    """Canned responses keyed by prompt hash; never touches the network.
+    The replay file is read once, on construction."""
 
     def __init__(self, path):
         with open(path, encoding="utf-8") as fh:
@@ -94,17 +84,18 @@ class ReplayTransport:
 class HttpTransport:
     """POST {prompt} -> {text} against a chat-completion gateway."""
 
-    def __init__(self, cfg: BridgeConfig):
-        self.cfg = cfg
+    def __init__(self, endpoint: str, timeout: float = 30.0):
+        self.endpoint = endpoint
+        self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
         request = urllib.request.Request(
-            self.cfg.endpoint,
+            self.endpoint,
             data=json.dumps({"prompt": prompt}).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = response.read()
         except TimeoutError as exc:
             raise Timeout(str(exc)) from exc
@@ -120,32 +111,22 @@ class HttpTransport:
             raise MalformedResponse(f"bad completion payload: {exc}") from exc
 
 
-def make_transport(cfg: BridgeConfig):
-    if cfg.replay_file:
-        return ReplayTransport(cfg.replay_file)
-    if not cfg.endpoint:
-        raise ValueError("bridge needs an endpoint or a replay file")
-    return HttpTransport(cfg)
-
-
 def build_schedule_prompt(degradations, agenda, experience_text, failed_tries=()) -> str:
-    """Byte-stable scheduling prompt for fixed inputs."""
-    degradation_list = list(degradations)
-    agenda_list = [t.value if isinstance(t, TaskKind) else str(t) for t in agenda]
+    """Byte-stable scheduling prompt for fixed inputs; ``agenda`` and
+    ``failed_tries`` hold TaskKinds."""
     prompt = SCHEDULE_PROMPT.format(
-        degradations=degradation_list,
-        agenda=agenda_list,
+        degradations=list(degradations),
+        agenda=[t.value for t in agenda],
         experience=experience_text,
     )
-    failed = [t.value if isinstance(t, TaskKind) else str(t) for t in failed_tries]
+    failed = [t.value for t in failed_tries]
     if failed:
         prompt += FAILED_TRIES_SUFFIX.format(failed_tries=failed)
     return prompt
 
 
-def build_severity_prompt(degradation) -> str:
-    name = getattr(degradation, "value", degradation)
-    return SEVERITY_PROMPT.format(degradation=name)
+def build_severity_prompt(degradation: Degradation) -> str:
+    return SEVERITY_PROMPT.format(degradation=degradation.value)
 
 
 def _parse_order(text: str, agenda_names: list, failed: set) -> tuple:
@@ -162,58 +143,46 @@ def _parse_order(text: str, agenda_names: list, failed: set) -> tuple:
     return tuple(TaskKind(name) for name in order), thought
 
 
-def remote_schedule(cfg: BridgeConfig, degradations, agenda, experience_text, failed_tries=()):
-    """Returns (plan, thought); validates and retries before giving up."""
-    transport = make_transport(cfg)
-    agenda_names = [t.value if isinstance(t, TaskKind) else str(t) for t in agenda]
-    failed = {t.value if isinstance(t, TaskKind) else str(t) for t in failed_tries}
-    prompt = build_schedule_prompt(degradations, agenda, experience_text, failed_tries)
-    last_error = None
-    for _ in range(cfg.max_retries + 1):
-        text = transport.complete(prompt)
-        try:
-            return _parse_order(text, agenda_names, failed)
-        except (MalformedResponse, InvalidPermutation) as exc:
-            last_error = exc
-    raise last_error
-
-
-def remote_assess(cfg: BridgeConfig, image_ref, degradation) -> Severity:
-    transport = make_transport(cfg)
-    text = transport.complete(build_severity_prompt(degradation))
-    try:
-        return Severity.from_label(text)
-    except ValueError as exc:
-        raise MalformedResponse(str(exc)) from exc
-
-
 class RemoteScheduler:
-    """Scheduler-interface adapter over the HTTP/replay bridge."""
+    """Scheduler-interface adapter over a ReplayTransport or HttpTransport."""
 
-    def __init__(self, cfg: BridgeConfig, kb=None):
-        self.cfg = cfg
+    def __init__(self, transport, kb=None):
+        self.transport = transport
         self.kb = kb
         self.last_thought = ""
 
     def schedule(self, agenda, banned_first=frozenset(), rng=None):
-        from .knowledge import retrieve
-
+        """The remote model's order; a reply that fails validation is asked
+        for again up to MAX_RETRIES times before its error is raised."""
         agenda_list = sorted(frozenset(agenda), key=lambda t: t.value)
         experience = ""
         if self.kb is not None:
             experience = render_experience_text(retrieve(self.kb, agenda_list).records)
         degradations = sorted({degradation_for(t).value for t in agenda_list})
         banned = sorted(frozenset(banned_first), key=lambda t: t.value)
-        plan, thought = remote_schedule(self.cfg, degradations, agenda_list, experience, banned)
-        self.last_thought = thought
-        return plan
+        prompt = build_schedule_prompt(degradations, agenda_list, experience, banned)
+        agenda_names = [t.value for t in agenda_list]
+        failed = {t.value for t in banned}
+        for attempt in range(MAX_RETRIES + 1):
+            text = self.transport.complete(prompt)
+            try:
+                plan, self.last_thought = _parse_order(text, agenda_names, failed)
+                return plan
+            except (MalformedResponse, InvalidPermutation):
+                if attempt == MAX_RETRIES:
+                    raise
 
 
 class RemoteEvaluator:
-    """Evaluator-interface adapter; image_ref is the profile's origin id."""
+    """Evaluator-interface adapter; the prompt names only the degradation
+    and carries no image reference."""
 
-    def __init__(self, cfg: BridgeConfig):
-        self.cfg = cfg
+    def __init__(self, transport):
+        self.transport = transport
 
     def assess(self, profile, degradation, rng=None) -> Severity:
-        return remote_assess(self.cfg, profile.origin, degradation)
+        text = self.transport.complete(build_severity_prompt(degradation))
+        try:
+            return Severity.from_label(text)
+        except ValueError as exc:
+            raise MalformedResponse(str(exc)) from exc

@@ -78,17 +78,19 @@ def cmd_explore(config_path: Path, out_path: Path):
     config = _load_json(config_path)
     try:
         env = _environment_from_config(config)
-        combos = parse_combinations(config.get("combinations", "group-A"))
-        exploration = ExplorationConfig(
-            combinations=combos,
-            samples_per_combination=config.get("samples_per_combination", 20),
-            trials_per_sample=config.get("trials_per_sample", 25),
-            success_threshold=Severity.from_label(config.get("success_threshold", "low")),
-            seed=config.get("seed", 0),
-        )
+        # Only the keys the config sets, so the defaults live in ExplorationConfig.
+        settings = {
+            key: config[key]
+            for key in ("samples_per_combination", "trials_per_sample", "seed")
+            if key in config
+        }
+        if "combinations" in config:
+            settings["combinations"] = parse_combinations(config["combinations"])
+        if "success_threshold" in config:
+            settings["success_threshold"] = Severity.from_label(config["success_threshold"])
         evaluator = evaluator_from_model(config.get("evaluator"))
-        trials = explore(env, exploration, evaluator)
-    except (KeyError, ValueError) as exc:
+        trials = explore(env, ExplorationConfig(**settings), evaluator)
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(f"bad explore config {config_path}: {exc}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8") as fh:
@@ -161,7 +163,7 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
         env = env_from_dict(config)
         evaluator_model = config.get("evaluator")
         evaluator_from_model(evaluator_model)  # validates the model before any run
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(f"bad environment config {config_path}: {exc}")
     kb = None
     if kb_path is not None:
@@ -260,11 +262,23 @@ def cmd_verify(report_path: Path, trace_dir: Path):
     trace_dir = Path(trace_dir)
     if not trace_dir.is_dir():
         _fail(f"not a directory: {trace_dir}")
-    traces = {}
+    traces, mismatches = {}, []
     for path in sorted(trace_dir.glob("*.json")):
-        combo_traces = json.loads(path.read_text(encoding="utf-8"))
-        if combo_traces:
-            traces[combo_traces[0]["combination"]] = combo_traces
+        try:
+            combo_traces = json.loads(path.read_text(encoding="utf-8"))
+            for i, trace in enumerate(combo_traces):
+                counted = trace["counters"]["invocations"]
+                in_tree = _tree_invocations(trace["tree"])
+                if counted != in_tree:
+                    mismatches.append(f"{path.name}[{i}]: counters.invocations {counted} "
+                                      f"!= {in_tree} over its tree")
+            # Reads every field a report cell needs, so a malformed file is
+            # named here instead of failing the rebuild below.
+            report_cells({path.name: combo_traces}, {path.name: ""})
+            if combo_traces:
+                traces[combo_traces[0]["combination"]] = combo_traces
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            mismatches.append(f"{path.name}: malformed trace file: {type(exc).__name__}: {exc}")
     # Groups come from the report, so a relabelled combination shows up as
     # a group cell the report lacks or gets wrong; str() turns a missing
     # group into a mismatch rather than an unsortable key.
@@ -272,20 +286,12 @@ def cmd_verify(report_path: Path, trace_dir: Path):
         label: str(cell.get("group")) for label, cell in report.get("combinations", {}).items()
     }
     rebuilt = report_cells(traces, group_of)
-    mismatches = []
     for section, cells in rebuilt.items():
         printed = report.get(section, {})
         for name in sorted(set(cells) | set(printed)):
             if printed.get(name) != cells.get(name):
                 mismatches.append(
                     f"{section}.{name}: report {printed.get(name)} != traces {cells.get(name)}"
-                )
-    for label, combo_traces in sorted(traces.items()):
-        for i, trace in enumerate(combo_traces):
-            counted, in_tree = trace["counters"]["invocations"], _tree_invocations(trace["tree"])
-            if counted != in_tree:
-                mismatches.append(
-                    f"{label}[{i}]: counters.invocations {counted} != {in_tree} over its tree"
                 )
     if mismatches:
         for line in mismatches:

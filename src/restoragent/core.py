@@ -192,12 +192,11 @@ class DegradationCombination:
         return " + ".join(d.value for d in self.degradations)
 
 
-def initial_profile(combo: DegradationCombination, index: int,
-                    severity: Severity = Severity.HIGH) -> DegradationProfile:
+def initial_profile(combo: DegradationCombination, index: int) -> DegradationProfile:
     """The profile a workflow run or an exploration sample starts from:
-    every degradation of ``combo`` at ``severity``, no history."""
+    every degradation of ``combo`` at HIGH, no history."""
     return DegradationProfile(
-        {d: severity for d in combo.degradations}, (), f"{combo.label()}#{index}"
+        {d: Severity.HIGH for d in combo.degradations}, (), f"{combo.label()}#{index}"
     )
 
 

@@ -269,7 +269,7 @@ def apply_tool(
     rng,
 ) -> DegradationProfile:
     """Apply one tool; returns a new profile, never mutating the input."""
-    tool = env.tool(tool.id if isinstance(tool, ToolSpec) else tool)
+    tool = env.tool(tool.id)
 
     if env.mode == "tabular":
         combo = _combination_key(state)

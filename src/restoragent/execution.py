@@ -30,17 +30,16 @@ class ToolOrder(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    accept_now: Severity = Severity.VERY_LOW
+    """A result whose reflected severity is VERY_LOW is always accepted at
+    once; ``accept_candidate`` is the level up to which a result is kept as
+    a PickBest candidate."""
+
     accept_candidate: Severity = Severity.LOW
     tool_order: ToolOrder = ToolOrder.SEEDED_SHUFFLE
 
-    def __post_init__(self):
-        if self.accept_now > self.accept_candidate:
-            raise ValueError("accept_now must be at most accept_candidate")
-
     def strict(self) -> "ExecutionPolicy":
         """Variant accepting only very-low residual severity."""
-        return ExecutionPolicy(Severity.VERY_LOW, Severity.VERY_LOW, self.tool_order)
+        return ExecutionPolicy(Severity.VERY_LOW, self.tool_order)
 
 
 class Status(enum.Enum):
@@ -53,8 +52,10 @@ class SubtaskOutcome:
     status: Status
     result: DegradationProfile
     tools_tried: list = field(default_factory=list)
-    invocations: int = 0
-    candidates_considered: int = 0
+
+    @property
+    def invocations(self) -> int:
+        return len(self.tools_tried)
 
 
 class SimulatorToolAdapter:
@@ -161,15 +162,13 @@ def execute_subtask(
         produced.append(result)
         if not use_reflection:
             # Reflection ablated: the first tool result is accepted as-is.
-            return SubtaskOutcome(Status.SUCCESS, result, tried, len(tried), 0)
+            return SubtaskOutcome(Status.SUCCESS, result, tried)
         severity = reflect(evaluator, result, task, stream.child("reflect", i))
-        if severity <= policy.accept_now:
-            return SubtaskOutcome(Status.SUCCESS, result, tried, len(tried), len(candidates))
+        if severity == Severity.VERY_LOW:
+            return SubtaskOutcome(Status.SUCCESS, result, tried)
         if severity <= policy.accept_candidate:
             candidates.append(result)
 
     if candidates:
-        best = pick_best(candidates, comparator)
-        return SubtaskOutcome(Status.SUCCESS, best, tried, len(tried), len(candidates))
-    best = pick_best(produced, comparator)
-    return SubtaskOutcome(Status.FAILURE, best, tried, len(tried), 0)
+        return SubtaskOutcome(Status.SUCCESS, pick_best(candidates, comparator), tried)
+    return SubtaskOutcome(Status.FAILURE, pick_best(produced, comparator), tried)

@@ -23,12 +23,13 @@ class ExplorationConfig:
     samples_per_combination: int = 20
     trials_per_sample: int = 25
     success_threshold: Severity = Severity.LOW
-    initial_severity: Severity = Severity.HIGH
     seed: int = 0
 
     def __post_init__(self):
         if self.samples_per_combination < 1:
             raise ValueError("samples_per_combination must be >= 1")
+        if self.trials_per_sample < 1:
+            raise ValueError("trials_per_sample must be >= 1")
         if self.success_threshold not in (Severity.VERY_LOW, Severity.LOW):
             raise ValueError("success_threshold must be VERY_LOW or LOW")
 
@@ -49,7 +50,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     for ci, combo in enumerate(config.combinations):
         tasks = sorted(combo.tasks, key=lambda t: t.value)
         for si in range(config.samples_per_combination):
-            base = initial_profile(combo, si, config.initial_severity)
+            base = initial_profile(combo, si)
             for pi, order in enumerate(itertools.permutations(tasks)):
                 for ti in range(config.trials_per_sample):
                     rng = substream(config.seed, "explore", ci, si, pi, ti)

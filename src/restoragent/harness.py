@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .core import (
     DegradationCombination,
@@ -83,6 +82,9 @@ def run_batch(
     env_data = {"env": env_to_dict(env), "evaluator": evaluator_model}
     tasks = [(env_data, kb, mode, combo, runs, seed) for combo in combinations]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: the process pool costs every importer ~10 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_combination, tasks))
     else:

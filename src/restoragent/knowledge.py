@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
 
 from .core import Degradation, TaskKind, task_for
-from .envsim import TabularCalibration, reference_calibration
+from .envsim import reference_calibration
 
 #: Total-fail differences at or below this count as "no significant effect".
 EPSILON_TIE = 0.005
@@ -115,7 +115,7 @@ def _pair_totals(records):
     return {key: sum(v) / len(v) for key, v in out.items()}
 
 
-def distill(records, epsilon_tie: float = EPSILON_TIE) -> list:
+def distill(records) -> list:
     """Deterministic pairwise precedence extraction from experience records."""
     if not records:
         return []
@@ -135,7 +135,7 @@ def distill(records, epsilon_tie: float = EPSILON_TIE) -> list:
             continue  # single relative order observed; nothing to compare
         seen.add(pair)
         margin = abs(forward - backward)
-        if margin <= epsilon_tie + _TIE_GUARD:
+        if margin <= EPSILON_TIE + _TIE_GUARD:
             before, after = sorted((x, y), key=lambda t: t.value)
             rules.append(PrecedenceRule(before, after, 0.0, True, (combination,)))
         elif forward < backward:
@@ -162,9 +162,10 @@ def retrieve(kb: KnowledgeBase, agenda) -> Retrieval:
     return Retrieval(rules, records)
 
 
-def reference_records(n_trials: int = 100, calibration: TabularCalibration | None = None) -> list:
-    """Exact ExperienceRecords carrying the published calibration rates."""
-    calibration = calibration or reference_calibration()
+def reference_records() -> list:
+    """Exact ExperienceRecords carrying the published calibration rates,
+    each counted as 100 trials."""
+    calibration = reference_calibration()
     records = []
     for combination in sorted(
         calibration.entries, key=lambda k: sorted(d.value for d in k)
@@ -173,14 +174,14 @@ def reference_records(n_trials: int = 100, calibration: TabularCalibration | Non
             per_task = {task_for(d): p for d, p in stats.fail.items()}
             total = sum(per_task.values()) / len(per_task)
             records.append(
-                ExperienceRecord(frozenset(combination), stats.order, per_task, total, n_trials)
+                ExperienceRecord(frozenset(combination), stats.order, per_task, total, 100)
             )
     return records
 
 
-def reference_kb(n_trials: int = 100) -> KnowledgeBase:
+def reference_kb() -> KnowledgeBase:
     """Knowledge base distilled directly from the published calibration."""
-    records = reference_records(n_trials)
+    records = reference_records()
     return KnowledgeBase(records, distill(records), "built-in calibration statistics")
 
 

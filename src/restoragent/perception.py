@@ -52,11 +52,7 @@ class NoiseModel:
         return self.p_false.get(degradation, 0.0)
 
     @classmethod
-    def from_precision_recall(
-        cls,
-        targets: dict,
-        positive_rate: float = 0.5,
-    ) -> "NoiseModel":
+    def from_precision_recall(cls, targets: dict) -> "NoiseModel":
         """Fit p_miss/p_false so a balanced assessment population hits the
         target binary precision/recall per degradation.
 
@@ -65,15 +61,13 @@ class NoiseModel:
         flips presence.
         """
         p_miss, p_false = {}, {}
-        pi = positive_rate
         for degradation, (precision, recall) in targets.items():
             if not 0 < precision <= 1 or not 0 <= recall <= 1:
                 raise ValueError(f"invalid target for {degradation}: {(precision, recall)}")
             p_miss[degradation] = 1.0 - recall
-            # precision = recall*pi / (recall*pi + p_false*(1-pi))
-            p_false[degradation] = min(
-                1.0, recall * pi * (1.0 - precision) / (precision * (1.0 - pi))
-            )
+            # Half the population is positive, so
+            # precision = recall / (recall + p_false).
+            p_false[degradation] = min(1.0, recall * (1.0 - precision) / precision)
         return cls(p_miss, p_false)
 
     def to_dict(self) -> dict:

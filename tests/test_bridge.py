@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from restoragent.bridge import (
-    BridgeConfig,
+    MAX_RETRIES,
     HttpTransport,
     InvalidPermutation,
     MalformedResponse,
@@ -17,21 +17,19 @@ from restoragent.bridge import (
     Transport,
     build_schedule_prompt,
     build_severity_prompt,
-    make_transport,
     prompt_key,
-    remote_assess,
-    remote_schedule,
 )
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
 from restoragent.knowledge import reference_kb, render_experience_text, retrieve
 
 T = TaskKind
+NOISY = DegradationProfile({Degradation.NOISE: Severity.HIGH}, (), "img-1")
 
 
-def _replay_cfg(tmp_path, responses, **kwargs):
+def _replay(tmp_path, responses):
     path = tmp_path / "replay.json"
     path.write_text(json.dumps(responses), encoding="utf-8")
-    return BridgeConfig(replay_file=str(path), **kwargs)
+    return ReplayTransport(path)
 
 
 def test_severity_prompt_wording():
@@ -53,29 +51,21 @@ def test_schedule_prompt_is_byte_stable_and_gated_suffix():
 
 
 def test_replay_transport_lookup_and_miss(tmp_path):
-    cfg = _replay_cfg(tmp_path, {prompt_key("hello"): "world"})
-    transport = make_transport(cfg)
-    assert isinstance(transport, ReplayTransport)
+    transport = _replay(tmp_path, {prompt_key("hello"): "world"})
     assert transport.complete("hello") == "world"
     with pytest.raises(MalformedResponse):
         transport.complete("unseen prompt")
 
 
-def test_make_transport_requires_endpoint_or_replay():
-    with pytest.raises(ValueError):
-        make_transport(BridgeConfig())
-
-
 def test_remote_schedule_happy_path(tmp_path):
     agenda = [T.DEHAZING, T.DERAINING]
-    prompt = build_schedule_prompt(["haze", "rain"], agenda, "exp")
+    prompt = build_schedule_prompt(["haze", "rain"], agenda, "")
     response = json.dumps(
         {"thought": "rain streaks occlude haze", "order": ["deraining", "dehazing"]}
     )
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): response})
-    plan, thought = remote_schedule(cfg, ["haze", "rain"], agenda, "exp")
-    assert plan == (T.DERAINING, T.DEHAZING)
-    assert thought == "rain streaks occlude haze"
+    scheduler = RemoteScheduler(_replay(tmp_path, {prompt_key(prompt): response}))
+    assert scheduler.schedule(set(agenda)) == (T.DERAINING, T.DEHAZING)
+    assert scheduler.last_thought == "rain streaks occlude haze"
 
 
 @pytest.mark.parametrize(
@@ -89,28 +79,40 @@ def test_remote_schedule_happy_path(tmp_path):
 )
 def test_remote_schedule_rejects_bad_payloads(tmp_path, payload):
     agenda = [T.DEHAZING, T.DERAINING]
-    prompt = build_schedule_prompt(["haze", "rain"], agenda, "exp")
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): payload}, max_retries=1)
+    prompt = build_schedule_prompt(["haze", "rain"], agenda, "")
+    transport = _replay(tmp_path, {prompt_key(prompt): payload})
+    asked = []
+    complete = transport.complete
+    transport.complete = lambda text: asked.append(text) or complete(text)
     with pytest.raises((MalformedResponse, InvalidPermutation)):
-        remote_schedule(cfg, ["haze", "rain"], agenda, "exp")
+        RemoteScheduler(transport).schedule(set(agenda))
+    assert asked == [prompt] * (MAX_RETRIES + 1)
 
 
 def test_remote_schedule_rejects_banned_first(tmp_path):
     agenda = [T.DEHAZING, T.DERAINING]
-    prompt = build_schedule_prompt(["haze", "rain"], agenda, "exp", [T.DERAINING])
+    prompt = build_schedule_prompt(["haze", "rain"], agenda, "", [T.DERAINING])
     response = json.dumps({"order": ["deraining", "dehazing"]})
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): response}, max_retries=0)
+    scheduler = RemoteScheduler(_replay(tmp_path, {prompt_key(prompt): response}))
     with pytest.raises(InvalidPermutation):
-        remote_schedule(cfg, ["haze", "rain"], agenda, "exp", [T.DERAINING])
+        scheduler.schedule(set(agenda), banned_first={T.DERAINING})
 
 
 def test_remote_assess_parses_label(tmp_path):
     prompt = build_severity_prompt(Degradation.NOISE)
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): "Very High"})
-    assert remote_assess(cfg, "img-1", Degradation.NOISE) is Severity.VERY_HIGH
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): "sort of blurry"})
+    evaluator = RemoteEvaluator(_replay(tmp_path, {prompt_key(prompt): "Very High"}))
+    assert evaluator.assess(NOISY, Degradation.NOISE) is Severity.VERY_HIGH
+    evaluator = RemoteEvaluator(_replay(tmp_path, {prompt_key(prompt): "sort of blurry"}))
     with pytest.raises(MalformedResponse):
-        remote_assess(cfg, "img-1", Degradation.NOISE)
+        evaluator.assess(NOISY, Degradation.NOISE)
+
+
+def test_remote_evaluator_reads_its_replay_file_once(tmp_path):
+    prompt = build_severity_prompt(Degradation.NOISE)
+    evaluator = RemoteEvaluator(_replay(tmp_path, {prompt_key(prompt): "low"}))
+    (tmp_path / "replay.json").unlink()
+    assert evaluator.assess(NOISY, Degradation.NOISE) is Severity.LOW
+    assert evaluator.assess(NOISY, Degradation.NOISE) is Severity.LOW
 
 
 def test_remote_scheduler_renders_kb_experience(tmp_path):
@@ -119,8 +121,7 @@ def test_remote_scheduler_renders_kb_experience(tmp_path):
     experience = render_experience_text(retrieve(kb, agenda).records)
     prompt = build_schedule_prompt(["haze", "rain"], agenda, experience)
     response = json.dumps({"thought": "derain first", "order": ["deraining", "dehazing"]})
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): response})
-    scheduler = RemoteScheduler(cfg, kb)
+    scheduler = RemoteScheduler(_replay(tmp_path, {prompt_key(prompt): response}), kb)
     plan = scheduler.schedule({T.DERAINING, T.DEHAZING})
     assert plan == (T.DERAINING, T.DEHAZING)
     assert scheduler.last_thought == "derain first"
@@ -128,8 +129,7 @@ def test_remote_scheduler_renders_kb_experience(tmp_path):
 
 def test_remote_evaluator_uses_severity_prompt(tmp_path):
     prompt = build_severity_prompt(Degradation.RAIN)
-    cfg = _replay_cfg(tmp_path, {prompt_key(prompt): "medium"})
-    evaluator = RemoteEvaluator(cfg)
+    evaluator = RemoteEvaluator(_replay(tmp_path, {prompt_key(prompt): "medium"}))
     profile = DegradationProfile({Degradation.RAIN: Severity.HIGH}, (), "img-9")
     assert evaluator.assess(profile, Degradation.RAIN) is Severity.MEDIUM
 
@@ -167,29 +167,29 @@ def http_endpoint():
 
 
 def test_http_transport_roundtrip(http_endpoint):
-    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=5))
+    transport = HttpTransport(http_endpoint, timeout=5)
     assert transport.complete("hello") == "HELLO"
 
 
 def test_http_transport_server_error(http_endpoint):
-    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=5))
+    transport = HttpTransport(http_endpoint, timeout=5)
     with pytest.raises(Transport):
         transport.complete("boom")
 
 
 def test_http_transport_malformed_payload(http_endpoint):
-    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=5))
+    transport = HttpTransport(http_endpoint, timeout=5)
     with pytest.raises(MalformedResponse):
         transport.complete("garbled")
 
 
 def test_http_transport_timeout(http_endpoint):
-    transport = HttpTransport(BridgeConfig(endpoint=http_endpoint, timeout=0.1))
+    transport = HttpTransport(http_endpoint, timeout=0.1)
     with pytest.raises(Timeout):
         transport.complete("slow")
 
 
 def test_http_transport_unreachable_endpoint():
-    transport = HttpTransport(BridgeConfig(endpoint="http://127.0.0.1:9/", timeout=5))
+    transport = HttpTransport("http://127.0.0.1:9/", timeout=5)
     with pytest.raises(Transport):
         transport.complete("hello")

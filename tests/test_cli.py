@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from restoragent import cli
 from restoragent.cli import main
 from restoragent.core import Degradation, TaskKind, builtin_combinations
 from restoragent.envsim import env_to_dict, reference_tabular_env
+from restoragent.explore import ExplorationConfig
 from restoragent.harness import (
     make_deps,
     parse_combinations,
@@ -14,6 +20,9 @@ from restoragent.harness import (
     run_batch,
 )
 from restoragent.knowledge import load_kb, reference_kb
+
+DELETE = object()
+TOOL = {"id": "a", "task": "denoising", "outcome": {"full": 1.0, "partial": 0.0, "none": 0.0}}
 
 
 @pytest.fixture
@@ -114,6 +123,9 @@ def test_run_report_is_deterministic(runner, tmp_path, env_config):
                      id="trace-invocations"),
         pytest.param("traces/rain_-_haze.json", [0, "tree", 0, "invocations"], 99,
                      id="tree-node-invocations"),
+        pytest.param("traces/rain_-_haze.json", [0, "tree"], DELETE, id="trace-without-tree"),
+        pytest.param("traces/zz.json", [], '{"x": 1}', id="trace-file-not-a-list"),
+        pytest.param("traces/zz.json", [], "not json", id="trace-file-not-json"),
     ],
 )
 def test_verify_accepts_then_rejects_tampered_report(
@@ -133,12 +145,17 @@ def test_verify_accepts_then_rejects_tampered_report(
     assert "report verified" in result.output
 
     path = out / relpath
-    data = json.loads(path.read_text())
-    target = data
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    path.write_text(json.dumps(data), encoding="utf-8")
+    if keys:
+        data = json.loads(path.read_text())
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        value = json.dumps(data)
+    path.write_text(value, encoding="utf-8")
     result = runner.invoke(
         main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
     )
@@ -159,6 +176,17 @@ def test_verify_accepts_then_rejects_tampered_report(
         pytest.param("run", {**env_to_dict(reference_tabular_env()),
                              "evaluator": {"p_miss": {"rain": "high"}}}, 1,
                      id="run-p-miss-not-a-number"),
+        pytest.param("run", {"mode": "mechanistic", "tools": 5}, 1, id="run-tools-not-a-list"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [{**TOOL, "outcome": {
+                         "full": "1", "partial": 0, "none": 0}}]}, 1,
+                     id="run-outcome-not-a-number"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
+                         "task": "denoising",
+                         "condition": {"kind": "task-in-history", "task": "deraining"},
+                         "effect": {"kind": "fail-boost", "delta": "big"}}]}, 1,
+                     id="run-fail-boost-delta-not-a-number"),
+        pytest.param("explore", {"samples_per_combination": "3"}, 1,
+                     id="explore-samples-not-a-number"),
     ],
 )
 def test_config_edge_cases_exit_without_traceback(runner, tmp_path, command, config, exit_code):
@@ -172,6 +200,21 @@ def test_config_edge_cases_exit_without_traceback(runner, tmp_path, command, con
     if exit_code:
         assert "error: bad" in result.output
         assert not out.exists()
+
+
+def test_explore_passes_only_the_keys_its_config_sets(runner, tmp_path, monkeypatch):
+    passed = []
+
+    def recording_config(**settings):
+        passed.append(settings)
+        return ExplorationConfig(**settings)
+
+    monkeypatch.setattr(cli, "ExplorationConfig", recording_config)
+    config = {"samples_per_combination": 1, "trials_per_sample": 1}
+    path = _write_json(tmp_path / "config.json", config)
+    result = runner.invoke(main, ["explore", "--config", str(path), "--out", str(tmp_path / "t")])
+    assert result.exit_code == 0, result.output
+    assert passed == [config]
 
 
 def test_missing_config_is_user_error(runner, tmp_path):
@@ -220,6 +263,16 @@ def test_parse_combinations_variants():
     assert set(custom.degradations) == {Degradation.RAIN, Degradation.NOISE}
     with pytest.raises(ValueError):
         parse_combinations("group-Z")
+
+
+def test_imports_leave_the_process_pool_and_harness_unloaded():
+    script = (
+        "import sys, restoragent; assert 'restoragent.harness' not in sys.modules; "
+        "import restoragent.harness; assert 'concurrent.futures.process' not in sys.modules"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_run_batch_parallel_matches_serial():

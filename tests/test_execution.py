@@ -31,11 +31,8 @@ NOISE_HIGH = DegradationProfile({Degradation.NOISE: Severity.HIGH})
 FIXED = ExecutionPolicy(tool_order=ToolOrder.FIXED_REGISTRY)
 
 
-def test_policy_validation_and_strict():
-    with pytest.raises(ValueError):
-        ExecutionPolicy(Severity.MEDIUM, Severity.LOW)
+def test_strict_policy_accepts_only_very_low():
     strict = ExecutionPolicy().strict()
-    assert strict.accept_now is Severity.VERY_LOW
     assert strict.accept_candidate is Severity.VERY_LOW
 
 
@@ -63,7 +60,6 @@ def test_partial_results_go_through_pick_best():
     )
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 2
-    assert outcome.candidates_considered == 2
     assert outcome.result.severity(Degradation.NOISE) is Severity.LOW
 
 

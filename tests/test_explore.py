@@ -38,6 +38,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExplorationConfig(samples_per_combination=0)
     with pytest.raises(ValueError):
+        ExplorationConfig(trials_per_sample=0)
+    with pytest.raises(ValueError):
         ExplorationConfig(success_threshold=Severity.HIGH)
 
 
@@ -97,4 +99,3 @@ def test_explore_default_config_covers_group_a():
     config = ExplorationConfig(samples_per_combination=1, trials_per_sample=1)
     assert len(config.combinations) == 8
     assert config.success_threshold is Severity.LOW
-    assert config.initial_severity is Severity.HIGH
