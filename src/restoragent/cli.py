@@ -9,28 +9,31 @@ from pathlib import Path
 
 import click
 
-from .core import Degradation, TaskKind, builtin_combinations
+from .core import Degradation, Severity, TaskKind, builtin_combinations
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, explore
 from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
 from .knowledge import (
     KnowledgeBase,
-    SchemaError,
     aggregate,
-    display_percent,
     distill,
-    kb_to_dict,
     load_kb,
+    reference_kb,
     render_experience_text,
     save_kb,
 )
 from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
-from .core import Severity
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
+
+#: What parsing a malformed file raises.  OSError covers a path that exists
+#: but cannot be read, such as a directory; JSONDecodeError, SchemaError,
+#: InconsistentTrial and MissingTools are ValueErrors; AttributeError is a
+#: method called on a JSON value of the wrong type.
+BAD_INPUT = (OSError, KeyError, TypeError, ValueError, AttributeError)
 
 
 def _fail(message: str, code: int = EXIT_USER_ERROR):
@@ -38,16 +41,23 @@ def _fail(message: str, code: int = EXIT_USER_ERROR):
     sys.exit(code)
 
 
-def _load_json(path: Path) -> dict:
-    """A config or report file, which must hold one JSON object."""
+def _load(path: Path, what: str, parse):
+    """``parse(path)``, exiting with a user error when the file is missing
+    or ``parse`` raises one of BAD_INPUT.  ``parse`` holds only the code
+    that turns the file into the command's inputs, so that an error in
+    ``run_batch`` or ``measure_consistency`` still ends in a traceback."""
     if not path.exists():
         _fail(f"file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        _fail(f"invalid JSON in {path}: {exc}")
+        return parse(path)
+    except BAD_INPUT as exc:
+        _fail(f"bad {what} {path}: {exc}")
+
+
+def _json_object(path: Path) -> dict:
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
-        _fail(f"bad input {path}: expected a JSON object, not {type(data).__name__}")
+        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
     return data
 
 
@@ -56,13 +66,9 @@ def _dump_json(data, path: Path):
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _environment_from_config(config: dict):
-    env_spec = config.get("environment", "reference-tabular")
-    if env_spec == "reference-tabular":
-        return reference_tabular_env(config.get("seed", 0))
-    if isinstance(env_spec, dict):
-        return env_from_dict(env_spec)
-    _fail(f"unknown environment spec: {env_spec!r}")
+def _trace_file(label: str) -> str:
+    """The name of the file in ``traces/`` that holds one combination's traces."""
+    return label.replace(" ", "_").replace("+", "-") + ".json"
 
 
 @click.group()
@@ -75,23 +81,7 @@ def main():
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def cmd_explore(config_path: Path, out_path: Path):
     """Run self-exploration trials; write one JSON tuple per line."""
-    config = _load_json(config_path)
-    try:
-        env = _environment_from_config(config)
-        # Only the keys the config sets, so the defaults live in ExplorationConfig.
-        settings = {
-            key: config[key]
-            for key in ("samples_per_combination", "trials_per_sample", "seed")
-            if key in config
-        }
-        if "combinations" in config:
-            settings["combinations"] = parse_combinations(config["combinations"])
-        if "success_threshold" in config:
-            settings["success_threshold"] = Severity.from_label(config["success_threshold"])
-        evaluator = evaluator_from_model(config.get("evaluator"))
-        trials = explore(env, ExplorationConfig(**settings), evaluator)
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(f"bad explore config {config_path}: {exc}")
+    trials = _load(config_path, "explore config", _explore_config_trials)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8") as fh:
         for combination, order, flags in trials:
@@ -112,37 +102,61 @@ def cmd_explore(config_path: Path, out_path: Path):
     click.echo(f"wrote {len(trials)} trial tuples to {out_path}")
 
 
+def _explore_config_trials(path: Path) -> list:
+    config = _json_object(path)
+    env_spec = config.get("environment", "reference-tabular")
+    if env_spec == "reference-tabular":
+        env = reference_tabular_env(config.get("seed", 0))
+    elif isinstance(env_spec, dict):
+        env = env_from_dict(env_spec)
+    else:
+        raise ValueError(f"unknown environment spec: {env_spec!r}")
+    # Only the keys the config sets, so the defaults live in ExplorationConfig.
+    settings = {
+        key: config[key]
+        for key in ("samples_per_combination", "trials_per_sample", "seed")
+        if key in config
+    }
+    if "combinations" in config:
+        settings["combinations"] = parse_combinations(config["combinations"])
+    if "success_threshold" in config:
+        settings["success_threshold"] = Severity.from_label(config["success_threshold"])
+    evaluator = evaluator_from_model(config.get("evaluator"))
+    return explore(env, ExplorationConfig(**settings), evaluator)
+
+
 @main.command("summarize")
 @click.option("--tuples", "tuples_path", type=click.Path(path_type=Path), required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def cmd_summarize(tuples_path: Path, out_path: Path):
     """Aggregate trial tuples and distill precedence rules into a KB."""
-    if not tuples_path.exists():
-        _fail(f"file not found: {tuples_path}")
-    trials = []
-    try:
-        with tuples_path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                trials.append(
-                    (
-                        frozenset(Degradation(d) for d in row["combination"]),
-                        tuple(TaskKind(t) for t in row["order"]),
-                        {TaskKind(t): bool(ok) for t, ok in row["flags"].items()},
-                    )
-                )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        _fail(f"bad tuples file {tuples_path}: {exc}")
-    records = aggregate(trials)
+    records = _load(tuples_path, "tuples file", _tuples_records)
     kb = KnowledgeBase(records, distill(records), f"summarized from {tuples_path.name}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_kb(kb, out_path)
     if records:
         click.echo(render_experience_text(records))
     click.echo(f"knowledge base with {len(records)} records, {len(kb.rules)} rules -> {out_path}")
+
+
+def _tuples_records(path: Path) -> list:
+    """The experience records of a tuples file; ``aggregate`` rejects a row
+    whose order or flags do not cover its combination."""
+    trials = []
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            row = json.loads(line)
+            trials.append(
+                (
+                    frozenset(Degradation(d) for d in row["combination"]),
+                    tuple(TaskKind(t) for t in row["order"]),
+                    {TaskKind(t): bool(ok) for t, ok in row["flags"].items()},
+                )
+            )
+    return aggregate(trials)
 
 
 @main.command("run")
@@ -158,19 +172,8 @@ def cmd_summarize(tuples_path: Path, out_path: Path):
               help='"all", "group-A"/"group-B"/"group-C".')
 def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_spec):
     """Execute workflow batches and write traces plus a report."""
-    config = _load_json(config_path)
-    try:
-        env = env_from_dict(config)
-        evaluator_model = config.get("evaluator")
-        evaluator_from_model(evaluator_model)  # validates the model before any run
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(f"bad environment config {config_path}: {exc}")
-    kb = None
-    if kb_path is not None:
-        try:
-            kb = load_kb(kb_path)
-        except (IOError, SchemaError) as exc:
-            _fail(str(exc))
+    env, evaluator_model = _load(config_path, "environment config", _environment_config)
+    kb = None if kb_path is None else _load_kb(kb_path)
     try:
         combos = parse_combinations(combinations_spec)
     except ValueError as exc:
@@ -184,12 +187,24 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(exist_ok=True)
     for label, combo_traces in traces.items():
-        slug = label.replace(" ", "_").replace("+", "-")
-        _dump_json(combo_traces, trace_dir / f"{slug}.json")
+        _dump_json(combo_traces, trace_dir / _trace_file(label))
     _dump_json(report, out_dir / "report.json")
     _dump_json({"mean_wall_clock_s": timings}, out_dir / "timings.json")
     _print_report_table(report)
     click.echo(f"report -> {out_dir / 'report.json'}")
+
+
+def _environment_config(path: Path) -> tuple:
+    """(environment, evaluator model) of a ``run`` config."""
+    config = _json_object(path)
+    env = env_from_dict(config)
+    evaluator_model = config.get("evaluator")
+    evaluator_from_model(evaluator_model)  # validates the model before any run
+    return env, evaluator_model
+
+
+def _load_kb(path: Path) -> KnowledgeBase:
+    return _load(path, "knowledge base", load_kb)
 
 
 def _print_report_table(report: dict):
@@ -215,17 +230,7 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
     if n_per_presentation < 1:
         _fail("--n must be >= 1")
     if scheduler_spec == "experience":
-        kb = None
-        if kb_path is not None:
-            try:
-                kb = load_kb(kb_path)
-            except (IOError, SchemaError) as exc:
-                _fail(str(exc))
-        else:
-            from .knowledge import reference_kb
-
-            kb = reference_kb()
-        scheduler = ExperienceScheduler(kb)
+        scheduler = ExperienceScheduler(reference_kb() if kb_path is None else _load_kb(kb_path))
     else:
         scheduler = RandomScheduler()
     rows = {}
@@ -256,48 +261,67 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
 @click.option("--report", "report_path", type=click.Path(path_type=Path), required=True)
 @click.option("--traces", "trace_dir", type=click.Path(path_type=Path), required=True)
 def cmd_verify(report_path: Path, trace_dir: Path):
-    """Recompute every report cell from the trace files and check each
-    trace's invocation count against its tree; exit 2 on any mismatch."""
-    report = _load_json(report_path)
-    trace_dir = Path(trace_dir)
+    """Recompute every report cell from the trace file of each report label
+    and check each trace's invocation count against its tree; exit 2 on
+    any mismatch."""
+    report = _load(report_path, "report", _json_object)
     if not trace_dir.is_dir():
         _fail(f"not a directory: {trace_dir}")
-    traces, mismatches = {}, []
-    for path in sorted(trace_dir.glob("*.json")):
-        try:
-            combo_traces = json.loads(path.read_text(encoding="utf-8"))
-            for i, trace in enumerate(combo_traces):
-                counted = trace["counters"]["invocations"]
-                in_tree = _tree_invocations(trace["tree"])
-                if counted != in_tree:
-                    mismatches.append(f"{path.name}[{i}]: counters.invocations {counted} "
-                                      f"!= {in_tree} over its tree")
-            # Reads every field a report cell needs, so a malformed file is
-            # named here instead of failing the rebuild below.
-            report_cells({path.name: combo_traces}, {path.name: ""})
-            if combo_traces:
-                traces[combo_traces[0]["combination"]] = combo_traces
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            mismatches.append(f"{path.name}: malformed trace file: {type(exc).__name__}: {exc}")
+    mismatches = [
+        f"{section}: not an object of objects"
+        for section in ("groups", "combinations")
+        if not isinstance(report.get(section), dict)
+        or not all(isinstance(cell, dict) for cell in report[section].values())
+    ]
+    if mismatches:
+        _mismatch(mismatches)
     # Groups come from the report, so a relabelled combination shows up as
     # a group cell the report lacks or gets wrong; str() turns a missing
     # group into a mismatch rather than an unsortable key.
-    group_of = {
-        label: str(cell.get("group")) for label, cell in report.get("combinations", {}).items()
-    }
-    rebuilt = report_cells(traces, group_of)
+    group_of = {label: str(cell.get("group")) for label, cell in report["combinations"].items()}
+    files = {_trace_file(label): label for label in group_of}
+    mismatches = [
+        f"{path.name}: no report label names this trace file"
+        for path in sorted(trace_dir.glob("*.json"))
+        if path.name not in files
+    ]
+    traces = {}
+    for name, label in sorted(files.items()):
+        try:
+            combo_traces = json.loads((trace_dir / name).read_text(encoding="utf-8"))
+            for i, trace in enumerate(combo_traces):
+                if trace["combination"] != label:
+                    mismatches.append(f"{name}[{i}]: combination {trace['combination']!r} "
+                                      f"is not this file's label {label!r}")
+                counted = trace["counters"]["invocations"]
+                in_tree = _tree_invocations(trace["tree"])
+                if counted != in_tree:
+                    mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
+                                      f"!= {in_tree} over its tree")
+            traces[label] = combo_traces
+        except BAD_INPUT as exc:
+            mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
+    try:
+        rebuilt = report_cells(traces, group_of)
+    except BAD_INPUT as exc:
+        mismatches.append(f"traces: malformed trace: {type(exc).__name__}: {exc}")
+        rebuilt = {}
     for section, cells in rebuilt.items():
-        printed = report.get(section, {})
+        printed = report[section]
         for name in sorted(set(cells) | set(printed)):
             if printed.get(name) != cells.get(name):
                 mismatches.append(
                     f"{section}.{name}: report {printed.get(name)} != traces {cells.get(name)}"
                 )
     if mismatches:
-        for line in mismatches:
-            click.echo(f"MISMATCH {line}", err=True)
-        sys.exit(EXIT_INTERNAL_ERROR)
+        _mismatch(mismatches)
     click.echo("report verified: every table cell and trace invocation count matches")
+
+
+def _mismatch(lines):
+    for line in lines:
+        click.echo(f"MISMATCH {line}", err=True)
+    sys.exit(EXIT_INTERNAL_ERROR)
 
 
 def _tree_invocations(nodes) -> int:

@@ -161,17 +161,6 @@ class DegradationProfile:
             "origin": self.origin,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DegradationProfile":
-        severities = {
-            Degradation(name): Severity.from_label(label)
-            for name, label in data.get("severities", {}).items()
-        }
-        history = tuple(
-            (TaskKind(task), tool_id) for task, tool_id in data.get("history", [])
-        )
-        return cls(severities, history, data.get("origin", ""))
-
 
 @dataclass(frozen=True)
 class DegradationCombination:

@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 import enum
-import json
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .core import ALL_DEGRADATIONS, DegradationProfile, Severity, TaskKind
 from .envsim import Environment, apply_tool
@@ -69,24 +64,6 @@ class SimulatorToolAdapter:
 
     def invoke(self, profile: DegradationProfile, rng) -> DegradationProfile:
         return apply_tool(self.env, profile, self.tool, rng)
-
-
-class CommandToolAdapter:
-    """External tool declared as a shell command exchanging profile JSON files."""
-
-    def __init__(self, id: str, task: TaskKind, template: str):
-        self.id = id
-        self.task = task
-        self.template = template
-
-    def invoke(self, profile: DegradationProfile, rng=None) -> DegradationProfile:
-        with tempfile.TemporaryDirectory(prefix="restoragent-tool-") as tmp:
-            inp = Path(tmp) / "input.json"
-            out = Path(tmp) / "output.json"
-            inp.write_text(json.dumps(profile.to_dict()), encoding="utf-8")
-            command = self.template.format(input=str(inp), output=str(out))
-            subprocess.run(shlex.split(command), check=True)
-            return DegradationProfile.from_dict(json.loads(out.read_text(encoding="utf-8")))
 
 
 def adapters_for(env: Environment) -> dict:

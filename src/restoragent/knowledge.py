@@ -247,54 +247,48 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
 
 
 def kb_from_dict(data: dict) -> KnowledgeBase:
-    from .core import Degradation
-
     if not isinstance(data, dict):
         raise SchemaError("$", "document is not a JSON object")
-    records = []
-    for i, row in enumerate(_expect(data, "records", list)):
-        path = f"records[{i}]"
-        try:
-            combination = frozenset(Degradation(d) for d in _expect(row, "combination", list, path))
-            order = tuple(TaskKind(t) for t in _expect(row, "order", list, path))
-            per_task = {
-                TaskKind(t): float(p)
-                for t, p in _expect(row, "per_task_fail", dict, path).items()
-            }
-            records.append(
-                ExperienceRecord(
-                    combination,
-                    order,
-                    per_task,
-                    float(_expect(row, "total_fail", (int, float), path)),
-                    int(_expect(row, "n_trials", int, path)),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(path, str(exc)) from None
-    rules = []
-    for i, row in enumerate(_expect(data, "rules", list)):
-        path = f"rules[{i}]"
-        try:
-            rules.append(
-                PrecedenceRule(
-                    TaskKind(_expect(row, "before", str, path)),
-                    TaskKind(_expect(row, "after", str, path)),
-                    float(_expect(row, "margin", (int, float), path)),
-                    bool(row.get("indifferent", False)),
-                    tuple(
-                        frozenset(Degradation(d) for d in combo)
-                        for combo in row.get("support", [])
-                    ),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(path, str(exc)) from None
+    if data.get("version") != KB_VERSION:
+        raise SchemaError("$.version", f"expected {KB_VERSION}, got {data.get('version')!r}")
+    records = _rows(data, "records", _record_from_dict)
+    rules = _rows(data, "rules", _rule_from_dict)
     return KnowledgeBase(records, rules, data.get("provenance", ""))
+
+
+def _rows(data: dict, key: str, parse) -> list:
+    """``parse(row, path)`` over the list at ``data[key]``; an error in a
+    row becomes a SchemaError naming that row."""
+    rows = []
+    for i, row in enumerate(_expect(data, key, list)):
+        path = f"{key}[{i}]"
+        try:
+            rows.append(parse(row, path))
+        except SchemaError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(path, str(exc)) from None
+    return rows
+
+
+def _record_from_dict(row, path: str) -> ExperienceRecord:
+    return ExperienceRecord(
+        frozenset(Degradation(d) for d in _expect(row, "combination", list, path)),
+        tuple(TaskKind(t) for t in _expect(row, "order", list, path)),
+        {TaskKind(t): float(p) for t, p in _expect(row, "per_task_fail", dict, path).items()},
+        float(_expect(row, "total_fail", (int, float), path)),
+        int(_expect(row, "n_trials", int, path)),
+    )
+
+
+def _rule_from_dict(row, path: str) -> PrecedenceRule:
+    return PrecedenceRule(
+        TaskKind(_expect(row, "before", str, path)),
+        TaskKind(_expect(row, "after", str, path)),
+        float(_expect(row, "margin", (int, float), path)),
+        bool(row.get("indifferent", False)),
+        tuple(frozenset(Degradation(d) for d in combo) for combo in row.get("support", [])),
+    )
 
 
 def _expect(container, key, types, parent="$"):
@@ -313,11 +307,9 @@ def save_kb(kb: KnowledgeBase, path):
 
 
 def load_kb(path) -> KnowledgeBase:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except OSError as exc:
-        raise IOError(f"cannot read knowledge base at {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"invalid JSON: {exc}") from None
     return kb_from_dict(data)

@@ -19,10 +19,28 @@ from restoragent.harness import (
     report_cells,
     run_batch,
 )
-from restoragent.knowledge import load_kb, reference_kb
+from restoragent.knowledge import kb_to_dict, load_kb, reference_kb
 
 DELETE = object()
 TOOL = {"id": "a", "task": "denoising", "outcome": {"full": 1.0, "partial": 0.0, "none": 0.0}}
+
+
+def _edited(data, keys, value):
+    """A deep copy of ``data`` with the item at ``keys`` set to ``value``,
+    or deleted when ``value`` is DELETE."""
+    data = json.loads(json.dumps(data))
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return data
+
+
+def _kb(keys, value):
+    return _edited(kb_to_dict(reference_kb()), keys, value)
 
 
 @pytest.fixture
@@ -124,8 +142,18 @@ def test_run_report_is_deterministic(runner, tmp_path, env_config):
         pytest.param("traces/rain_-_haze.json", [0, "tree", 0, "invocations"], 99,
                      id="tree-node-invocations"),
         pytest.param("traces/rain_-_haze.json", [0, "tree"], DELETE, id="trace-without-tree"),
-        pytest.param("traces/zz.json", [], '{"x": 1}', id="trace-file-not-a-list"),
-        pytest.param("traces/zz.json", [], "not json", id="trace-file-not-json"),
+        pytest.param("traces/rain_-_haze.json", [0, "true_success"], DELETE,
+                     id="trace-without-success-flag"),
+        pytest.param("traces/rain_-_haze.json", [], '{"x": 1}', id="trace-file-not-a-list"),
+        pytest.param("traces/rain_-_haze.json", [], "not json", id="trace-file-not-json"),
+        pytest.param(("traces/rain_-_haze.json", "traces/aa_tampered.json"),
+                     [0, "counters", "rollbacks"], 99, id="tampered-copy-under-another-name"),
+        pytest.param("traces/rain_-_haze.json", [1, "combination"], "haze + rain",
+                     id="trace-combination-not-its-file-label"),
+        pytest.param("report.json", ["combinations", "rain + haze"], 5,
+                     id="combination-cell-not-an-object"),
+        pytest.param("report.json", ["combinations"], [], id="combinations-not-an-object"),
+        pytest.param("report.json", ["groups"], [], id="groups-not-an-object"),
     ],
 )
 def test_verify_accepts_then_rejects_tampered_report(
@@ -144,18 +172,11 @@ def test_verify_accepts_then_rejects_tampered_report(
     assert result.exit_code == 0, result.output
     assert "report verified" in result.output
 
-    path = out / relpath
+    # A pair of paths edits a copy of the first file written to the second.
+    source, target = relpath if isinstance(relpath, tuple) else (relpath, relpath)
     if keys:
-        data = json.loads(path.read_text())
-        target = data
-        for key in keys[:-1]:
-            target = target[key]
-        if value is DELETE:
-            del target[keys[-1]]
-        else:
-            target[keys[-1]] = value
-        value = json.dumps(data)
-    path.write_text(value, encoding="utf-8")
+        value = json.dumps(_edited(json.loads((out / source).read_text()), keys, value))
+    (out / target).write_text(value, encoding="utf-8")
     result = runner.invoke(
         main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
     )
@@ -187,19 +208,70 @@ def test_verify_accepts_then_rejects_tampered_report(
                      id="run-fail-boost-delta-not-a-number"),
         pytest.param("explore", {"samples_per_combination": "3"}, 1,
                      id="explore-samples-not-a-number"),
+        pytest.param("explore", {"success_threshold": 1}, 1,
+                     id="explore-threshold-not-a-string"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
+                         "task": "denoising",
+                         "condition": {"kind": "degradation-present", "degradation": "rain",
+                                       "min_severity": 3},
+                         "effect": {"kind": "fail-boost", "delta": 0.1}}]}, 1,
+                     id="run-min-severity-not-a-string"),
+        pytest.param("summarize", [{"combination": ["rain", "haze"],
+                                    "order": ["deraining", "dehazing"],
+                                    "flags": {"deraining": True}}], 1,
+                     id="summarize-flags-miss-a-task"),
+        pytest.param("summarize", [[1, 2]], 1, id="summarize-row-not-an-object"),
+        pytest.param("summarize", [{"combination": ["rain"], "order": ["deraining"],
+                                    "flags": [1]}], 1,
+                     id="summarize-flags-not-an-object"),
+        pytest.param("run --kb", _kb(["records", 0, "per_task_fail", "dehazing"], None), 1,
+                     id="run-kb-fail-rate-null"),
+        pytest.param("consistency --kb", _kb(["records", 0, "per_task_fail", "dehazing"], None),
+                     1, id="consistency-kb-fail-rate-null"),
+        pytest.param("run --kb", _kb(["rules", 0, "support"], 5), 1,
+                     id="run-kb-support-not-a-list"),
+        pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),
+        pytest.param("run --kb", _kb(["version"], DELETE), 1, id="run-kb-without-version"),
     ],
 )
-def test_config_edge_cases_exit_without_traceback(runner, tmp_path, command, config, exit_code):
+def test_config_edge_cases_exit_without_traceback(
+    runner, tmp_path, env_config, command, config, exit_code
+):
+    """``config`` is the file under test: the JSON config of ``run`` and
+    ``explore``, the rows of a ``summarize`` tuples file, or a ``--kb`` file."""
+    out = tmp_path / "out"
     if command == "explore":
         config = {"samples_per_combination": 1, "trials_per_sample": 1, **config}
-    path = _write_json(tmp_path / "config.json", config)
-    out = tmp_path / "out"
-    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    if command == "summarize":
+        path = tmp_path / "tuples.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in config), encoding="utf-8")
+        args = ["summarize", "--tuples", str(path)]
+    elif command == "run --kb":
+        kb = _write_json(tmp_path / "kb.json", config)
+        args = ["run", "--kb", str(kb), "--config", str(env_config), "--runs", "1"]
+    elif command == "consistency --kb":
+        kb = _write_json(tmp_path / "kb.json", config)
+        args = ["consistency", "--kb", str(kb), "--n", "1"]
+    else:
+        args = [command, "--config", str(_write_json(tmp_path / "config.json", config))]
+    result = runner.invoke(main, [*args, "--out", str(out)])
     assert not isinstance(result.exception, Exception), result.exception
     assert result.exit_code == exit_code, result.output
     if exit_code:
         assert "error: bad" in result.output
         assert not out.exists()
+
+
+def test_run_lets_an_error_in_the_planner_propagate(runner, tmp_path, env_config, monkeypatch):
+    def broken_run_batch(*args):
+        raise TypeError("planner bug")
+
+    monkeypatch.setattr(cli, "run_batch", broken_run_batch)
+    result = runner.invoke(
+        main, ["run", "--config", str(env_config), "--out", str(tmp_path / "out")]
+    )
+    assert isinstance(result.exception, TypeError)
+    assert "error: bad" not in result.output
 
 
 def test_explore_passes_only_the_keys_its_config_sets(runner, tmp_path, monkeypatch):

@@ -1,12 +1,9 @@
-import json
-import sys
 
 import pytest
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
 from restoragent.envsim import Environment, ToolSpec
 from restoragent.execution import (
-    CommandToolAdapter,
     EmptyCandidates,
     ExecutionPolicy,
     NoTools,
@@ -145,22 +142,6 @@ def test_default_comparator_prefers_lower_severity_multiset():
     # tie keeps the first argument
     tie = DegradationProfile({Degradation.RAIN: Severity.LOW})
     assert compare(tie, better) is tie
-
-
-def test_command_tool_adapter_roundtrip(tmp_path):
-    script = tmp_path / "tool.py"
-    script.write_text(
-        "import json, sys\n"
-        "data = json.load(open(sys.argv[1]))\n"
-        "data['severities'].pop('noise', None)\n"
-        "json.dump(data, open(sys.argv[2], 'w'))\n",
-        encoding="utf-8",
-    )
-    adapter = CommandToolAdapter(
-        "ext", TaskKind.DENOISING, f"{sys.executable} {script} {{input}} {{output}}"
-    )
-    result = adapter.invoke(NOISE_HIGH)
-    assert not result.is_present(Degradation.NOISE)
 
 
 def test_adapters_for_groups_by_task():
