@@ -54,6 +54,17 @@ def _load(path: Path, what: str, parse):
         _fail(f"bad {what} {path}: {exc}")
 
 
+def _check_out(path: Path, directory: bool = False):
+    """Exit with a user error unless ``path`` can be written as a file, or
+    with ``directory`` as a directory; commands call this before any work."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path:
+        if path.is_dir() != directory:
+            _fail(f"--out {path} is {'not ' if directory else ''}a directory")
+    elif not existing.is_dir():
+        _fail(f"--out {path}: {existing} is not a directory")
+
+
 def _json_object(path: Path) -> dict:
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -81,6 +92,7 @@ def main():
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def cmd_explore(config_path: Path, out_path: Path):
     """Run self-exploration trials; write one JSON tuple per line."""
+    _check_out(out_path)
     trials = _load(config_path, "explore config", _explore_config_trials)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8") as fh:
@@ -130,6 +142,7 @@ def _explore_config_trials(path: Path) -> list:
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def cmd_summarize(tuples_path: Path, out_path: Path):
     """Aggregate trial tuples and distill precedence rules into a KB."""
+    _check_out(out_path)
     records = _load(tuples_path, "tuples file", _tuples_records)
     kb = KnowledgeBase(records, distill(records), f"summarized from {tuples_path.name}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,6 +185,9 @@ def _tuples_records(path: Path) -> list:
               help='"all", "group-A"/"group-B"/"group-C".')
 def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_spec):
     """Execute workflow batches and write traces plus a report."""
+    _check_out(out_dir / "traces", directory=True)
+    for name in ("report.json", "timings.json"):
+        _check_out(out_dir / name)
     env, evaluator_model = _load(config_path, "environment config", _environment_config)
     kb = None if kb_path is None else _load_kb(kb_path)
     try:
@@ -229,6 +245,8 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
     """Scheduling-dispersion study over the built-in combinations."""
     if n_per_presentation < 1:
         _fail("--n must be >= 1")
+    if out_path is not None:
+        _check_out(out_path)
     if scheduler_spec == "experience":
         scheduler = ExperienceScheduler(reference_kb() if kb_path is None else _load_kb(kb_path))
     else:

@@ -10,7 +10,7 @@ from .core import Severity, combinations_in_group, initial_profile, task_for
 from .envsim import Environment, apply_tool
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
-from .rng import substream
+from .rng import Stream
 
 
 class MissingTools(ValueError):
@@ -53,11 +53,12 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
             base = initial_profile(combo, si)
             for pi, order in enumerate(itertools.permutations(tasks)):
                 for ti in range(config.trials_per_sample):
-                    rng = substream(config.seed, "explore", ci, si, pi, ti)
+                    rng = Stream(config.seed, "explore", ci, si, pi, ti)
                     state = base.copy()
                     for task in order:
                         tools = env.tools_for(task)
-                        tool = tools[int(rng.integers(len(tools)))]
+                        # integers(1) consumes no draw, so skipping it keeps the stream.
+                        tool = tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
                         state = apply_tool(env, state, tool, rng)
                     flags = {
                         task: evaluator.assess(state, d, rng) <= config.success_threshold

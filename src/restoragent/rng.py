@@ -5,19 +5,38 @@ deterministically selects an independent Philox stream.  Streams keyed
 differently never share draws, so adding trials or interleaving workers
 cannot perturb existing streams.
 
-A ``Stream`` is a lazy handle: it builds its Philox generator on its first
-draw and ``generator()`` returns that same generator on every later call, so
-streams that are keyed but never drawn from cost no key derivation at all.
+A ``Stream`` is a lazy handle: it builds its substream on its first draw and
+``generator()`` returns that same substream on every later call, so streams
+that are keyed but never drawn from cost no key derivation at all.
+
+Philox is counter-based, so a fresh stream is only a key with counter 0.
+One process-wide Philox is therefore re-keyed per stream instead of building
+a numpy generator for each: a substream holds its own Philox state and loads
+it into the shared Philox when it draws after another stream did, saving the
+displaced stream's state only while that stream is still referenced.  Draws
+equal those of ``Generator(Philox(key=stream_key(...)))`` bit for bit.  The
+shared Philox makes concurrent draws from different threads unsafe;
+``run_batch`` parallelises with processes, each of which has its own.
+
+Quirk kept for bit-compatibility: numpy converts a key tuple with
+``np.asarray(key).astype(np.uint64)``, and when exactly one half is >= 2**63
+that array is float64, so such a key keeps only 53 significant bits per half.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import weakref
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_ZEROS = (0, 0, 0, 0)
+
+_PHILOX = np.random.Philox(key=(0, 0))
+_GENERATOR = np.random.Generator(_PHILOX)
+_owner = None  # weak reference to the substream whose state _PHILOX holds
 
 
 def _encode(part) -> bytes:
@@ -45,9 +64,49 @@ def stream_key(seed: int, *parts) -> tuple:
     )
 
 
-def substream(seed: int, *parts) -> np.random.Generator:
-    """Independent generator for (seed, parts)."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *parts)))
+class Substream:
+    """One keyed stream drawn through the shared Philox."""
+
+    __slots__ = ("_state", "__weakref__")
+
+    def __init__(self, key: tuple):
+        if (key[0] >> 63) != (key[1] >> 63):
+            # numpy's tuple conversion goes through float64 here; the other
+            # cases convert exactly, so the ints are used as they are.
+            key = tuple(np.asarray(key).astype(np.uint64).tolist())
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": key},
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def _shared(self) -> np.random.Generator:
+        """The shared generator, holding this stream's state."""
+        global _owner
+        holder = _owner() if _owner is not None else None
+        if holder is not self:
+            if holder is not None:
+                holder._state = _PHILOX.state
+            _PHILOX.state = self._state
+            _owner = weakref.ref(self)
+        return _GENERATOR
+
+    def random(self, size=None):
+        return self._shared().random(size)
+
+    def integers(self, high):
+        return self._shared().integers(high)
+
+    def permutation(self, n):
+        return self._shared().permutation(n)
+
+
+def substream(seed: int, *parts) -> Substream:
+    """Independent stream for (seed, parts)."""
+    return Substream(stream_key(seed, *parts))
 
 
 class Stream:
@@ -67,14 +126,14 @@ class Stream:
     def child(self, *parts) -> "Stream":
         return Stream(self.seed, *self.parts, *parts)
 
-    def generator(self) -> np.random.Generator:
-        """The stream's generator, built on the first call."""
+    def generator(self) -> Substream:
+        """The stream's substream, built on the first call."""
         if self._generator is None:
             self._generator = substream(self.seed, *self.parts)
         return self._generator
 
-    def random(self) -> float:
-        return self.generator().random()
+    def random(self, size=None):
+        return self.generator().random(size)
 
     def integers(self, high):
         return self.generator().integers(high)

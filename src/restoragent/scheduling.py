@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .knowledge import KnowledgeBase, retrieve
+from .rng import Stream
 
 
 class Unschedulable(ValueError):
@@ -121,8 +122,6 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
     Sensitivity per metric M is M(pooled) minus the mean of M over the
     fixed-presentation result distributions.
     """
-    from .rng import substream
-
     if n_per_presentation < 1:
         raise ValueError("n_per_presentation must be >= 1")
     agenda_set = frozenset(agenda)
@@ -134,7 +133,7 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
     for i, presentation in enumerate(presentations):
         local = {}
         for j in range(n_per_presentation):
-            rng = substream(seed, "consistency", i, j)
+            rng = Stream(seed, "consistency", i, j)
             plan = tuple(scheduler.schedule(presentation, rng=rng))
             pooled[plan] = pooled.get(plan, 0) + 1
             local[plan] = local.get(plan, 0) + 1

@@ -370,3 +370,39 @@ def test_recompute_report_matches_run_batch():
     assert report["groups"]["A"]["mean_invocations"] == (
         sum(t["counters"]["invocations"] for t in pooled) / len(pooled)
     )
+
+
+@pytest.mark.parametrize(
+    "command, out, work",
+    [
+        pytest.param("run", "file", "run_batch", id="run-out-an-existing-file"),
+        pytest.param("run", "dir", "run_batch", id="run-out-holds-a-traces-file"),
+        pytest.param("explore", "dir", "explore", id="explore-out-a-directory"),
+        pytest.param("summarize", "dir", "aggregate", id="summarize-out-a-directory"),
+        pytest.param("consistency", "file/x.json", "measure_consistency",
+                     id="consistency-out-under-a-file"),
+    ],
+)
+def test_unusable_out_path_fails_before_any_work(
+    runner, tmp_path, env_config, monkeypatch, command, out, work
+):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "traces").write_text("", encoding="utf-8")
+
+    def started(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, work, started)
+    tuples = tmp_path / "tuples.jsonl"
+    tuples.write_text("", encoding="utf-8")
+    args = {
+        "run": ["run", "--config", str(env_config), "--runs", "1"],
+        "explore": ["explore", "--config", str(_write_json(tmp_path / "config.json", {}))],
+        "summarize": ["summarize", "--tuples", str(tuples)],
+        "consistency": ["consistency", "--n", "1"],
+    }[command]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / out)])
+    assert not isinstance(result.exception, Exception), result.exception
+    assert result.exit_code == 1, result.output
+    assert "error: --out" in result.output
