@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 
 from .core import Degradation, Severity, TaskKind, builtin_combinations
 from .envsim import env_from_dict, reference_tabular_env
-from .explore import ExplorationConfig, explore
+from .explore import ExplorationConfig, MissingTools, explore
 from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
 from .knowledge import (
+    InconsistentTrial,
     KnowledgeBase,
     aggregate,
     distill,
@@ -30,9 +32,9 @@ EXIT_USER_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 
 #: What parsing a malformed file raises.  OSError covers a path that exists
-#: but cannot be read, such as a directory; JSONDecodeError, SchemaError,
-#: InconsistentTrial and MissingTools are ValueErrors; AttributeError is a
-#: method called on a JSON value of the wrong type.
+#: but cannot be read, such as a directory; JSONDecodeError and SchemaError
+#: are ValueErrors; AttributeError is a method called on a JSON value of the
+#: wrong type.
 BAD_INPUT = (OSError, KeyError, TypeError, ValueError, AttributeError)
 
 
@@ -45,7 +47,8 @@ def _load(path: Path, what: str, parse):
     """``parse(path)``, exiting with a user error when the file is missing
     or ``parse`` raises one of BAD_INPUT.  ``parse`` holds only the code
     that turns the file into the command's inputs, so that an error in
-    ``run_batch`` or ``measure_consistency`` still ends in a traceback."""
+    ``explore``, ``aggregate``, ``run_batch`` or ``measure_consistency``
+    still ends in a traceback."""
     if not path.exists():
         _fail(f"file not found: {path}")
     try:
@@ -93,7 +96,11 @@ def main():
 def cmd_explore(config_path: Path, out_path: Path):
     """Run self-exploration trials; write one JSON tuple per line."""
     _check_out(out_path)
-    trials = _load(config_path, "explore config", _explore_config_trials)
+    env, config, evaluator = _load(config_path, "explore config", _explore_config)
+    try:
+        trials = explore(env, config, evaluator)
+    except MissingTools as exc:
+        _fail(f"bad explore config {config_path}: {exc}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8") as fh:
         for combination, order, flags in trials:
@@ -114,11 +121,12 @@ def cmd_explore(config_path: Path, out_path: Path):
     click.echo(f"wrote {len(trials)} trial tuples to {out_path}")
 
 
-def _explore_config_trials(path: Path) -> list:
+def _explore_config(path: Path) -> tuple:
+    """(environment, ExplorationConfig, evaluator) of an ``explore`` config."""
     config = _json_object(path)
     env_spec = config.get("environment", "reference-tabular")
     if env_spec == "reference-tabular":
-        env = reference_tabular_env(config.get("seed", 0))
+        env = reference_tabular_env()
     elif isinstance(env_spec, dict):
         env = env_from_dict(env_spec)
     else:
@@ -133,8 +141,7 @@ def _explore_config_trials(path: Path) -> list:
         settings["combinations"] = parse_combinations(config["combinations"])
     if "success_threshold" in config:
         settings["success_threshold"] = Severity.from_label(config["success_threshold"])
-    evaluator = evaluator_from_model(config.get("evaluator"))
-    return explore(env, ExplorationConfig(**settings), evaluator)
+    return env, ExplorationConfig(**settings), evaluator_from_model(config.get("evaluator"))
 
 
 @main.command("summarize")
@@ -143,7 +150,11 @@ def _explore_config_trials(path: Path) -> list:
 def cmd_summarize(tuples_path: Path, out_path: Path):
     """Aggregate trial tuples and distill precedence rules into a KB."""
     _check_out(out_path)
-    records = _load(tuples_path, "tuples file", _tuples_records)
+    trials = _load(tuples_path, "tuples file", _tuples_trials)
+    try:
+        records = aggregate(trials)
+    except InconsistentTrial as exc:
+        _fail(f"bad tuples file {tuples_path}: {exc}")
     kb = KnowledgeBase(records, distill(records), f"summarized from {tuples_path.name}")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_kb(kb, out_path)
@@ -152,9 +163,8 @@ def cmd_summarize(tuples_path: Path, out_path: Path):
     click.echo(f"knowledge base with {len(records)} records, {len(kb.rules)} rules -> {out_path}")
 
 
-def _tuples_records(path: Path) -> list:
-    """The experience records of a tuples file; ``aggregate`` rejects a row
-    whose order or flags do not cover its combination."""
+def _tuples_trials(path: Path) -> list:
+    """The (combination, order, flags) trials of a tuples file."""
     trials = []
     with path.open(encoding="utf-8") as fh:
         for line in fh:
@@ -169,7 +179,7 @@ def _tuples_records(path: Path) -> list:
                     {TaskKind(t): bool(ok) for t, ok in row["flags"].items()},
                 )
             )
-    return aggregate(trials)
+    return trials
 
 
 @main.command("run")
@@ -258,14 +268,7 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
     )
     for combo in builtin_combinations():
         report = measure_consistency(scheduler, combo.tasks, n_per_presentation, seed)
-        rows[combo.label()] = {
-            "group": combo.group,
-            "entropy_bits": report.entropy_bits,
-            "variation_ratio": report.variation_ratio,
-            "sensitivity_entropy": report.sensitivity_entropy,
-            "sensitivity_vr": report.sensitivity_vr,
-            "n_samples": report.n_samples,
-        }
+        rows[combo.label()] = {"group": combo.group, **asdict(report)}
         click.echo(
             f"{combo.group:<7}{combo.label():<50}{report.entropy_bits:>9.3f}"
             f"{report.variation_ratio:>11.3f}{report.sensitivity_entropy:>9.3f}"

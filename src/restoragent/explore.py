@@ -4,6 +4,7 @@ training combination, judged on the final profile."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .core import Severity, combinations_in_group, initial_profile, task_for
@@ -32,6 +33,7 @@ class ExplorationConfig:
             raise ValueError("trials_per_sample must be >= 1")
         if self.success_threshold not in (Severity.VERY_LOW, Severity.LOW):
             raise ValueError("success_threshold must be VERY_LOW or LOW")
+        operator.index(self.seed)  # TypeError unless an integer
 
 
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:

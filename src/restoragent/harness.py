@@ -39,7 +39,7 @@ def make_deps(
         tools=adapters_for(env),
         policy=policy,
         use_reflection=mode != "no-reflection",
-        use_rollback=mode not in ("no-rollback", "no-reflection"),
+        use_rollback=mode != "no-rollback",
     )
 
 

@@ -28,10 +28,14 @@ class NondeterministicEnv(ValueError):
 @dataclass
 class Counters:
     rollbacks: int = 0
-    reschedules: int = 0
     compromises: int = 0
     invocations: int = 0
     nodes: int = 0
+
+    @property
+    def reschedules(self) -> int:
+        """Every rollback reschedules the rest of the plan."""
+        return self.rollbacks
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +88,23 @@ class WorkflowDeps:
     use_rollback: bool = True
 
 
+def _step(plan, profile, deps, stream, counters, children):
+    """Executes ``plan[0]`` on ``profile`` and appends its trace node to
+    ``children``; returns (outcome, node) so the caller can add its verdict."""
+    outcome = execute_subtask(plan[0], profile, deps.tools, deps.evaluator, deps.policy, stream,
+                              use_reflection=deps.use_reflection)
+    counters.invocations += outcome.invocations
+    node = {
+        "plan": [t.value for t in plan],
+        "subtask": plan[0].value,
+        "tools_tried": list(outcome.tools_tried),
+        "invocations": outcome.invocations,
+        "status": outcome.status.value,
+    }
+    children.append(node)
+    return outcome, node
+
+
 def dfs(profile, plan, deps: WorkflowDeps, stream: Stream, trace: SearchTrace | None = None):
     """Depth-first search over subtask orders; returns (SearchResult, bool).
 
@@ -103,21 +124,7 @@ def _dfs(profile, plan, deps, stream, counters, children):
     branch = 0
     while True:
         subtask = plan[0]
-        node = {"plan": [t.value for t in plan], "subtask": subtask.value}
-        children.append(node)
-        outcome = execute_subtask(
-            subtask,
-            profile,
-            deps.tools,
-            deps.evaluator,
-            deps.policy,
-            stream.child("branch", branch),
-            use_reflection=deps.use_reflection,
-        )
-        counters.invocations += outcome.invocations
-        node["tools_tried"] = list(outcome.tools_tried)
-        node["invocations"] = outcome.invocations
-        node["status"] = outcome.status.value
+        outcome, node = _step(plan, profile, deps, stream.child("branch", branch), counters, children)
         if outcome.status is Status.SUCCESS:
             node["children"] = []
             sub_result, success = _dfs(
@@ -143,7 +150,6 @@ def _dfs(profile, plan, deps, stream, counters, children):
         inferiors.append(branch_best)
         if len(attempts) != len(plan):
             counters.rollbacks += 1
-            counters.reschedules += 1
             plan = tuple(
                 reschedule(
                     deps.scheduler,
@@ -162,81 +168,58 @@ def _dfs(profile, plan, deps, stream, counters, children):
 
 
 def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run_key=()):
-    """Outer control loop: evaluate, schedule, search, compromise until done."""
+    """Evaluate, then search with compromise, or run the plan once when rollback
+    or reflection is ablated (without reflection no subtask can be rejected)."""
     stream = Stream(seed, "workflow", *run_key)
     trace = SearchTrace()
+    profile = initial
     try:
         agenda = evaluate_agenda(deps.evaluator, initial, stream.child("evaluate"))
         trace.agenda = sorted(t.value for t in agenda)
-        if not agenda:
-            trace.final = initial.to_dict()
-            return initial, trace
-
-        plan = tuple(deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0)))
-        if not deps.use_rollback or not deps.use_reflection:
-            return _run_straight_line(initial, plan, deps, stream, trace)
-
-        profile = initial
-        outer = 0
-        while True:
-            result, success = _dfs(
-                profile, plan, deps, stream.child("outer", outer), trace.counters, trace.tree
-            )
-            profile = result.profile
-            if success:
-                trace.status = "success"
-                break
-            trace.counters.compromises += 1
-            trace.status = "compromise"
-            remaining = frozenset(plan) - result.completed - {result.branch_root}
-            if not remaining:
-                break
-            outer += 1
-            plan = tuple(
-                deps.scheduler.schedule(remaining, rng=stream.child("schedule", outer))
-            )
-        trace.final = profile.to_dict()
-        return profile, trace
+        if agenda:
+            run = _search if deps.use_rollback and deps.use_reflection else _run_straight_line
+            profile = run(initial, agenda, deps, stream, trace)
     except (Unschedulable, NoTools, EmptyCandidates) as exc:
         trace.status = "error"
         trace.error = f"{type(exc).__name__}: {exc}"
-        trace.final = initial.to_dict()
-        return initial, trace
-
-
-def _run_straight_line(initial, plan, deps, stream, trace):
-    """Ablated control flow: execute the plan once, keep best-effort results."""
-    profile = initial
-    all_passed = True
-    for i, subtask in enumerate(plan):
-        outcome = execute_subtask(
-            subtask,
-            profile,
-            deps.tools,
-            deps.evaluator,
-            deps.policy,
-            stream.child("straight", i),
-            use_reflection=deps.use_reflection,
-        )
-        trace.counters.invocations += outcome.invocations
-        trace.counters.nodes += 1
-        trace.tree.append(
-            {
-                "plan": [t.value for t in plan[i:]],
-                "subtask": subtask.value,
-                "tools_tried": list(outcome.tools_tried),
-                "invocations": outcome.invocations,
-                "status": outcome.status.value,
-                "verdict": "accepted" if outcome.status is Status.SUCCESS else "kept-best-effort",
-                "children": [],
-            }
-        )
-        if outcome.status is not Status.SUCCESS:
-            all_passed = False
-        profile = outcome.result
-    trace.status = "success" if all_passed else "compromise"
     trace.final = profile.to_dict()
     return profile, trace
+
+
+def _search(profile, remaining, deps, stream, trace):
+    """DFS over the scheduled agenda; after each failed round, compromise and
+    search again over the tasks that round neither completed nor started
+    from, until a round succeeds or none are left.  Returns the profile."""
+    for outer in itertools.count():
+        plan = deps.scheduler.schedule(remaining, rng=stream.child("schedule", outer))
+        result, success = dfs(profile, plan, deps, stream.child("outer", outer), trace)
+        profile = result.profile
+        if success:
+            trace.status = "success"
+            return profile
+        trace.counters.compromises += 1
+        trace.status = "compromise"
+        remaining = frozenset(plan) - result.completed - {result.branch_root}
+        if not remaining:
+            return profile
+
+
+def _run_straight_line(profile, agenda, deps, stream, trace):
+    """Ablated control flow: execute the plan once, keep best-effort results."""
+    plan = tuple(deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0)))
+    for i in range(len(plan)):
+        outcome, node = _step(
+            plan[i:], profile, deps, stream.child("straight", i), trace.counters, trace.tree
+        )
+        trace.counters.nodes += 1
+        if outcome.status is Status.SUCCESS:
+            node["verdict"] = "accepted"
+        else:
+            node["verdict"] = "kept-best-effort"
+            trace.status = "compromise"
+        node["children"] = []
+        profile = outcome.result
+    return profile
 
 
 # --- exhaustive test oracle -------------------------------------------------

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from restoragent import cli
 from restoragent.cli import main
 from restoragent.core import Degradation, TaskKind, builtin_combinations
-from restoragent.envsim import env_to_dict, reference_tabular_env
+from restoragent.envsim import TabularCalibration, env_to_dict, reference_tabular_env
 from restoragent.explore import ExplorationConfig
 from restoragent.harness import (
     make_deps,
@@ -190,6 +190,8 @@ def test_verify_accepts_then_rejects_tampered_report(
         pytest.param("run", [], 1, id="run-config-not-an-object"),
         pytest.param("explore", {"environment": {"tools": []}}, 1, id="explore-env-without-mode"),
         pytest.param("explore", {"evaluator": [0.1]}, 1, id="explore-evaluator-not-an-object"),
+        pytest.param("explore", {"environment": {"mode": "mechanistic", "tools": [TOOL]}}, 1,
+                     id="explore-env-without-tools-for-a-task"),
         pytest.param("explore", {"evaluator": None}, 0, id="explore-null-evaluator-is-perfect"),
         pytest.param("run", {**env_to_dict(reference_tabular_env()),
                              "evaluator": {"p_miss": {"rain": 2.0}}}, 1,
@@ -210,6 +212,9 @@ def test_verify_accepts_then_rejects_tampered_report(
                      id="explore-samples-not-a-number"),
         pytest.param("explore", {"success_threshold": 1}, 1,
                      id="explore-threshold-not-a-string"),
+        pytest.param("explore", {"seed": "abc"}, 1, id="explore-seed-a-string"),
+        pytest.param("explore", {"seed": None}, 1, id="explore-seed-null"),
+        pytest.param("explore", {"seed": 1.5}, 1, id="explore-seed-not-an-integer"),
         pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
                          "task": "denoising",
                          "condition": {"kind": "degradation-present", "degradation": "rain",
@@ -271,6 +276,27 @@ def test_run_lets_an_error_in_the_planner_propagate(runner, tmp_path, env_config
         main, ["run", "--config", str(env_config), "--out", str(tmp_path / "out")]
     )
     assert isinstance(result.exception, TypeError)
+    assert "error: bad" not in result.output
+
+
+@pytest.mark.parametrize("command", ["explore", "summarize"])
+def test_an_error_inside_explore_or_aggregate_propagates(runner, tmp_path, monkeypatch, command):
+    def buggy(*args, **kwargs):
+        raise KeyError(f"bug inside {command}")
+
+    if command == "explore":
+        monkeypatch.setattr(TabularCalibration, "fail_prob", buggy)
+        path = _write_json(tmp_path / "config.json",
+                           {"samples_per_combination": 1, "trials_per_sample": 1})
+        args = ["explore", "--config", str(path)]
+    else:
+        monkeypatch.setattr(cli, "aggregate", buggy)
+        path = tmp_path / "tuples.jsonl"
+        path.write_text(json.dumps({"combination": ["rain"], "order": ["deraining"],
+                                    "flags": {"deraining": True}}) + "\n", encoding="utf-8")
+        args = ["summarize", "--tuples", str(path)]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert isinstance(result.exception, KeyError), result.output
     assert "error: bad" not in result.output
 
 

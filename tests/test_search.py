@@ -166,6 +166,23 @@ def test_run_workflow_no_reflection_accepts_blindly():
     assert profile.is_present(D.HAZE)
 
 
+def test_trace_node_shapes_per_control_flow():
+    keys = {"plan", "subtask", "tools_tried", "invocations", "status", "verdict"}
+    _, searched = run_workflow(RAIN_HAZE, _deps(dehaze_hopeless_env()), seed=0)
+    rejected = [node for node in searched.tree if node["verdict"] == "rejected"]
+    assert rejected and all(set(node) == keys for node in rejected)
+    # either ablation runs the plan once: one childless node per subtask
+    for ablation, dehaze_verdict in (("use_rollback", "kept-best-effort"),
+                                     ("use_reflection", "accepted")):
+        deps = _deps(dehaze_hopeless_env(), **{ablation: False})
+        _, straight = run_workflow(RAIN_HAZE, deps, seed=0)
+        assert all(set(node) == keys | {"children"} for node in straight.tree)
+        assert [node["children"] for node in straight.tree] == [[], []]
+        assert straight.counters.nodes == 2
+        verdicts = {node["subtask"]: node["verdict"] for node in straight.tree}
+        assert verdicts["dehazing"] == dehaze_verdict
+
+
 def test_run_workflow_error_status_on_unschedulable():
     class BrokenScheduler:
         def schedule(self, agenda, banned_first=frozenset(), rng=None):
@@ -176,6 +193,25 @@ def test_run_workflow_error_status_on_unschedulable():
     assert trace.status == "error"
     assert "no plan today" in trace.error
     assert profile == RAIN_HAZE
+
+
+def test_run_workflow_error_trace_holds_only_executed_subtasks():
+    # dehazing has no tool, so whichever mode runs it raises NoTools mid-plan
+    env = Environment("mechanistic", [ToolSpec("derain", T.DERAINING, 1.0, 0.0, 0.0)], [])
+
+    def nodes(tree):
+        for node in tree:
+            yield node
+            yield from nodes(node.get("children", []))
+
+    for use_rollback in (True, False):
+        profile, trace = run_workflow(RAIN_HAZE, _deps(env, use_rollback=use_rollback), seed=0)
+        assert trace.status == "error"
+        assert "dehazing" in trace.error
+        assert profile == RAIN_HAZE
+        assert trace.final == RAIN_HAZE.to_dict()
+        assert [node["subtask"] for node in nodes(trace.tree)] == ["deraining"]
+        assert trace.counters.invocations == 1
 
 
 def test_run_workflow_propagates_programming_errors():
