@@ -8,7 +8,6 @@ published per-order fail statistics directly.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .core import (
@@ -25,12 +24,6 @@ _PROB_TOL = 1e-9
 
 class UnknownTool(KeyError):
     """Raised when a tool is applied through an environment it is not part of."""
-
-
-class Outcome(enum.Enum):
-    FULL_SUCCESS = "full"  # target severity -> VERY_LOW
-    PARTIAL_SUCCESS = "partial"  # target severity -> LOW
-    NO_EFFECT = "none"  # target severity unchanged
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ class TaskInHistory:
 
 @dataclass(frozen=True)
 class FailBoost:
-    """Moves probability mass from the success outcomes to NO_EFFECT."""
+    """Moves probability mass from the success outcomes to no effect."""
 
     delta: float
 
@@ -113,8 +106,8 @@ class InteractionRule:
 def compose_failboosts(probs: tuple, deltas) -> tuple:
     """Apply FailBoost deltas in order; clamp at zero and renormalize.
 
-    Each delta moves mass from FULL/PARTIAL (proportionally to their
-    current mass) onto NO_EFFECT.
+    Each delta moves mass from full/partial success (proportionally to
+    their current mass) onto no effect.
     """
     full, partial, none = probs
     for delta in deltas:
@@ -244,17 +237,6 @@ class Environment:
             raise UnknownTool(tool_id) from None
 
 
-def _apply_outcome(profile, task, outcome):
-    degradation = degradation_for(task)
-    if outcome is Outcome.FULL_SUCCESS:
-        return profile.with_severity(degradation, Severity.VERY_LOW)
-    if outcome is Outcome.PARTIAL_SUCCESS:
-        if profile.severity(degradation) > Severity.LOW:
-            return profile.with_severity(degradation, Severity.LOW)
-        return profile
-    return profile
-
-
 def _combination_key(state: DegradationProfile) -> frozenset:
     present = set(state.present())
     for task, _ in state.history:
@@ -270,6 +252,7 @@ def apply_tool(
 ) -> DegradationProfile:
     """Apply one tool; returns a new profile, never mutating the input."""
     tool = env.tool(tool.id)
+    target = degradation_for(tool.task)
 
     if env.mode == "tabular":
         combo = _combination_key(state)
@@ -280,21 +263,19 @@ def apply_tool(
         else:
             prefix = hist + (tool.task,)
         p_fail = env.calibration.fail_prob(combo, prefix)
-        outcome = Outcome.NO_EFFECT if rng.random() < p_fail else Outcome.FULL_SUCCESS
-        result = _apply_outcome(state, tool.task, outcome)
-        return result.with_history_entry(tool.task, tool.id)
+        if rng.random() >= p_fail:
+            state = state.with_severity(target, Severity.VERY_LOW)
+        return state.with_history_entry(tool.task, tool.id)
 
     matching = [r for r in env.rules if r.task == tool.task and r.condition.matches(state)]
     deltas = [r.effect.delta for r in matching if isinstance(r.effect, FailBoost)]
-    probs = compose_failboosts(tool.probs(), deltas)
+    full, partial, _ = compose_failboosts(tool.probs(), deltas)
     draw = rng.random()
-    if draw < probs[0]:
-        outcome = Outcome.FULL_SUCCESS
-    elif draw < probs[0] + probs[1]:
-        outcome = Outcome.PARTIAL_SUCCESS
-    else:
-        outcome = Outcome.NO_EFFECT
-    result = _apply_outcome(state, tool.task, outcome)
+    result = state
+    if draw < full:
+        result = state.with_severity(target, Severity.VERY_LOW)
+    elif draw < full + partial and state.severity(target) > Severity.LOW:
+        result = state.with_severity(target, Severity.LOW)
     for rule in matching:
         effect = rule.effect
         if isinstance(effect, SideEffect) and rng.random() < effect.p:

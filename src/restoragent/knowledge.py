@@ -117,27 +117,19 @@ def _pair_totals(records):
 
 def distill(records) -> list:
     """Deterministic pairwise precedence extraction from experience records."""
-    if not records:
-        return []
     totals = _pair_totals(records)
     rules = []
-    seen = set()
     for (combination, x, y), forward in sorted(
         totals.items(),
         key=lambda kv: ([d.value for d in sorted(kv[0][0], key=lambda d: d.value)],
                         kv[0][1].value, kv[0][2].value),
     ):
-        pair = (combination, frozenset((x, y)))
-        if pair in seen:
-            continue
         backward = totals.get((combination, y, x))
-        if backward is None:
-            continue  # single relative order observed; nothing to compare
-        seen.add(pair)
+        if y.value < x.value or backward is None:
+            continue  # each pair once, x first by name, and only with both orders observed
         margin = abs(forward - backward)
         if margin <= EPSILON_TIE + _TIE_GUARD:
-            before, after = sorted((x, y), key=lambda t: t.value)
-            rules.append(PrecedenceRule(before, after, 0.0, True, (combination,)))
+            rules.append(PrecedenceRule(x, y, 0.0, True, (combination,)))
         elif forward < backward:
             rules.append(PrecedenceRule(x, y, margin, False, (combination,)))
         else:

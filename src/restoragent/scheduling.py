@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .knowledge import KnowledgeBase, retrieve
@@ -44,18 +45,17 @@ class ExperienceScheduler:
             return best.order
 
         strict = [r for r in found.rules if not r.indifferent]
-        best_plan, best_score = None, None
-        for plan in itertools.permutations(sorted(agenda_set, key=lambda t: t.value)):
-            if plan[0] in banned:
-                continue
+
+        def violated_margin_then_names(plan):
             position = {task: i for i, task in enumerate(plan)}
-            score = sum(
-                rule.margin for rule in strict if position[rule.before] > position[rule.after]
-            )
-            key = (score, _names(plan))
-            if best_score is None or key < best_score:
-                best_plan, best_score = plan, key
-        return best_plan
+            margin = sum(r.margin for r in strict if position[r.before] > position[r.after])
+            return margin, _names(plan)
+
+        return min(
+            (plan for plan in itertools.permutations(sorted(agenda_set, key=lambda t: t.value))
+             if plan[0] not in banned),
+            key=violated_margin_then_names,
+        )
 
 
 class RandomScheduler:
@@ -128,16 +128,14 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
     presentations = list(
         itertools.permutations(sorted(agenda_set, key=lambda t: t.value))
     )
-    pooled = {}
-    per_presentation = []
-    for i, presentation in enumerate(presentations):
-        local = {}
-        for j in range(n_per_presentation):
-            rng = Stream(seed, "consistency", i, j)
-            plan = tuple(scheduler.schedule(presentation, rng=rng))
-            pooled[plan] = pooled.get(plan, 0) + 1
-            local[plan] = local.get(plan, 0) + 1
-        per_presentation.append(local)
+    per_presentation = [
+        Counter(
+            tuple(scheduler.schedule(presentation, rng=Stream(seed, "consistency", i, j)))
+            for j in range(n_per_presentation)
+        )
+        for i, presentation in enumerate(presentations)
+    ]
+    pooled = sum(per_presentation, Counter())  # keys in first-occurrence order
     n = len(presentations) * n_per_presentation
     h_pooled = entropy_bits(pooled.values())
     vr_pooled = variation_ratio(pooled.values())

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from .core import DegradationProfile, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
-    EmptyCandidates,
     ExecutionPolicy,
     NoTools,
     Status,
@@ -118,13 +117,14 @@ def dfs(profile, plan, deps: WorkflowDeps, stream: Stream, trace: SearchTrace | 
 def _dfs(profile, plan, deps, stream, counters, children):
     if not plan:
         return SearchResult(profile, frozenset(), None), True
-    counters.nodes += 1
     attempts = set()
     inferiors = []
     branch = 0
     while True:
         subtask = plan[0]
         outcome, node = _step(plan, profile, deps, stream.child("branch", branch), counters, children)
+        if branch == 0:
+            counters.nodes += 1  # a DFS call counts once its first subtask has run
         if outcome.status is Status.SUCCESS:
             node["children"] = []
             sub_result, success = _dfs(
@@ -179,7 +179,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
         if agenda:
             run = _search if deps.use_rollback and deps.use_reflection else _run_straight_line
             profile = run(initial, agenda, deps, stream, trace)
-    except (Unschedulable, NoTools, EmptyCandidates) as exc:
+    except (Unschedulable, NoTools) as exc:
         trace.status = "error"
         trace.error = f"{type(exc).__name__}: {exc}"
     trace.final = profile.to_dict()

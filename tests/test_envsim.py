@@ -14,7 +14,6 @@ from restoragent.envsim import (
     Environment,
     FailBoost,
     InteractionRule,
-    Outcome,
     SideEffect,
     TaskInHistory,
     ToolSpec,

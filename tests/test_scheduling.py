@@ -54,6 +54,22 @@ def test_experience_schedule_rules_fallback():
     assert plan.index(T.DERAINING) < plan.index(T.SUPER_RESOLUTION)
 
 
+def test_experience_schedule_empty_kb_sorts_by_name():
+    agenda = (T.SUPER_RESOLUTION, T.DERAINING, T.DEHAZING)
+    assert ExperienceScheduler().schedule(agenda) == (T.DEHAZING, T.DERAINING, T.SUPER_RESOLUTION)
+
+
+def test_experience_schedule_rules_banned_first():
+    # no exact record for this agenda, so the pairwise rules score every plan
+    scheduler = ExperienceScheduler(reference_kb())
+    agenda = {T.DERAINING, T.DEHAZING, T.SUPER_RESOLUTION}
+    plan = scheduler.schedule(agenda, banned_first={T.DERAINING})
+    assert plan == (T.DEHAZING, T.DERAINING, T.SUPER_RESOLUTION)
+    # with no rules every allowed plan ties, and the name-first one wins
+    plan = ExperienceScheduler().schedule(agenda, banned_first={T.DEHAZING})
+    assert plan == (T.DERAINING, T.DEHAZING, T.SUPER_RESOLUTION)
+
+
 def test_experience_schedule_published_preferred_orders():
     scheduler = ExperienceScheduler(reference_kb())
     expected = {

@@ -12,7 +12,8 @@ from restoragent.envsim import (
     ToolSpec,
     reference_tabular_env,
 )
-from restoragent.execution import ExecutionPolicy, ToolOrder, adapters_for
+from restoragent import search
+from restoragent.execution import EmptyCandidates, ExecutionPolicy, ToolOrder, adapters_for
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream
@@ -212,6 +213,17 @@ def test_run_workflow_error_trace_holds_only_executed_subtasks():
         assert trace.final == RAIN_HAZE.to_dict()
         assert [node["subtask"] for node in nodes(trace.tree)] == ["deraining"]
         assert trace.counters.invocations == 1
+        assert trace.counters.nodes == 1
+
+
+def test_run_workflow_propagates_a_pick_best_bug(monkeypatch):
+    # every pick_best call passes a non-empty list, so EmptyCandidates is a bug
+    def buggy_pick_best(candidates, better):
+        raise EmptyCandidates("a bug, not a failed run")
+
+    monkeypatch.setattr(search, "pick_best", buggy_pick_best)
+    with pytest.raises(EmptyCandidates, match="a bug"):
+        run_workflow(RAIN_HAZE, _deps(dehaze_hopeless_env()), seed=0)
 
 
 def test_run_workflow_propagates_programming_errors():
