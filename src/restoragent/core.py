@@ -60,6 +60,9 @@ class Degradation(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.value
 
+    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
+    __hash__ = object.__hash__
+
 
 class TaskKind(enum.Enum):
     SUPER_RESOLUTION = "super-resolution"
@@ -73,6 +76,9 @@ class TaskKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.value
+
+    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
+    __hash__ = object.__hash__
 
 
 _TASK_FOR = {

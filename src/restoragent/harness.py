@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import time
 
 from .core import (
@@ -78,6 +79,7 @@ def run_batch(
     jobs: int = 1,
 ):
     """Executes the batch; returns (report, traces_by_combination, timings)."""
+    seed = operator.index(seed)  # a float or str seed is a TypeError, even with no runs
     combinations = list(combinations)
     env_data = {"env": env_to_dict(env), "evaluator": evaluator_model}
     tasks = [(env_data, kb, mode, combo, runs, seed) for combo in combinations]

@@ -9,14 +9,20 @@ A ``Stream`` is a lazy handle: it builds its substream on its first draw and
 ``generator()`` returns that same substream on every later call, so streams
 that are keyed but never drawn from cost no key derivation at all.
 
+``stream_key`` keeps the last key's path and the blake2b state after each of
+its elements, so it hashes only the parts that a new path does not share with
+it.  Keys equal a from-scratch hash of the whole path, and the memo's memory
+is bounded by the path depth.
+
 Philox is counter-based, so a fresh stream is only a key with counter 0.
 One process-wide Philox is therefore re-keyed per stream instead of building
 a numpy generator for each: a substream holds its own Philox state and loads
 it into the shared Philox when it draws after another stream did, saving the
 displaced stream's state only while that stream is still referenced.  Draws
 equal those of ``Generator(Philox(key=stream_key(...)))`` bit for bit.  The
-shared Philox makes concurrent draws from different threads unsafe;
-``run_batch`` parallelises with processes, each of which has its own.
+shared Philox and the key memo make key derivation and draws single-threaded:
+neither may run concurrently in two threads.  ``run_batch`` parallelises with
+processes, each of which has its own.
 
 Quirk kept for bit-compatibility: numpy converts a key tuple with
 ``np.asarray(key).astype(np.uint64)``, and when exactly one half is >= 2**63
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import operator
 import weakref
 
 import numpy as np
@@ -51,12 +58,38 @@ def _encode(part) -> bytes:
     raise TypeError(f"unsupported substream key part: {part!r}")
 
 
+# (seed, *parts) of the last key derived, and the blake2b state after each
+# element of that path.  Replaced as one tuple, only once a whole path encoded.
+_memo = ((), ())
+
+
 def stream_key(seed: int, *parts) -> tuple:
-    """128-bit Philox key derived from the seed and key parts."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(int(seed).to_bytes(16, "little", signed=True))
-    for part in parts:
+    """128-bit Philox key derived from the seed and key parts.
+
+    Only the parts after the longest prefix shared with the last call's path
+    are hashed; a prefix part counts as shared when it has the same type and
+    compares equal, so it has the same encoding.
+    """
+    global _memo
+    path = (operator.index(seed), *parts)
+    last_path, last_states = _memo
+    n = 0
+    for old, new in zip(last_path, path):
+        if old.__class__ is not new.__class__ or old != new:
+            break
+        n += 1
+    if n:
+        states = last_states[:n]
+        h = states[-1]
+    else:
+        h = hashlib.blake2b(path[0].to_bytes(16, "little", signed=True), digest_size=16)
+        states = [h]
+        n = 1
+    for part in path[n:]:
+        h = h.copy()
         h.update(_encode(part))
+        states.append(h)
+    _memo = (path, states)
     digest = h.digest()
     return (
         int.from_bytes(digest[:8], "little") & _MASK64,
@@ -119,7 +152,7 @@ class Stream:
     __slots__ = ("seed", "parts", "_generator")
 
     def __init__(self, seed: int, *parts):
-        self.seed = int(seed)
+        self.seed = operator.index(seed)
         self.parts = parts
         self._generator = None
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from restoragent.core import Degradation, Severity, TaskKind, combinations_in_group
@@ -99,3 +104,17 @@ def test_explore_default_config_covers_group_a():
     config = ExplorationConfig(samples_per_combination=1, trials_per_sample=1)
     assert len(config.combinations) == 8
     assert config.success_threshold is Severity.LOW
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_explore_digest_does_not_depend_on_the_hash_seed(hash_seed):
+    """Set and dict iteration order over enums or strings must not reach an
+    output: the pinned explore digest holds under two hash seeds."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_digests; test_digests.test_explore_digest()"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

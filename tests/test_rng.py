@@ -1,12 +1,23 @@
+import enum
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restoragent import rng as rng_module
-from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
-from restoragent.envsim import Environment, ToolSpec
+from restoragent.core import (
+    Degradation,
+    DegradationProfile,
+    Severity,
+    TaskKind,
+    builtin_combinations,
+)
+from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
 from restoragent.execution import ExecutionPolicy, adapters_for, execute_subtask
+from restoragent.harness import run_batch
 from restoragent.perception import PerfectOracle
-from restoragent.rng import Stream, substream
+from restoragent.rng import Stream, stream_key, substream
 
 
 def _count_substreams(monkeypatch):
@@ -159,3 +170,97 @@ def test_stream_drawn_again_after_another_stream_was_dropped():
     got.append(a.random())
     want.append(ref_a.random())
     assert got == want
+
+
+# Key derivation: every key below is compared with a from-scratch blake2b of
+# the whole path, written here independently of ``rng``.
+
+def _scratch_key(seed, *parts):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(seed.to_bytes(16, "little", signed=True))
+    for part in parts:
+        value = part.value if isinstance(part, enum.Enum) else part
+        if isinstance(value, int):
+            h.update(b"i" + int(value).to_bytes(16, "little", signed=True))
+        elif isinstance(value, str):
+            h.update(b"s" + value.encode("utf-8") + b"\x00")
+        else:
+            raise TypeError(value)
+    digest = h.digest()
+    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
+
+
+_INT128 = st.integers(-(2**127), 2**127 - 1)
+_PARTS = st.one_of(
+    st.integers(-3, 3),
+    _INT128,
+    st.booleans(),
+    st.sampled_from(["", "invoke", "é✓", "a\x00b"]),
+    st.text(max_size=6),
+    st.sampled_from(list(Degradation) + list(TaskKind) + list(Severity)),
+)
+# Each step keeps some prefix of the previous path's parts and appends new ones.
+_STEPS = st.lists(
+    st.tuples(st.sampled_from([0, 1]), st.integers(0, 12), st.lists(_PARTS, max_size=5)),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds=st.lists(_INT128, min_size=2, max_size=2), steps=_STEPS)
+def test_interleaved_paths_match_a_from_scratch_hash(seeds, steps):
+    parts = []
+    for seed_index, keep, extra in steps:
+        parts = parts[:keep] + extra
+        assert stream_key(seeds[seed_index], *parts) == _scratch_key(seeds[seed_index], *parts)
+
+
+def test_bool_after_equal_int_at_the_same_position():
+    assert stream_key(3, "run", 1, "x") == _scratch_key(3, "run", 1, "x")
+    assert stream_key(3, "run", True, "x") == _scratch_key(3, "run", True, "x")
+    assert stream_key(3, "run", True) == _scratch_key(3, "run", 1)
+
+
+def test_float_after_equal_int_still_raises():
+    stream_key(3, "run", 1)
+    with pytest.raises(TypeError):
+        stream_key(3, "run", 1.0)
+    with pytest.raises(TypeError):
+        stream_key(3, "run", 1.0, "x")
+
+
+@pytest.mark.parametrize(
+    "bad, error", [(object(), TypeError), (2.5, TypeError), (2**127, OverflowError)]
+)
+def test_a_failing_part_leaves_later_keys_correct(bad, error):
+    assert stream_key(4, "a", "b", "c") == _scratch_key(4, "a", "b", "c")
+    with pytest.raises(error):
+        stream_key(4, "a", "b", bad, "d")
+    assert stream_key(4, "a", "b", "d") == _scratch_key(4, "a", "b", "d")
+    with pytest.raises(error):
+        stream_key(4, "a", bad)
+    assert stream_key(4, "a", "b", "c") == _scratch_key(4, "a", "b", "c")
+    assert stream_key(4, "a") == _scratch_key(4, "a")
+
+
+def test_an_overflowing_seed_leaves_later_keys_correct():
+    assert stream_key(5, "x") == _scratch_key(5, "x")
+    with pytest.raises(OverflowError):
+        stream_key(2**127, "x")
+    assert stream_key(5, "x", "y") == _scratch_key(5, "x", "y")
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "7", None])
+def test_a_non_integer_seed_raises(seed):
+    with pytest.raises(TypeError):
+        stream_key(seed, "x")
+    with pytest.raises(TypeError):
+        Stream(seed, "x")
+
+
+@pytest.mark.parametrize("runs", [1, 0])
+def test_run_batch_rejects_a_fractional_seed(runs):
+    combos = builtin_combinations()[:1]
+    with pytest.raises(TypeError):
+        run_batch(reference_tabular_env(), None, "full", combos, runs, 1.9)
