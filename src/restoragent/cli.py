@@ -27,7 +27,6 @@ from .knowledge import (
 from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
 
-EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_INTERNAL_ERROR = 2
 
@@ -38,9 +37,9 @@ EXIT_INTERNAL_ERROR = 2
 BAD_INPUT = (OSError, KeyError, TypeError, ValueError, AttributeError)
 
 
-def _fail(message: str, code: int = EXIT_USER_ERROR):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(EXIT_USER_ERROR)
 
 
 def _load(path: Path, what: str, parse):

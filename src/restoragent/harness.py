@@ -6,9 +6,11 @@ import operator
 import time
 
 from .core import (
+    Degradation,
     DegradationCombination,
     DegradationProfile,
     builtin_combinations,
+    combinations_in_group,
     initial_profile,
 )
 from .envsim import Environment, env_from_dict, env_to_dict
@@ -143,9 +145,8 @@ def recompute_report(report: dict, traces_by_combination: dict) -> dict:
 
 
 def parse_combinations(spec) -> list:
-    """Accepts "all", a group name, or explicit degradation-name lists."""
-    from .core import Degradation, combinations_in_group
-
+    """Accepts "all", a group name, or explicit degradation-name lists; a
+    list that is empty or repeats a degradation is a ValueError."""
     if spec in (None, "all"):
         return builtin_combinations()
     if isinstance(spec, str):
@@ -154,11 +155,13 @@ def parse_combinations(spec) -> list:
         if spec.lower().startswith("group-"):
             return combinations_in_group(spec.split("-", 1)[1].upper())
         raise ValueError(f"unknown combination spec: {spec!r}")
+    builtin = {c.key: c for c in builtin_combinations()}
     combos = []
     for names in spec:
         degradations = tuple(Degradation(n) for n in names)
-        builtin = {c.key: c for c in builtin_combinations()}
         key = frozenset(degradations)
+        if not degradations or len(key) != len(degradations):
+            raise ValueError(f"combination {names!r} is empty or repeats a degradation")
         if key in builtin:
             combos.append(builtin[key])
         else:

@@ -16,7 +16,8 @@ _TIE_GUARD = 1e-12  # absorbs float noise in probability arithmetic
 
 
 class InconsistentTrial(ValueError):
-    """A trial's success flags do not cover its combination's tasks."""
+    """A trial's combination is empty, or its success flags do not cover
+    its combination's tasks."""
 
 
 class SchemaError(ValueError):
@@ -77,6 +78,8 @@ def aggregate(trials) -> list:
     groups = {}
     for combination, order, flags in trials:
         combination = frozenset(combination)
+        if not combination:
+            raise InconsistentTrial("a trial has an empty combination")
         order = tuple(order)
         expected = frozenset(task_for(d) for d in combination)
         if frozenset(flags) != expected or frozenset(order) != expected:
@@ -182,7 +185,7 @@ def reference_kb() -> KnowledgeBase:
 
 def render_experience_text(records) -> str:
     """Per-combination experience lines in the standard phrasing used for
-    knowledge-base documents and scheduler prompts."""
+    knowledge-base documents."""
     by_combo = {}
     for record in records:
         by_combo.setdefault(record.combination, []).append(record)

@@ -210,6 +210,9 @@ def test_verify_accepts_then_rejects_tampered_report(
                      id="run-fail-boost-delta-not-a-number"),
         pytest.param("explore", {"samples_per_combination": "3"}, 1,
                      id="explore-samples-not-a-number"),
+        pytest.param("explore", {"combinations": [[]]}, 1, id="explore-empty-combination"),
+        pytest.param("explore", {"combinations": [["rain", "rain"]]}, 1,
+                     id="explore-repeated-degradation"),
         pytest.param("explore", {"success_threshold": 1}, 1,
                      id="explore-threshold-not-a-string"),
         pytest.param("explore", {"seed": "abc"}, 1, id="explore-seed-a-string"),
@@ -226,6 +229,8 @@ def test_verify_accepts_then_rejects_tampered_report(
                                     "flags": {"deraining": True}}], 1,
                      id="summarize-flags-miss-a-task"),
         pytest.param("summarize", [[1, 2]], 1, id="summarize-row-not-an-object"),
+        pytest.param("summarize", [{"combination": [], "order": [], "flags": {}}], 1,
+                     id="summarize-empty-combination"),
         pytest.param("summarize", [{"combination": ["rain"], "order": ["deraining"],
                                     "flags": [1]}], 1,
                      id="summarize-flags-not-an-object"),
@@ -371,6 +376,22 @@ def test_imports_leave_the_process_pool_and_harness_unloaded():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+def test_every_module_is_reached_from_the_cli():
+    """A module that ``restoragent.cli`` does not import, directly or not,
+    is one no command can reach."""
+    src = Path(cli.__file__).resolve().parents[1]
+    modules = sorted(f"restoragent.{p.stem}" for p in (src / "restoragent").glob("*.py")
+                     if p.stem != "__init__")
+    script = (
+        "import sys, restoragent.cli; "
+        f"print([m for m in {modules!r} if m not in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_batch_parallel_matches_serial():

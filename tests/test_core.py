@@ -48,6 +48,8 @@ def test_severity_total_order():
     assert Severity.VERY_LOW.lowered() is Severity.VERY_LOW
     assert Severity.MEDIUM.raised() is Severity.HIGH
     assert Severity.from_label("Very Low") is Severity.VERY_LOW
+    with pytest.raises(ValueError):
+        Severity.from_label("sort of blurry")
 
 
 def test_builtin_combinations_shape():
