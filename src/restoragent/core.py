@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -45,6 +46,15 @@ _SEVERITY_BY_LABEL = {v: k for k, v in _SEVERITY_LABELS.items()}
 
 #: A degradation counts as present at this severity or above.
 PRESENCE_THRESHOLD = Severity.MEDIUM
+
+
+def check_probability(name: str, p) -> None:
+    """Raises unless ``p`` is a real number in [0, 1]; a bool or a string is
+    not one, so a config cannot smuggle either into a draw comparison."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError(f"{name} must be a number, not {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} out of range: {p}")
 
 
 class Degradation(enum.Enum):
@@ -134,7 +144,7 @@ class DegradationProfile:
         return self.severity(degradation) >= PRESENCE_THRESHOLD
 
     def present(self) -> frozenset:
-        return frozenset(d for d in ALL_DEGRADATIONS if self.is_present(d))
+        return frozenset(d for d, s in self.severities.items() if s >= PRESENCE_THRESHOLD)
 
     def copy(self) -> "DegradationProfile":
         return DegradationProfile(dict(self.severities), self.history, self.origin)

@@ -15,6 +15,7 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
+    check_probability,
     degradation_for,
     task_for,
 )
@@ -37,11 +38,11 @@ class ToolSpec:
     p_none: float
 
     def __post_init__(self):
+        for outcome, p in zip(("full", "partial", "none"), self.probs()):
+            check_probability(f"{outcome} outcome probability of {self.id!r}", p)
         total = self.p_full + self.p_partial + self.p_none
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"outcome probabilities of {self.id!r} sum to {total}, not 1")
-        if min(self.p_full, self.p_partial, self.p_none) < 0:
-            raise ValueError(f"negative outcome probability in {self.id!r}")
 
     def probs(self) -> tuple:
         return (self.p_full, self.p_partial, self.p_none)
@@ -77,8 +78,7 @@ class FailBoost:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"FailBoost delta out of range: {self.delta}")
+        check_probability("FailBoost delta", self.delta)
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ class SideEffect:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("SideEffect must raise severity by at least one level")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"SideEffect probability out of range: {self.p}")
+        check_probability("SideEffect probability", self.p)
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,10 @@ class OrderStats:
     order: tuple  # (TaskKind, ...)
     fail: dict  # Degradation -> probability
     stated_total_pct: int | None = None  # published total, where available
+
+    def __post_init__(self):
+        for degradation, p in self.fail.items():
+            check_probability(f"fail probability of {degradation}", p)
 
 
 @dataclass
@@ -226,9 +229,13 @@ class Environment:
                     for task in TaskKind
                 ]
         self._by_id = {tool.id: tool for tool in self.tools}
+        self._by_task = {}
+        for tool in self.tools:
+            self._by_task.setdefault(tool.task, []).append(tool)
 
     def tools_for(self, task: TaskKind) -> list:
-        return [tool for tool in self.tools if tool.task == task]
+        """The task's tools in registry order, as a fresh list."""
+        return list(self._by_task.get(task, ()))
 
     def tool(self, tool_id: str) -> ToolSpec:
         try:

@@ -53,9 +53,7 @@ def run_success(profile: DegradationProfile) -> bool:
 
 def _run_combination(args):
     """One combination's runs; returns (traces, wall-clock seconds)."""
-    env_data, kb, mode, combo, runs, seed = args
-    evaluator = evaluator_from_model(env_data["evaluator"])
-    deps = make_deps(env_from_dict(env_data["env"]), kb, mode, evaluator)
+    deps, mode, combo, runs, seed = args
     traces = []
     started = time.perf_counter()
     for run in range(runs):
@@ -80,11 +78,18 @@ def run_batch(
     evaluator_model: dict | None = None,
     jobs: int = 1,
 ):
-    """Executes the batch; returns (report, traces_by_combination, timings)."""
+    """Executes the batch; returns (report, traces_by_combination, timings).
+
+    The environment makes one JSON round trip, so the batch runs it exactly
+    as its config would load it; the evaluator and the deps are built once
+    and every combination shares them (pickled to the workers when
+    ``jobs > 1``).
+    """
     seed = operator.index(seed)  # a float or str seed is a TypeError, even with no runs
     combinations = list(combinations)
-    env_data = {"env": env_to_dict(env), "evaluator": evaluator_model}
-    tasks = [(env_data, kb, mode, combo, runs, seed) for combo in combinations]
+    evaluator = evaluator_from_model(evaluator_model)
+    deps = make_deps(env_from_dict(env_to_dict(env)), kb, mode, evaluator)
+    tasks = [(deps, mode, combo, runs, seed) for combo in combinations]
     if jobs > 1 and len(tasks) > 1:
         # Imported here: the process pool costs every importer ~10 ms.
         from concurrent.futures import ProcessPoolExecutor

@@ -12,6 +12,7 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
+    check_probability,
     degradation_for,
     task_for,
 )
@@ -42,8 +43,7 @@ class NoiseModel:
     def __post_init__(self):
         for table in (self.p_miss, self.p_false):
             for degradation, p in table.items():
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"probability out of range for {degradation}: {p}")
+                check_probability(f"probability for {degradation}", p)
 
     def miss(self, degradation: Degradation) -> float:
         return self.p_miss.get(degradation, 0.0)
@@ -83,9 +83,7 @@ class NoiseModel:
         tables = []
         for key in ("p_miss", "p_false"):
             table = data.get(key, {})
-            if not isinstance(table, dict) or not all(
-                isinstance(p, (int, float)) for p in table.values()
-            ):
+            if not isinstance(table, dict):
                 raise ValueError(f"{key} must map degradation names to numbers, not {table!r}")
             tables.append({Degradation(d): p for d, p in table.items()})
         return cls(*tables)

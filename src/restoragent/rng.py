@@ -12,7 +12,8 @@ that are keyed but never drawn from cost no key derivation at all.
 ``stream_key`` keeps the last key's path and the blake2b state after each of
 its elements, so it hashes only the parts that a new path does not share with
 it.  Keys equal a from-scratch hash of the whole path, and the memo's memory
-is bounded by the path depth.
+is bounded by the path depth.  The encoding of each enum member and string
+part is cached; plain ints, which grow with run and trial indices, are not.
 
 Philox is counter-based, so a fresh stream is only a key with counter 0.
 One process-wide Philox is therefore re-keyed per stream instead of building
@@ -46,7 +47,23 @@ _GENERATOR = np.random.Generator(_PHILOX)
 _owner = None  # weak reference to the substream whose state _PHILOX holds
 
 
+# (class, part) -> encoding, for every part but plain ints, whose number
+# grows with run and trial indices.  The class keeps 1, True and
+# Severity.LOW apart.
+_encoded = {}
+
+
 def _encode(part) -> bytes:
+    if part.__class__ is int:
+        return b"i" + part.to_bytes(16, "little", signed=True)
+    key = (part.__class__, part)
+    encoded = _encoded.get(key)
+    if encoded is None:
+        encoded = _encoded[key] = _encode_part(part)
+    return encoded
+
+
+def _encode_part(part) -> bytes:
     if isinstance(part, enum.Enum):
         part = part.value
     if isinstance(part, bool):

@@ -24,11 +24,14 @@ class ExperienceScheduler:
 
     Exact-match records beat pairwise precedence rules beat the
     lexicographic default; the output never depends on the presentation
-    order of the agenda.
+    order of the agenda.  A plan is a function of the KB, the agenda and
+    the banned firsts, so each is memoised per (agenda, banned & agenda):
+    the KB must not be mutated once the scheduler is built.
     """
 
     def __init__(self, kb: KnowledgeBase | None = None):
         self.kb = kb or KnowledgeBase()
+        self._plans = {}  # (agenda, banned & agenda) -> plan
 
     def schedule(self, agenda, banned_first=frozenset(), rng=None):
         agenda_set = frozenset(agenda)
@@ -37,6 +40,13 @@ class ExperienceScheduler:
         banned = frozenset(banned_first) & agenda_set
         if banned >= agenda_set:
             raise Unschedulable("banned_first covers the whole agenda")
+        key = (agenda_set, banned)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(agenda_set, banned)
+        return plan
+
+    def _plan(self, agenda_set, banned):
         found = retrieve(self.kb, agenda_set)
 
         feasible_records = [r for r in found.records if r.order[0] not in banned]

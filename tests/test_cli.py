@@ -10,7 +10,12 @@ from click.testing import CliRunner
 from restoragent import cli
 from restoragent.cli import main
 from restoragent.core import Degradation, TaskKind, builtin_combinations
-from restoragent.envsim import TabularCalibration, env_to_dict, reference_tabular_env
+from restoragent.envsim import (
+    TabularCalibration,
+    default_mechanistic_env,
+    env_to_dict,
+    reference_tabular_env,
+)
 from restoragent.explore import ExplorationConfig
 from restoragent.harness import (
     make_deps,
@@ -41,6 +46,10 @@ def _edited(data, keys, value):
 
 def _kb(keys, value):
     return _edited(kb_to_dict(reference_kb()), keys, value)
+
+
+def _tabular(keys, value):
+    return _edited(env_to_dict(reference_tabular_env()), keys, value)
 
 
 @pytest.fixture
@@ -199,6 +208,31 @@ def test_verify_accepts_then_rejects_tampered_report(
         pytest.param("run", {**env_to_dict(reference_tabular_env()),
                              "evaluator": {"p_miss": {"rain": "high"}}}, 1,
                      id="run-p-miss-not-a-number"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fail", "haze"], "0.3"), 1,
+                     id="run-calibration-fail-a-string"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fail", "haze"], 1.7), 1,
+                     id="run-calibration-fail-out-of-range"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fail", "haze"], True), 1,
+                     id="run-calibration-fail-a-bool"),
+        pytest.param("run", {**env_to_dict(reference_tabular_env()),
+                             "evaluator": {"p_miss": {"rain": True}}}, 1,
+                     id="run-p-miss-a-bool"),
+        pytest.param("run", {**env_to_dict(reference_tabular_env()),
+                             "evaluator": {"p_false": {"rain": True}}}, 1,
+                     id="run-p-false-a-bool"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [{**TOOL, "outcome": {
+                         "full": True, "partial": 0, "none": 0}}]}, 1,
+                     id="run-outcome-a-bool"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
+                         "task": "denoising",
+                         "condition": {"kind": "task-in-history", "task": "deraining"},
+                         "effect": {"kind": "fail-boost", "delta": True}}]}, 1,
+                     id="run-fail-boost-delta-a-bool"),
+        pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
+                         "task": "denoising",
+                         "condition": {"kind": "task-in-history", "task": "deraining"},
+                         "effect": {"kind": "side-effect", "degradation": "rain", "p": True}}]},
+                     1, id="run-side-effect-p-a-bool"),
         pytest.param("run", {"mode": "mechanistic", "tools": 5}, 1, id="run-tools-not-a-list"),
         pytest.param("run", {"mode": "mechanistic", "tools": [{**TOOL, "outcome": {
                          "full": "1", "partial": 0, "none": 0}}]}, 1,
@@ -395,12 +429,26 @@ def test_every_module_is_reached_from_the_cli():
 
 
 def test_run_batch_parallel_matches_serial():
-    env = reference_tabular_env()
-    combos = [c for c in builtin_combinations() if c.group == "A"][:4]
-    serial, serial_traces, _ = run_batch(env, reference_kb(), "full", combos, 2, 9, jobs=1)
-    parallel, parallel_traces, _ = run_batch(env, reference_kb(), "full", combos, 2, 9, jobs=2)
-    assert serial == parallel
-    assert serial_traces == parallel_traces
+    """Covers the deps each worker unpickles: the tabular env with the
+    experience scheduler, and the noisy oracle with the random scheduler and
+    the strict policy."""
+    noise = {"p_miss": {d.value: 0.1 for d in Degradation},
+             "p_false": {d.value: 0.05 for d in Degradation}}
+    cases = [
+        (reference_tabular_env(), "full", None, "A"),
+        (default_mechanistic_env(0), "no-retrieval", noise, "C"),
+        (default_mechanistic_env(0), "strict-threshold", noise, "C"),
+    ]
+    for env, mode, model, group in cases:
+        combos = [c for c in builtin_combinations() if c.group == group][:4]
+        serial, serial_traces, _ = run_batch(
+            env, reference_kb(), mode, combos, 2, 9, model, jobs=1
+        )
+        parallel, parallel_traces, _ = run_batch(
+            env, reference_kb(), mode, combos, 2, 9, model, jobs=2
+        )
+        assert serial == parallel
+        assert serial_traces == parallel_traces
 
 
 def test_recompute_report_matches_run_batch():

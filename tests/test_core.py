@@ -1,7 +1,7 @@
 import copy
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from restoragent.core import (
     ALL_DEGRADATIONS,
@@ -115,3 +115,12 @@ def test_profile_copy_isolation(initial, mutations):
         clone.severities[degradation] = severity
         clone = clone.with_history_entry(task_for(degradation), "tool")
     assert original == snapshot
+
+
+@given(st.dictionaries(degradations, severities, max_size=8))
+@example({Degradation.RAIN: Severity.VERY_LOW, Degradation.HAZE: Severity.LOW})
+@example({Degradation.RAIN: Severity.VERY_LOW, Degradation.HAZE: Severity.MEDIUM,
+          Degradation.NOISE: Severity.LOW, Degradation.LOW_LIGHT: Severity.VERY_HIGH})
+def test_present_matches_a_filter_over_every_degradation(entries):
+    profile = DegradationProfile(dict(entries))
+    assert profile.present() == frozenset(d for d in ALL_DEGRADATIONS if profile.is_present(d))

@@ -264,3 +264,22 @@ def test_run_batch_rejects_a_fractional_seed(runs):
     combos = builtin_combinations()[:1]
     with pytest.raises(TypeError):
         run_batch(reference_tabular_env(), None, "full", combos, runs, 1.9)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [0, 1, -7, 2**100, True, False, "", "invoke", "é✓", *Degradation, *TaskKind, *Severity],
+)
+def test_cached_encoding_equals_the_uncached_one(part):
+    uncached = rng_module._encode_part(part)
+    assert rng_module._encode(part) == uncached  # fills the cache for non-ints
+    assert rng_module._encode(part) == uncached
+    assert stream_key(3, part) == _scratch_key(3, part)
+
+
+def test_encoding_cache_keeps_classes_apart_and_holds_no_ints():
+    for part in (Severity.LOW, True, 1, 123456789):
+        rng_module._encode(part)
+    assert (Severity, Severity.LOW) in rng_module._encoded
+    assert (bool, True) in rng_module._encoded
+    assert not any(cls is int for cls, _ in rng_module._encoded)

@@ -192,3 +192,23 @@ def test_entropy_bounded_by_permutation_count():
     report = measure_consistency(RandomScheduler(),
                                  {T.DERAINING, T.DEHAZING, T.DENOISING}, 50)
     assert report.entropy_bits <= math.log2(math.factorial(3)) + 1e-9
+
+
+def test_memoised_plans_equal_a_fresh_schedulers_for_every_small_agenda():
+    kb = reference_kb()
+    memoising = ExperienceScheduler(kb)
+    tasks = sorted(TaskKind, key=lambda t: t.value)
+    for size in (1, 2, 3):
+        for agenda in itertools.combinations(tasks, size):
+            outside = next(t for t in tasks if t not in agenda)
+            for n_banned in range(size + 1):
+                for banned in map(frozenset, itertools.combinations(agenda, n_banned)):
+                    if banned == frozenset(agenda):
+                        for _ in range(2):
+                            with pytest.raises(Unschedulable):
+                                memoising.schedule(agenda, banned)
+                        continue
+                    fresh = ExperienceScheduler(kb).schedule(agenda, banned)
+                    assert memoising.schedule(agenda, banned) == fresh
+                    # Same key: presentation order and banned tasks outside the agenda don't count.
+                    assert memoising.schedule(agenda[::-1], banned | {outside}) == fresh
