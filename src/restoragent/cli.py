@@ -282,8 +282,8 @@ def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path)
 @click.option("--traces", "trace_dir", type=click.Path(path_type=Path), required=True)
 def cmd_verify(report_path: Path, trace_dir: Path):
     """Recompute every report cell from the trace file of each report label
-    and check each trace's invocation count against its tree; exit 2 on
-    any mismatch."""
+    and check each trace's invocation count against its tree and each tree
+    node's against its ``tools_tried``; exit 2 on any mismatch."""
     report = _load(report_path, "report", _json_object)
     if not trace_dir.is_dir():
         _fail(f"not a directory: {trace_dir}")
@@ -313,8 +313,14 @@ def cmd_verify(report_path: Path, trace_dir: Path):
                 if trace["combination"] != label:
                     mismatches.append(f"{name}[{i}]: combination {trace['combination']!r} "
                                       f"is not this file's label {label!r}")
+                nodes = list(_tree_nodes(trace["tree"]))
+                for node in nodes:
+                    if node["invocations"] != len(node["tools_tried"]):
+                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} has invocations "
+                                          f"{node['invocations']} but tools_tried "
+                                          f"{node['tools_tried']}")
                 counted = trace["counters"]["invocations"]
-                in_tree = _tree_invocations(trace["tree"])
+                in_tree = sum(node["invocations"] for node in nodes)
                 if counted != in_tree:
                     mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
                                       f"!= {in_tree} over its tree")
@@ -344,12 +350,11 @@ def _mismatch(lines):
     sys.exit(EXIT_INTERNAL_ERROR)
 
 
-def _tree_invocations(nodes) -> int:
-    """Tool invocations over every node of a trace tree, recursively."""
-    return sum(
-        node.get("invocations", 0) + _tree_invocations(node.get("children", []))
-        for node in nodes
-    )
+def _tree_nodes(nodes):
+    """Every node of a trace tree, parents before their children."""
+    for node in nodes:
+        yield node
+        yield from _tree_nodes(node.get("children", []))
 
 
 if __name__ == "__main__":  # pragma: no cover

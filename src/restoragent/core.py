@@ -91,6 +91,11 @@ class TaskKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Each member's value, read from a dict on the trace and sort paths: Enum's
+# ``value`` is a Python-level descriptor.
+DEGRADATION_VALUE = {d: d.value for d in Degradation}
+TASK_VALUE = {t: t.value for t in TaskKind}
+
 _TASK_FOR = {
     Degradation.LOW_RESOLUTION: TaskKind.SUPER_RESOLUTION,
     Degradation.NOISE: TaskKind.DENOISING,
@@ -170,10 +175,14 @@ class DegradationProfile:
         return tuple(seen)
 
     def to_dict(self) -> dict:
+        severities = self.severities
         return {
-            "severities": {d.value: self.severity(d).label for d in sorted(
-                self.severities, key=lambda d: d.value) if self.severity(d) != Severity.VERY_LOW},
-            "history": [[task.value, tool_id] for task, tool_id in self.history],
+            "severities": {
+                DEGRADATION_VALUE[d]: _SEVERITY_LABELS[severities[d]]
+                for d in sorted(severities, key=DEGRADATION_VALUE.__getitem__)
+                if severities[d] != Severity.VERY_LOW
+            },
+            "history": [[TASK_VALUE[task], tool_id] for task, tool_id in self.history],
             "origin": self.origin,
         }
 
@@ -194,7 +203,7 @@ class DegradationCombination:
         return frozenset(self.degradations)
 
     def label(self) -> str:
-        return " + ".join(d.value for d in self.degradations)
+        return " + ".join(DEGRADATION_VALUE[d] for d in self.degradations)
 
 
 def initial_profile(combo: DegradationCombination, index: int) -> DegradationProfile:

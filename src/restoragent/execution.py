@@ -94,8 +94,7 @@ def default_comparator(evaluator, rng=None):
     first argument, making pick_best stable."""
 
     def signature(profile):
-        severities = [evaluator.assess(profile, d, rng) for d in ALL_DEGRADATIONS]
-        return tuple(sorted(severities, reverse=True))
+        return tuple(sorted(evaluator.assess(profile, ALL_DEGRADATIONS, rng), reverse=True))
 
     def compare(a, b):
         return b if signature(b) < signature(a) else a

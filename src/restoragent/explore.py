@@ -7,7 +7,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import Severity, combinations_in_group, initial_profile, task_for
+from .core import TASK_VALUE, Severity, combinations_in_group, initial_profile, task_for
 from .envsim import Environment, apply_tool
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
@@ -50,7 +50,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                 raise MissingTools(f"no tools for {task.value!r}")
     trials = []
     for ci, combo in enumerate(config.combinations):
-        tasks = sorted(combo.tasks, key=lambda t: t.value)
+        tasks = sorted(combo.tasks, key=TASK_VALUE.__getitem__)
         for si in range(config.samples_per_combination):
             base = initial_profile(combo, si)
             for pi, order in enumerate(itertools.permutations(tasks)):
@@ -62,10 +62,10 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                         # integers(1) consumes no draw, so skipping it keeps the stream.
                         tool = tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
                         state = apply_tool(env, state, tool, rng)
+                    severities = evaluator.assess(state, combo.degradations, rng)
                     flags = {
-                        task: evaluator.assess(state, d, rng) <= config.success_threshold
-                        for d in combo.degradations
-                        for task in (task_for(d),)
+                        task_for(d): s <= config.success_threshold
+                        for d, s in zip(combo.degradations, severities)
                     }
                     trials.append((combo.key, order, flags))
     return trials

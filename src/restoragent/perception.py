@@ -23,10 +23,14 @@ class EmptyInput(ValueError):
 
 
 class PerfectOracle:
-    """Reads the stored severity directly; the identity evaluator."""
+    """Reads the stored severity directly; the identity evaluator.
 
-    def assess(self, profile: DegradationProfile, degradation: Degradation, rng=None) -> Severity:
-        return profile.severity(degradation)
+    Both oracles' ``assess`` take a sequence of degradations and return their
+    severities in that order.
+    """
+
+    def assess(self, profile: DegradationProfile, degradations, rng=None) -> list:
+        return [profile.severity(d) for d in degradations]
 
 
 @dataclass
@@ -99,17 +103,22 @@ class NoisyOracle:
     def __init__(self, model: NoiseModel):
         self.model = model
 
-    def assess(self, profile: DegradationProfile, degradation: Degradation, rng=None) -> Severity:
+    def assess(self, profile: DegradationProfile, degradations, rng=None) -> list:
+        """One draw per degradation, all taken in one call: ``random(n)``
+        yields the same doubles as n calls of ``random()``."""
         if rng is None:
             raise ValueError("NoisyOracle.assess requires an rng substream")
-        true = profile.severity(degradation)
-        if true >= PRESENCE_THRESHOLD:
-            if rng.random() < self.model.miss(degradation):
-                return true.lowered()
-            return true
-        if rng.random() < self.model.false(degradation):
-            return Severity.MEDIUM
-        return true
+        draws = rng.random(len(degradations)).tolist()
+        severities = []
+        for degradation, u in zip(degradations, draws):
+            true = profile.severity(degradation)
+            if true >= PRESENCE_THRESHOLD:
+                severities.append(true.lowered() if u < self.model.miss(degradation) else true)
+            elif u < self.model.false(degradation):
+                severities.append(Severity.MEDIUM)
+            else:
+                severities.append(true)
+        return severities
 
 
 def evaluator_from_model(model: dict | None):
@@ -122,16 +131,15 @@ def evaluator_from_model(model: dict | None):
 
 def evaluate_agenda(evaluator, profile: DegradationProfile, rng=None) -> Agenda:
     """Tasks for every degradation assessed at MEDIUM or above."""
-    agenda = set()
-    for degradation in ALL_DEGRADATIONS:
-        if evaluator.assess(profile, degradation, rng) >= PRESENCE_THRESHOLD:
-            agenda.add(task_for(degradation))
-    return frozenset(agenda)
+    severities = evaluator.assess(profile, ALL_DEGRADATIONS, rng)
+    return frozenset(
+        task_for(d) for d, s in zip(ALL_DEGRADATIONS, severities) if s >= PRESENCE_THRESHOLD
+    )
 
 
 def reflect(evaluator, profile: DegradationProfile, task: TaskKind, rng=None) -> Severity:
     """Assessed residual severity of the degradation a subtask addresses."""
-    return evaluator.assess(profile, degradation_for(task), rng)
+    return evaluator.assess(profile, (degradation_for(task),), rng)[0]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ processes, each of which has its own.
 Quirk kept for bit-compatibility: numpy converts a key tuple with
 ``np.asarray(key).astype(np.uint64)``, and when exactly one half is >= 2**63
 that array is float64, so such a key keeps only 53 significant bits per half.
+``int(float(half))`` gives the same correctly rounded value without numpy,
+except for a half that rounds up to 2**64, whose cast depends on the platform
+and so still goes through numpy.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import operator
+import struct
 import weakref
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _ZEROS = (0, 0, 0, 0)
+_TWO_64 = float(1 << 64)
+_HALVES = struct.Struct("<QQ")
 
 _PHILOX = np.random.Philox(key=(0, 0))
 _GENERATOR = np.random.Generator(_PHILOX)
@@ -107,31 +112,30 @@ def stream_key(seed: int, *parts) -> tuple:
         h.update(_encode(part))
         states.append(h)
     _memo = (path, states)
-    digest = h.digest()
-    return (
-        int.from_bytes(digest[:8], "little") & _MASK64,
-        int.from_bytes(digest[8:], "little") & _MASK64,
-    )
+    return _HALVES.unpack(h.digest())
+
+
+def _philox_key(key: tuple) -> tuple:
+    """The key numpy's ``Philox(key=key)`` loads for a pair of 64-bit halves."""
+    k0, k1 = key
+    if (k0 >> 63) == (k1 >> 63):
+        return key  # numpy converts these exactly
+    # numpy goes through float64 here: int(float(half)) is the same correctly
+    # rounded value, unless a half rounds up to 2**64.
+    f0, f1 = float(k0), float(k1)
+    if f0 == _TWO_64 or f1 == _TWO_64:
+        return tuple(np.asarray(key).astype(np.uint64).tolist())
+    return int(f0), int(f1)
 
 
 class Substream:
     """One keyed stream drawn through the shared Philox."""
 
-    __slots__ = ("_state", "__weakref__")
+    __slots__ = ("_key", "_state", "__weakref__")
 
     def __init__(self, key: tuple):
-        if (key[0] >> 63) != (key[1] >> 63):
-            # numpy's tuple conversion goes through float64 here; the other
-            # cases convert exactly, so the ints are used as they are.
-            key = tuple(np.asarray(key).astype(np.uint64).tolist())
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": key},
-            "buffer": _ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._key = key
+        self._state = None  # set only when another stream displaces this one
 
     def _shared(self) -> np.random.Generator:
         """The shared generator, holding this stream's state."""
@@ -140,7 +144,14 @@ class Substream:
         if holder is not self:
             if holder is not None:
                 holder._state = _PHILOX.state
-            _PHILOX.state = self._state
+            _PHILOX.state = self._state or {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZEROS, "key": _philox_key(self._key)},
+                "buffer": _ZEROS,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
             _owner = weakref.ref(self)
         return _GENERATOR
 

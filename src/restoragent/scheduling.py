@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .core import TASK_VALUE
 from .knowledge import KnowledgeBase, retrieve
 from .rng import Stream
 
@@ -16,7 +17,7 @@ class Unschedulable(ValueError):
 
 
 def _names(plan) -> tuple:
-    return tuple(t.value for t in plan)
+    return tuple(TASK_VALUE[t] for t in plan)
 
 
 class ExperienceScheduler:
@@ -56,15 +57,16 @@ class ExperienceScheduler:
 
         strict = [r for r in found.rules if not r.indifferent]
 
-        def violated_margin_then_names(plan):
+        def violated_margin(plan):
             position = {task: i for i, task in enumerate(plan)}
-            margin = sum(r.margin for r in strict if position[r.before] > position[r.after])
-            return margin, _names(plan)
+            return sum(r.margin for r in strict if position[r.before] > position[r.after])
 
+        # Permutations of the name-sorted agenda come in name order and min
+        # keeps the first of equal margins, so ties go to the first plan by name.
+        tasks = sorted(agenda_set, key=TASK_VALUE.__getitem__)
         return min(
-            (plan for plan in itertools.permutations(sorted(agenda_set, key=lambda t: t.value))
-             if plan[0] not in banned),
-            key=violated_margin_then_names,
+            (plan for plan in itertools.permutations(tasks) if plan[0] not in banned),
+            key=violated_margin,
         )
 
 
@@ -78,11 +80,11 @@ class RandomScheduler:
         if not agenda_set:
             raise Unschedulable("empty agenda")
         banned = frozenset(banned_first) & agenda_set
-        eligible = sorted(agenda_set - banned, key=lambda t: t.value)
+        eligible = sorted(agenda_set - banned, key=TASK_VALUE.__getitem__)
         if not eligible:
             raise Unschedulable("banned_first covers the whole agenda")
         first = eligible[int(rng.integers(len(eligible)))]
-        rest = sorted(agenda_set - {first}, key=lambda t: t.value)
+        rest = sorted(agenda_set - {first}, key=TASK_VALUE.__getitem__)
         order = rng.permutation(len(rest))
         return (first,) + tuple(rest[i] for i in order)
 
@@ -136,7 +138,7 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
         raise ValueError("n_per_presentation must be >= 1")
     agenda_set = frozenset(agenda)
     presentations = list(
-        itertools.permutations(sorted(agenda_set, key=lambda t: t.value))
+        itertools.permutations(sorted(agenda_set, key=TASK_VALUE.__getitem__))
     )
     per_presentation = [
         Counter(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import DegradationProfile, degradation_for
+from .core import TASK_VALUE, DegradationProfile, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
     ExecutionPolicy,
@@ -94,8 +94,8 @@ def _step(plan, profile, deps, stream, counters, children):
                               use_reflection=deps.use_reflection)
     counters.invocations += outcome.invocations
     node = {
-        "plan": [t.value for t in plan],
-        "subtask": plan[0].value,
+        "plan": [TASK_VALUE[t] for t in plan],
+        "subtask": TASK_VALUE[plan[0]],
         "tools_tried": list(outcome.tools_tried),
         "invocations": outcome.invocations,
         "status": outcome.status.value,
@@ -175,7 +175,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
     profile = initial
     try:
         agenda = evaluate_agenda(deps.evaluator, initial, stream.child("evaluate"))
-        trace.agenda = sorted(t.value for t in agenda)
+        trace.agenda = sorted(TASK_VALUE[t] for t in agenda)
         if agenda:
             run = _search if deps.use_rollback and deps.use_reflection else _run_straight_line
             profile = run(initial, agenda, deps, stream, trace)

@@ -193,6 +193,29 @@ def test_verify_accepts_then_rejects_tampered_report(
     assert "MISMATCH" in result.output
 
 
+def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
+    runner, tmp_path, env_config
+):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(env_config), "--runs", "2", "--seed", "0",
+         "--combinations", "group-A", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    path = out / "traces" / "rain_-_haze.json"
+    traces = json.loads(path.read_text())
+    node = traces[0]["tree"][0]
+    node["tools_tried"].append("made-up-tool")  # invocations and every total stay as they were
+    path.write_text(json.dumps(traces), encoding="utf-8")
+    result = runner.invoke(
+        main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "MISMATCH" in result.output
+    assert "tools_tried" in result.output
+
+
 @pytest.mark.parametrize(
     "command, config, exit_code",
     [

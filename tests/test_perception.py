@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind, task_for
 from restoragent.perception import (
@@ -19,8 +19,7 @@ from restoragent.rng import substream
 def test_perfect_oracle_is_identity():
     profile = DegradationProfile({Degradation.RAIN: Severity.HIGH})
     oracle = PerfectOracle()
-    for d in Degradation:
-        assert oracle.assess(profile, d) == profile.severity(d)
+    assert oracle.assess(profile, list(Degradation)) == [profile.severity(d) for d in Degradation]
 
 
 def test_evaluate_agenda_threshold_rule():
@@ -68,9 +67,9 @@ def test_noisy_oracle_requires_stream_and_is_reproducible():
     oracle = NoisyOracle(NoiseModel(p_miss={Degradation.NOISE: 0.5}))
     profile = DegradationProfile({Degradation.NOISE: Severity.HIGH})
     with pytest.raises(ValueError):
-        oracle.assess(profile, Degradation.NOISE)
-    a = [oracle.assess(profile, Degradation.NOISE, substream(1, i)) for i in range(20)]
-    b = [oracle.assess(profile, Degradation.NOISE, substream(1, i)) for i in range(20)]
+        oracle.assess(profile, (Degradation.NOISE,))
+    a = [oracle.assess(profile, (Degradation.NOISE,), substream(1, i)) for i in range(20)]
+    b = [oracle.assess(profile, (Degradation.NOISE,), substream(1, i)) for i in range(20)]
     assert a == b
 
 
@@ -144,7 +143,7 @@ def test_calibration_round_trip_monte_carlo():
         truth = i % 2 == 0
         profile = present if truth else absent
         predicted = (
-            oracle.assess(profile, Degradation.HAZE, substream(3, "cal", i))
+            oracle.assess(profile, (Degradation.HAZE,), substream(3, "cal", i))[0]
             >= Severity.MEDIUM
         )
         rows.append((Degradation.HAZE, predicted, truth))
@@ -155,3 +154,42 @@ def test_calibration_round_trip_monte_carlo():
     n_pred = sum(1 for _, predicted, _ in rows if predicted)
     sigma_precision = math.sqrt(target_precision * (1 - target_precision) / n_pred)
     assert abs(m.precision - target_precision) <= 3 * sigma_precision
+
+
+def _one_at_a_time(oracle, profile, degradations, rng):
+    """Reference assessment: one degradation at a time, the noisy oracle
+    taking one ``random()`` per degradation."""
+    severities = []
+    for d in degradations:
+        true = profile.severities.get(d, Severity.VERY_LOW)
+        if isinstance(oracle, PerfectOracle):
+            severities.append(true)
+        elif true >= Severity.MEDIUM:
+            severities.append(Severity(max(true - 1, 0)) if rng.random() < oracle.model.miss(d)
+                              else true)
+        else:
+            severities.append(Severity.MEDIUM if rng.random() < oracle.model.false(d) else true)
+    return severities
+
+
+_PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stored=st.dictionaries(st.sampled_from(list(Degradation)), st.sampled_from(list(Severity))),
+    p_miss=st.dictionaries(st.sampled_from(list(Degradation)), _PROBABILITY),
+    p_false=st.dictionaries(st.sampled_from(list(Degradation)), _PROBABILITY),
+    degradations=st.lists(st.sampled_from(list(Degradation)), max_size=10),
+    noisy=st.booleans(),
+    key=st.integers(0, 2**32),
+)
+def test_assess_over_a_sequence_equals_one_at_a_time(stored, p_miss, p_false, degradations,
+                                                     noisy, key):
+    oracle = NoisyOracle(NoiseModel(p_miss, p_false)) if noisy else PerfectOracle()
+    profile = DegradationProfile(stored)
+    swept, reference = substream(key, "sweep"), substream(key, "sweep")
+    got = oracle.assess(profile, tuple(degradations), swept)
+    assert got == _one_at_a_time(oracle, profile, degradations, reference)
+    assert [type(s) for s in got] == [Severity] * len(degradations)
+    assert swept.random() == reference.random()  # both consumed the same draws

@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from restoragent import rng as rng_module
 from restoragent.core import (
@@ -170,6 +170,38 @@ def test_stream_drawn_again_after_another_stream_was_dropped():
     got.append(a.random())
     want.append(ref_a.random())
     assert got == want
+
+
+# Key loading: for a key whose halves straddle 2**63, the key the shared Philox
+# holds after a draw equals numpy's own tuple conversion of it.
+
+def _numpy_converted_key(key):
+    with np.errstate(invalid="ignore"):  # a half that rounds up to 2**64
+        return np.asarray(key).astype(np.uint64).tolist()
+
+
+def _loaded_key(key):
+    with np.errstate(invalid="ignore"):
+        rng_module.Substream(key).random()
+    return rng_module._PHILOX.state["state"]["key"].tolist()
+
+
+_LOW_HALF = st.integers(0, 2**63 - 1) | st.integers(2**63 - 2**11, 2**63 - 1)
+_HIGH_HALF = st.integers(2**63, 2**64 - 1) | st.integers(2**64 - 2**12, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low=_LOW_HALF, high=_HIGH_HALF, high_first=st.booleans())
+@example(low=2**63 - 1, high=2**63, high_first=False)
+@example(low=2**63 - 1, high=2**63, high_first=True)
+@example(low=0, high=2**64 - 1, high_first=True)
+@example(low=2**63 - 1, high=2**64 - 1, high_first=False)
+@example(low=5, high=2**64 - 2**10, high_first=True)  # the first half rounding up to 2**64
+@example(low=5, high=2**64 - 2**10 - 1, high_first=True)  # the last rounding down
+def test_a_straddling_key_loads_as_numpy_converts_it(low, high, high_first):
+    key = (high, low) if high_first else (low, high)
+    assert np.asarray(key).dtype == np.float64
+    assert _loaded_key(key) == _numpy_converted_key(key)
 
 
 # Key derivation: every key below is compared with a from-scratch blake2b of

@@ -212,3 +212,41 @@ def test_memoised_plans_equal_a_fresh_schedulers_for_every_small_agenda():
                     assert memoising.schedule(agenda, banned) == fresh
                     # Same key: presentation order and banned tasks outside the agenda don't count.
                     assert memoising.schedule(agenda[::-1], banned | {outside}) == fresh
+
+
+def _margin_then_names_plan(agenda, banned, rules):
+    """Reference rule-scored plan: the permutation with the least violated
+    strict margin, ties broken by the tuple of task names."""
+
+    def key(plan):
+        position = {task: i for i, task in enumerate(plan)}
+        margin = sum(r.margin for r in rules
+                     if not r.indifferent and r.before in position and r.after in position
+                     and position[r.before] > position[r.after])
+        return margin, tuple(t.value for t in plan)
+
+    return min((plan for plan in itertools.permutations(agenda) if plan[0] not in banned),
+               key=key)
+
+
+def test_margin_only_plan_equals_the_margin_then_names_min_for_every_small_agenda():
+    import random
+
+    from restoragent.knowledge import PrecedenceRule
+
+    draw = random.Random(13)
+    tasks = list(TaskKind)
+    for size in (1, 2, 3, 4):
+        for agenda in itertools.combinations(tasks, size):
+            # A few margins from a coarse grid, so that sums tie often; some
+            # rules are indifferent or name a task outside the agenda.
+            rules = [
+                PrecedenceRule(*draw.sample(tasks if size == 1 or draw.random() < 0.2 else agenda, 2),
+                               draw.choice((0.0, 0.25, 0.5, 0.75)), draw.random() < 0.2)
+                for _ in range(draw.randrange(6))
+            ]
+            scheduler = ExperienceScheduler(KnowledgeBase(rules=rules))
+            for n_banned in range(size):
+                for banned in map(frozenset, itertools.combinations(agenda, n_banned)):
+                    want = _margin_then_names_plan(agenda, banned, rules)
+                    assert scheduler.schedule(draw.sample(agenda, size), banned) == want
