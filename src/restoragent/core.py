@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: degradations, tasks, severities, profiles, plans."""
+"""Shared domain vocabulary: degradations, tasks, severities, profiles, combinations."""
 
 from __future__ import annotations
 
@@ -121,12 +121,6 @@ def task_for(degradation: Degradation) -> TaskKind:
 def degradation_for(task: TaskKind) -> Degradation:
     """The unique degradation addressed by a restoration task."""
     return _DEGRADATION_FOR[task]
-
-
-# A Plan is an ordered, duplicate-free tuple of tasks; an Agenda is the
-# unordered counterpart.  Plain tuples/frozensets keep them value-semantic.
-Plan = tuple  # tuple[TaskKind, ...]
-Agenda = frozenset  # frozenset[TaskKind]
 
 
 @dataclass

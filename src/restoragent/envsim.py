@@ -17,7 +17,6 @@ from .core import (
     TaskKind,
     check_probability,
     degradation_for,
-    task_for,
 )
 
 _PROB_TOL = 1e-9

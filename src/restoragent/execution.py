@@ -18,11 +18,6 @@ class EmptyCandidates(ValueError):
     """pick_best was called without candidates."""
 
 
-class ToolOrder(str, enum.Enum):
-    FIXED_REGISTRY = "fixed"
-    SEEDED_SHUFFLE = "shuffle"
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """A result whose reflected severity is VERY_LOW is always accepted at
@@ -30,11 +25,10 @@ class ExecutionPolicy:
     a PickBest candidate."""
 
     accept_candidate: Severity = Severity.LOW
-    tool_order: ToolOrder = ToolOrder.SEEDED_SHUFFLE
 
     def strict(self) -> "ExecutionPolicy":
         """Variant accepting only very-low residual severity."""
-        return ExecutionPolicy(Severity.VERY_LOW, self.tool_order)
+        return ExecutionPolicy(Severity.VERY_LOW)
 
 
 class Status(enum.Enum):
@@ -60,7 +54,6 @@ class SimulatorToolAdapter:
         self.env = env
         self.tool = tool
         self.id = tool.id
-        self.task = tool.task
 
     def invoke(self, profile: DegradationProfile, rng) -> DegradationProfile:
         return apply_tool(self.env, profile, self.tool, rng)
@@ -113,8 +106,9 @@ def execute_subtask(
 ) -> SubtaskOutcome:
     """Iterate tools for one subtask with reflection-gated acceptance.
 
-    ``tools`` is the task -> adapters mapping from ``adapters_for``.
-    ``stream`` is an rng Stream handle; each invocation and reflection draws
+    ``tools`` is the task -> adapters mapping from ``adapters_for``; the
+    task's tools run in an order shuffled under the ``tool-order`` child of
+    ``stream``, an rng Stream handle.  Each invocation and reflection draws
     from its own child substream, and PickBest compares under the
     ``compare`` child.
     """
@@ -123,7 +117,7 @@ def execute_subtask(
         raise NoTools(f"no tools registered for {task.value!r}")
 
     # A one-element permutation takes no draw, so a single tool needs no shuffle.
-    if policy.tool_order is ToolOrder.SEEDED_SHUFFLE and len(tools) > 1:
+    if len(tools) > 1:
         order = stream.child("tool-order").permutation(len(tools))
         tools = [tools[i] for i in order]
 

@@ -4,7 +4,7 @@ training combination, judged on the final profile."""
 from __future__ import annotations
 
 import itertools
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 from .core import TASK_VALUE, Severity, combinations_in_group, initial_profile, task_for
@@ -27,13 +27,17 @@ class ExplorationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples_per_combination", "trials_per_sample", "seed"):
+            value = getattr(self, name)
+            # A bool is an Integral, but JSON ``true`` is no count and no seed.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.samples_per_combination < 1:
             raise ValueError("samples_per_combination must be >= 1")
         if self.trials_per_sample < 1:
             raise ValueError("trials_per_sample must be >= 1")
         if self.success_threshold not in (Severity.VERY_LOW, Severity.LOW):
             raise ValueError("success_threshold must be VERY_LOW or LOW")
-        operator.index(self.seed)  # TypeError unless an integer
 
 
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:

@@ -16,19 +16,16 @@ from .core import (
 from .envsim import Environment, env_from_dict, env_to_dict
 from .execution import ExecutionPolicy, adapters_for
 from .knowledge import KnowledgeBase
-from .perception import PerfectOracle, evaluator_from_model
+from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler
 from .search import WorkflowDeps, run_workflow
 
 RUN_MODES = ("full", "no-reflection", "no-rollback", "no-retrieval", "strict-threshold")
 
 
-def make_deps(
-    env: Environment, kb: KnowledgeBase | None, mode: str, evaluator=None
-) -> WorkflowDeps:
+def make_deps(env: Environment, kb: KnowledgeBase | None, mode: str, evaluator) -> WorkflowDeps:
     if mode not in RUN_MODES:
         raise ValueError(f"unknown run mode: {mode!r} (expected one of {RUN_MODES})")
-    evaluator = evaluator or PerfectOracle()
     policy = ExecutionPolicy()
     if mode == "strict-threshold":
         policy = policy.strict()

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from .core import (
     ALL_DEGRADATIONS,
     PRESENCE_THRESHOLD,
-    Agenda,
     Degradation,
     DegradationProfile,
     Severity,
@@ -129,7 +128,7 @@ def evaluator_from_model(model: dict | None):
     return NoisyOracle(NoiseModel.from_dict(model))
 
 
-def evaluate_agenda(evaluator, profile: DegradationProfile, rng=None) -> Agenda:
+def evaluate_agenda(evaluator, profile: DegradationProfile, rng=None) -> frozenset:
     """Tasks for every degradation assessed at MEDIUM or above."""
     severities = evaluator.assess(profile, ALL_DEGRADATIONS, rng)
     return frozenset(

@@ -31,7 +31,7 @@ from restoragent.envsim import (
     reference_calibration,
     reference_tabular_env,
 )
-from restoragent.execution import ExecutionPolicy, ToolOrder, adapters_for
+from restoragent.execution import ExecutionPolicy, adapters_for
 from restoragent.explore import ExplorationConfig, explore
 from restoragent.harness import run_batch
 from restoragent.knowledge import (
@@ -49,7 +49,7 @@ from restoragent.search import WorkflowDeps, brute_force_oracle, dfs, run_workfl
 
 D = Degradation
 T = TaskKind
-FIXED = ExecutionPolicy(tool_order=ToolOrder.FIXED_REGISTRY)
+POLICY = ExecutionPolicy()
 
 
 def _record(number: int, name: str, ok: bool, detail: str = ""):
@@ -195,12 +195,12 @@ def test_criterion_3_search_correctness():
     n_cases = 1_000
     for i in range(n_cases):
         env, profile, agenda = _random_deterministic_case(rnd)
-        expected, _ = brute_force_oracle(profile, agenda, env, FIXED)
+        expected, _ = brute_force_oracle(profile, agenda, env, POLICY)
         deps = WorkflowDeps(
             scheduler=scheduler,
             evaluator=PerfectOracle(),
             tools=adapters_for(env),
-            policy=FIXED,
+            policy=POLICY,
         )
         plan = scheduler.schedule(agenda)
         _, got = dfs(profile, plan, deps, Stream(i))
@@ -269,7 +269,7 @@ def test_criterion_5_ablation_directions():
             scheduler=ExperienceScheduler(kb),
             evaluator=PerfectOracle(),
             tools=adapters_for(fixture_env),
-            policy=FIXED,
+            policy=POLICY,
             use_rollback=use_rollback,
         )
 
@@ -357,7 +357,7 @@ def test_criterion_7_determinism_and_purity(tmp_path):
         scheduler=ExperienceScheduler(reference_kb()),
         evaluator=PerfectOracle(),
         tools=adapters_for(env),
-        policy=FIXED,
+        policy=POLICY,
     )
     for i in range(200):
         profile = DegradationProfile(

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from restoragent.harness import (
     run_batch,
 )
 from restoragent.knowledge import kb_to_dict, load_kb, reference_kb
+from restoragent.perception import PerfectOracle
 
 DELETE = object()
 TOOL = {"id": "a", "task": "denoising", "outcome": {"full": 1.0, "partial": 0.0, "none": 0.0}}
@@ -275,6 +277,14 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
         pytest.param("explore", {"seed": "abc"}, 1, id="explore-seed-a-string"),
         pytest.param("explore", {"seed": None}, 1, id="explore-seed-null"),
         pytest.param("explore", {"seed": 1.5}, 1, id="explore-seed-not-an-integer"),
+        pytest.param("explore", {"seed": True}, 1, id="explore-seed-a-bool"),
+        pytest.param("explore", {"samples_per_combination": 2.5}, 1,
+                     id="explore-samples-not-an-integer"),
+        pytest.param("explore", {"samples_per_combination": True}, 1,
+                     id="explore-samples-a-bool"),
+        pytest.param("explore", {"trials_per_sample": 1.5}, 1,
+                     id="explore-trials-not-an-integer"),
+        pytest.param("explore", {"trials_per_sample": True}, 1, id="explore-trials-a-bool"),
         pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "rules": [{
                          "task": "denoising",
                          "condition": {"kind": "degradation-present", "degradation": "rain",
@@ -409,7 +419,7 @@ def test_consistency_command_random_disperses(runner, tmp_path):
 
 def test_make_deps_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        make_deps(reference_tabular_env(), reference_kb(), "turbo")
+        make_deps(reference_tabular_env(), reference_kb(), "turbo", PerfectOracle())
 
 
 def test_parse_combinations_variants():
@@ -437,18 +447,40 @@ def test_imports_leave_the_process_pool_and_harness_unloaded():
 
 def test_every_module_is_reached_from_the_cli():
     """A module that ``restoragent.cli`` does not import, directly or not,
-    is one no command can reach."""
+    is one no command can reach.  ``import restoragent`` alone loads no
+    submodule, so the package cannot reach one in the CLI's stead."""
     src = Path(cli.__file__).resolve().parents[1]
     modules = sorted(f"restoragent.{p.stem}" for p in (src / "restoragent").glob("*.py")
                      if p.stem != "__init__")
     script = (
-        "import sys, restoragent.cli; "
+        "import sys, restoragent; "
+        "print(sorted(m for m in sys.modules if m.startswith('restoragent.'))); "
+        "import restoragent.cli; "
         f"print([m for m in {modules!r} if m not in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", script], check=True, env=env,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_every_import_in_the_package_is_used():
+    """Each name a ``restoragent`` module imports is read in that module."""
+    src = Path(cli.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
 
 
 def test_run_batch_parallel_matches_serial():

@@ -9,7 +9,6 @@ from restoragent.execution import (
     NoTools,
     SimulatorToolAdapter,
     Status,
-    ToolOrder,
     adapters_for,
     default_comparator,
     execute_subtask,
@@ -25,7 +24,7 @@ def _adapters(*specs):
 
 
 NOISE_HIGH = DegradationProfile({Degradation.NOISE: Severity.HIGH})
-FIXED = ExecutionPolicy(tool_order=ToolOrder.FIXED_REGISTRY)
+POLICY = ExecutionPolicy()
 
 
 def test_strict_policy_accepts_only_very_low():
@@ -39,7 +38,7 @@ def test_accept_now_short_circuits():
         ToolSpec("b", TaskKind.DENOISING, 1.0, 0.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), FIXED, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
     )
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 1
@@ -53,7 +52,7 @@ def test_partial_results_go_through_pick_best():
         ToolSpec("p2", TaskKind.DENOISING, 0.0, 1.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), FIXED, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
     )
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 2
@@ -66,7 +65,7 @@ def test_all_tools_fail_is_failure_with_best_output():
         ToolSpec("n2", TaskKind.DENOISING, 0.0, 0.0, 1.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), FIXED, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
     )
     assert outcome.status is Status.FAILURE
     assert outcome.invocations == 2
@@ -77,7 +76,7 @@ def test_all_tools_fail_is_failure_with_best_output():
 def test_strict_policy_rejects_partial():
     tools = _adapters(ToolSpec("p", TaskKind.DENOISING, 0.0, 1.0, 0.0))
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), FIXED.strict(), Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY.strict(), Stream(0)
     )
     assert outcome.status is Status.FAILURE
 
@@ -88,7 +87,7 @@ def test_no_reflection_accepts_first_result():
         ToolSpec("good", TaskKind.DENOISING, 1.0, 0.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), FIXED, Stream(0),
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0),
         use_reflection=False,
     )
     assert outcome.status is Status.SUCCESS
@@ -100,7 +99,7 @@ def test_no_reflection_accepts_first_result():
 def test_no_tools_raises():
     with pytest.raises(NoTools):
         execute_subtask(
-            TaskKind.DERAINING, NOISE_HIGH, {}, PerfectOracle(), FIXED, Stream(0)
+            TaskKind.DERAINING, NOISE_HIGH, {}, PerfectOracle(), POLICY, Stream(0)
         )
 
 
@@ -108,11 +107,9 @@ def test_seeded_shuffle_is_deterministic_and_varies_with_seed():
     tools = _adapters(
         *[ToolSpec(f"n{i}", TaskKind.DENOISING, 0.0, 0.0, 1.0) for i in range(6)]
     )
-    policy = ExecutionPolicy(tool_order=ToolOrder.SEEDED_SHUFFLE)
-
     def tried(seed):
         return execute_subtask(
-            TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), policy, Stream(seed)
+            TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(seed)
         ).tools_tried
 
     assert tried(1) == tried(1)

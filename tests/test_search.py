@@ -13,7 +13,7 @@ from restoragent.envsim import (
     reference_tabular_env,
 )
 from restoragent import search
-from restoragent.execution import EmptyCandidates, ExecutionPolicy, ToolOrder, adapters_for
+from restoragent.execution import EmptyCandidates, ExecutionPolicy, adapters_for
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream
@@ -29,7 +29,7 @@ from restoragent.search import (
 
 D = Degradation
 T = TaskKind
-POLICY = ExecutionPolicy(tool_order=ToolOrder.FIXED_REGISTRY)
+POLICY = ExecutionPolicy()
 RAIN_HAZE = DegradationProfile({D.RAIN: Severity.HIGH, D.HAZE: Severity.HIGH})
 
 
