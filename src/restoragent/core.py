@@ -123,7 +123,7 @@ def degradation_for(task: TaskKind) -> Degradation:
     return _DEGRADATION_FOR[task]
 
 
-@dataclass
+@dataclass(slots=True)
 class DegradationProfile:
     """Abstract image state: severity per degradation plus applied history.
 

@@ -203,7 +203,11 @@ def reference_calibration() -> TabularCalibration:
 
 # --- environment ------------------------------------------------------------
 
-TABULAR_TOOL_PREFIX = "tabular:"
+#: The tools a tabular environment given none creates for itself: one
+#: always-applying tool per task, whose outcome the calibration decides.
+_TABULAR_TOOLS = tuple(
+    ToolSpec(f"tabular:{task.value}", task, 1.0, 0.0, 0.0) for task in TaskKind
+)
 
 
 @dataclass
@@ -223,10 +227,7 @@ class Environment:
             if self.calibration is None:
                 raise ValueError("tabular environment requires a calibration")
             if not self.tools:
-                self.tools = [
-                    ToolSpec(f"{TABULAR_TOOL_PREFIX}{task.value}", task, 1.0, 0.0, 0.0)
-                    for task in TaskKind
-                ]
+                self.tools = list(_TABULAR_TOOLS)
         self._by_id = {tool.id: tool for tool in self.tools}
         self._by_task = {}
         for tool in self.tools:
@@ -243,13 +244,6 @@ class Environment:
             raise UnknownTool(tool_id) from None
 
 
-def _combination_key(state: DegradationProfile) -> frozenset:
-    present = set(state.present())
-    for task, _ in state.history:
-        present.add(degradation_for(task))
-    return frozenset(present)
-
-
 def apply_tool(
     env: Environment,
     state: DegradationProfile,
@@ -261,8 +255,9 @@ def apply_tool(
     target = degradation_for(tool.task)
 
     if env.mode == "tabular":
-        combo = _combination_key(state)
+        # The mixture: what is still present plus what the history addressed.
         hist = state.tasks_in_history()
+        combo = state.present().union(map(degradation_for, hist))
         if tool.task in hist:
             # Retry of an already-attempted task: same position as before.
             prefix = hist[: hist.index(tool.task) + 1]
@@ -374,16 +369,17 @@ def _effect_from_dict(data: dict):
 
 def env_to_dict(env: Environment) -> dict:
     data = {"mode": env.mode, "seed": env.seed}
-    if env.mode == "mechanistic" or env.tools:
-        data["tools"] = [
-            {
-                "id": t.id,
-                "task": t.task.value,
-                "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
-            }
-            for t in env.tools
-            if not t.id.startswith(TABULAR_TOOL_PREFIX)
-        ]
+    tools = env.tools
+    if env.mode == "tabular" and tools == list(_TABULAR_TOOLS):
+        tools = []  # the loaded env creates these for itself
+    data["tools"] = [
+        {
+            "id": t.id,
+            "task": t.task.value,
+            "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
+        }
+        for t in tools
+    ]
     if env.rules:
         data["rules"] = [
             {

@@ -121,8 +121,6 @@ def execute_subtask(
         order = stream.child("tool-order").permutation(len(tools))
         tools = [tools[i] for i in order]
 
-    comparator = default_comparator(evaluator, stream.child("compare"))
-
     candidates = []
     produced = []
     tried = []
@@ -139,6 +137,8 @@ def execute_subtask(
         if severity <= policy.accept_candidate:
             candidates.append(result)
 
+    # Built only here: most subtasks end before they reach PickBest.
+    comparator = default_comparator(evaluator, stream.child("compare"))
     if candidates:
         return SubtaskOutcome(Status.SUCCESS, pick_best(candidates, comparator), tried)
     return SubtaskOutcome(Status.FAILURE, pick_best(produced, comparator), tried)

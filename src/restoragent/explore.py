@@ -43,35 +43,41 @@ class ExplorationConfig:
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:
     """Run every permutation of every combination straight through.
 
-    Yields (combination degradation set, order, per-task success flags)
-    tuples; no rollback and no rescheduling are ever involved.  Tool choice
-    is uniform per step; per-task success is judged on the final profile.
+    Returns a list of (combination degradation set, order, per-task success
+    flags) tuples; no rollback and no rescheduling are ever involved.  Tool
+    choice is uniform per step; per-task success is judged on the final
+    profile.  A combination's key and flag tasks and an order's tool lists
+    are built once, not per trial.
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
         for task in combo.tasks:
             if not env.tools_for(task):
                 raise MissingTools(f"no tools for {task.value!r}")
+    threshold = config.success_threshold
     trials = []
     for ci, combo in enumerate(config.combinations):
+        key = combo.key
+        degradations = combo.degradations
+        flag_tasks = [task_for(d) for d in degradations]
         tasks = sorted(combo.tasks, key=TASK_VALUE.__getitem__)
+        orders = [
+            (order, [env.tools_for(task) for task in order])
+            for order in itertools.permutations(tasks)
+        ]
         for si in range(config.samples_per_combination):
             base = initial_profile(combo, si)
-            for pi, order in enumerate(itertools.permutations(tasks)):
+            for pi, (order, tool_lists) in enumerate(orders):
                 for ti in range(config.trials_per_sample):
                     rng = Stream(config.seed, "explore", ci, si, pi, ti)
                     state = base.copy()
-                    for task in order:
-                        tools = env.tools_for(task)
+                    for tools in tool_lists:
                         # integers(1) consumes no draw, so skipping it keeps the stream.
                         tool = tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
                         state = apply_tool(env, state, tool, rng)
-                    severities = evaluator.assess(state, combo.degradations, rng)
-                    flags = {
-                        task_for(d): s <= config.success_threshold
-                        for d, s in zip(combo.degradations, severities)
-                    }
-                    trials.append((combo.key, order, flags))
+                    severities = evaluator.assess(state, degradations, rng)
+                    flags = {task: s <= threshold for task, s in zip(flag_tasks, severities)}
+                    trials.append((key, order, flags))
     return trials
 
 

@@ -53,11 +53,12 @@ def _run_combination(args):
     deps, mode, combo, runs, seed = args
     traces = []
     started = time.perf_counter()
+    label = combo.label()
     for run in range(runs):
         profile = initial_profile(combo, run)
-        final, trace = run_workflow(profile, deps, seed, run_key=(mode, combo.label(), run))
+        final, trace = run_workflow(profile, deps, seed, run_key=(mode, label, run))
         trace_dict = trace.to_dict()
-        trace_dict["combination"] = combo.label()
+        trace_dict["combination"] = label
         trace_dict["mode"] = mode
         trace_dict["run"] = run
         trace_dict["true_success"] = run_success(final)

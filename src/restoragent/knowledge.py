@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
 
-from .core import Degradation, TaskKind, task_for
+from .core import DEGRADATION_VALUE, TASK_VALUE, Degradation, TaskKind, task_for
 from .envsim import reference_calibration
 
 #: Total-fail differences at or below this count as "no significant effect".
@@ -73,36 +73,47 @@ def aggregate(trials) -> list:
     """Group (combination, order, flags) trials into ExperienceRecords.
 
     ``trials`` yields tuples (combination: frozenset of Degradation,
-    order: tuple of TaskKind, flags: dict TaskKind -> success bool).
+    order: tuple of TaskKind, flags: dict TaskKind -> success bool).  A
+    (combination, order) group is checked when it first appears; every
+    trial's flags must name exactly its group's tasks.
     """
-    groups = {}
+    groups = {}  # (combination, order) -> (tasks, fails, [count])
     for combination, order, flags in trials:
-        combination = frozenset(combination)
-        if not combination:
-            raise InconsistentTrial("a trial has an empty combination")
-        order = tuple(order)
-        expected = frozenset(task_for(d) for d in combination)
-        if frozenset(flags) != expected or frozenset(order) != expected:
-            raise InconsistentTrial(
-                f"flags/order {sorted(t.value for t in flags)} do not match "
-                f"combination {sorted(d.value for d in combination)}"
-            )
-        fails, count = groups.setdefault((combination, order), ({t: 0 for t in order}, [0]))
+        key = (frozenset(combination), tuple(order))
+        group = groups.get(key)
+        if group is None:
+            combination, order = key
+            if not combination:
+                raise InconsistentTrial("a trial has an empty combination")
+            tasks = frozenset(task_for(d) for d in combination)
+            if frozenset(order) != tasks:
+                raise _mismatch(order, combination)
+            group = groups[key] = (tasks, {t: 0 for t in order}, [0])
+        tasks, fails, count = group
+        if flags.keys() != tasks:
+            raise _mismatch(flags, key[0])
         for task, ok in flags.items():
             if not ok:
                 fails[task] += 1
         count[0] += 1
     records = []
-    for (combination, order), (fails, count) in sorted(
+    for (combination, order), (_, fails, count) in sorted(
         groups.items(),
-        key=lambda kv: ([d.value for d in sorted(kv[0][0], key=lambda d: d.value)],
-                        [t.value for t in kv[0][1]]),
+        key=lambda kv: (sorted(DEGRADATION_VALUE[d] for d in kv[0][0]),
+                        [TASK_VALUE[t] for t in kv[0][1]]),
     ):
         n = count[0]
         per_task = {task: fails[task] / n for task in order}
         total = sum(per_task.values()) / len(per_task)
         records.append(ExperienceRecord(combination, order, per_task, total, n))
     return records
+
+
+def _mismatch(tasks, combination) -> InconsistentTrial:
+    return InconsistentTrial(
+        f"flags/order {sorted(TASK_VALUE[t] for t in tasks)} do not match "
+        f"combination {sorted(DEGRADATION_VALUE[d] for d in combination)}"
+    )
 
 
 def _pair_totals(records):
@@ -124,11 +135,11 @@ def distill(records) -> list:
     rules = []
     for (combination, x, y), forward in sorted(
         totals.items(),
-        key=lambda kv: ([d.value for d in sorted(kv[0][0], key=lambda d: d.value)],
-                        kv[0][1].value, kv[0][2].value),
+        key=lambda kv: (sorted(DEGRADATION_VALUE[d] for d in kv[0][0]),
+                        TASK_VALUE[kv[0][1]], TASK_VALUE[kv[0][2]]),
     ):
         backward = totals.get((combination, y, x))
-        if y.value < x.value or backward is None:
+        if TASK_VALUE[y] < TASK_VALUE[x] or backward is None:
             continue  # each pair once, x first by name, and only with both orders observed
         margin = abs(forward - backward)
         if margin <= EPSILON_TIE + _TIE_GUARD:

@@ -29,7 +29,8 @@ class PerfectOracle:
     """
 
     def assess(self, profile: DegradationProfile, degradations, rng=None) -> list:
-        return [profile.severity(d) for d in degradations]
+        severities = profile.severities
+        return [severities.get(d, Severity.VERY_LOW) for d in degradations]
 
 
 @dataclass

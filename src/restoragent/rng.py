@@ -185,7 +185,12 @@ class Stream:
         self._generator = None
 
     def child(self, *parts) -> "Stream":
-        return Stream(self.seed, *self.parts, *parts)
+        # The parent checked the seed, so the child skips __init__.
+        stream = Stream.__new__(Stream)
+        stream.seed = self.seed
+        stream.parts = self.parts + parts
+        stream._generator = None
+        return stream
 
     def generator(self) -> Substream:
         """The stream's substream, built on the first call."""
@@ -193,14 +198,16 @@ class Stream:
             self._generator = substream(self.seed, *self.parts)
         return self._generator
 
+    # A built substream (always truthy) is called directly; only the first
+    # draw goes through generator().
     def random(self, size=None):
-        return self.generator().random(size)
+        return (self._generator or self.generator()).random(size)
 
     def integers(self, high):
-        return self.generator().integers(high)
+        return (self._generator or self.generator()).integers(high)
 
     def permutation(self, n):
-        return self.generator().permutation(n)
+        return (self._generator or self.generator()).permutation(n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Stream(seed={self.seed}, parts={self.parts!r})"

@@ -26,6 +26,7 @@ from restoragent.envsim import (
     reference_calibration,
     reference_tabular_env,
 )
+from restoragent.harness import parse_combinations, run_batch
 from restoragent.rng import substream
 
 
@@ -200,6 +201,13 @@ def test_tabular_rain_haze_fail_rate_within_3_sigma():
     assert abs(fails / n - p) <= 3 * sigma
 
 
+# A mechanistic env whose first tool's id looks like a tabular env's own.
+TABULAR_NAMED_TOOLS = (
+    ToolSpec("tabular:denoise", TaskKind.DENOISING, 1.0, 0.0, 0.0),
+    ToolSpec("weak", TaskKind.DENOISING, 0.4, 0.3, 0.3),
+)
+
+
 def test_env_config_roundtrip():
     env = default_mechanistic_env(42)
     restored = env_from_dict(env_to_dict(env))
@@ -210,3 +218,15 @@ def test_env_config_roundtrip():
     tab = reference_tabular_env(1)
     restored = env_from_dict(env_to_dict(tab))
     assert restored.calibration.entries == tab.calibration.entries
+    assert restored.tools == tab.tools
+
+    named_like_tabular = _env(TABULAR_NAMED_TOOLS)
+    assert env_from_dict(env_to_dict(named_like_tabular)).tools == named_like_tabular.tools
+
+
+def test_run_batch_keeps_a_tool_named_like_a_tabular_one():
+    (noise,) = parse_combinations([["noise"]])
+    _, traces, _ = run_batch(_env(TABULAR_NAMED_TOOLS), None, "no-retrieval", [noise], 20, 0)
+    tried = {tool for trace in traces[noise.label()] for node in trace["tree"]
+             for tool in node["tools_tried"]}
+    assert tried == {"tabular:denoise", "weak"}

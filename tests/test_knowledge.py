@@ -71,8 +71,25 @@ def test_aggregate_mean_and_display_rounding():
     assert display_percent(record.total_fail) == 32
 
 
-def test_aggregate_rejects_inconsistent_flags():
-    bad = [(RAIN_HAZE, (T.DERAINING, T.DEHAZING), {T.DERAINING: True})]
+RAIN_THEN_HAZE = (T.DERAINING, T.DEHAZING)
+BOTH_OK = {T.DERAINING: True, T.DEHAZING: True}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param([(frozenset(), (), {})], id="empty-combination"),
+        pytest.param([(RAIN_HAZE, (T.DERAINING,), {T.DERAINING: True})],
+                     id="order-short-of-combination"),
+        pytest.param([(RAIN_HAZE, RAIN_THEN_HAZE, {T.DERAINING: True})],
+                     id="flags-mismatch-in-a-new-group"),
+        pytest.param([(RAIN_HAZE, RAIN_THEN_HAZE, BOTH_OK),
+                      (RAIN_HAZE, RAIN_THEN_HAZE, BOTH_OK),
+                      (RAIN_HAZE, RAIN_THEN_HAZE, {T.DERAINING: True})],
+                     id="flags-mismatch-in-a-seen-group"),
+    ],
+)
+def test_aggregate_rejects_inconsistent_flags(bad):
     with pytest.raises(InconsistentTrial):
         aggregate(bad)
 
