@@ -139,9 +139,6 @@ class DegradationProfile:
     def severity(self, degradation: Degradation) -> Severity:
         return self.severities.get(degradation, Severity.VERY_LOW)
 
-    def is_present(self, degradation: Degradation) -> bool:
-        return self.severity(degradation) >= PRESENCE_THRESHOLD
-
     def present(self) -> frozenset:
         return frozenset(d for d, s in self.severities.items() if s >= PRESENCE_THRESHOLD)
 

@@ -57,12 +57,11 @@ def _run_combination(args):
     for run in range(runs):
         profile = initial_profile(combo, run)
         final, trace = run_workflow(profile, deps, seed, run_key=(mode, label, run))
-        trace_dict = trace.to_dict()
-        trace_dict["combination"] = label
-        trace_dict["mode"] = mode
-        trace_dict["run"] = run
-        trace_dict["true_success"] = run_success(final)
-        traces.append(trace_dict)
+        trace["combination"] = label
+        trace["mode"] = mode
+        trace["run"] = run
+        trace["true_success"] = run_success(final)
+        traces.append(trace)
     return traces, time.perf_counter() - started
 
 

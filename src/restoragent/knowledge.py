@@ -16,8 +16,8 @@ _TIE_GUARD = 1e-12  # absorbs float noise in probability arithmetic
 
 
 class InconsistentTrial(ValueError):
-    """A trial's combination is empty, or its success flags do not cover
-    its combination's tasks."""
+    """A trial or record with an empty combination, an order that is not a
+    permutation of its tasks, or flags or fail rates that name other tasks."""
 
 
 class SchemaError(ValueError):
@@ -74,8 +74,8 @@ def aggregate(trials) -> list:
 
     ``trials`` yields tuples (combination: frozenset of Degradation,
     order: tuple of TaskKind, flags: dict TaskKind -> success bool).  A
-    (combination, order) group is checked when it first appears; every
-    trial's flags must name exactly its group's tasks.
+    (combination, order) group is checked by ``_check_shape`` when it first
+    appears; every later trial's flags must name exactly its group's tasks.
     """
     groups = {}  # (combination, order) -> (tasks, fails, [count])
     for combination, order, flags in trials:
@@ -83,15 +83,11 @@ def aggregate(trials) -> list:
         group = groups.get(key)
         if group is None:
             combination, order = key
-            if not combination:
-                raise InconsistentTrial("a trial has an empty combination")
-            tasks = frozenset(task_for(d) for d in combination)
-            if frozenset(order) != tasks:
-                raise _mismatch(order, combination)
+            tasks = _check_shape(combination, order, flags)
             group = groups[key] = (tasks, {t: 0 for t in order}, [0])
-        tasks, fails, count = group
-        if flags.keys() != tasks:
+        elif flags.keys() != group[0]:
             raise _mismatch(flags, key[0])
+        _, fails, count = group
         for task, ok in flags.items():
             if not ok:
                 fails[task] += 1
@@ -107,6 +103,20 @@ def aggregate(trials) -> list:
         total = sum(per_task.values()) / len(per_task)
         records.append(ExperienceRecord(combination, order, per_task, total, n))
     return records
+
+
+def _check_shape(combination: frozenset, order: tuple, task_keys: dict) -> frozenset:
+    """The tasks of ``combination``, once ``order`` is checked to run each of
+    them exactly once and ``task_keys`` (a trial's flags or a record's fail
+    rates) to name exactly them; else an InconsistentTrial."""
+    if not combination:
+        raise InconsistentTrial("empty combination")
+    tasks = frozenset(task_for(d) for d in combination)
+    if len(order) != len(tasks) or frozenset(order) != tasks:
+        raise _mismatch(order, combination)
+    if task_keys.keys() != tasks:
+        raise _mismatch(task_keys, combination)
+    return tasks
 
 
 def _mismatch(tasks, combination) -> InconsistentTrial:
@@ -278,13 +288,15 @@ def _rows(data: dict, key: str, parse) -> list:
 
 
 def _record_from_dict(row, path: str) -> ExperienceRecord:
-    return ExperienceRecord(
+    record = ExperienceRecord(
         frozenset(Degradation(d) for d in _expect(row, "combination", list, path)),
         tuple(TaskKind(t) for t in _expect(row, "order", list, path)),
         {TaskKind(t): float(p) for t, p in _expect(row, "per_task_fail", dict, path).items()},
         float(_expect(row, "total_fail", (int, float), path)),
         int(_expect(row, "n_trials", int, path)),
     )
+    _check_shape(record.combination, record.order, record.per_task_fail)
+    return record
 
 
 def _rule_from_dict(row, path: str) -> PrecedenceRule:

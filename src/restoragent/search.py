@@ -24,48 +24,17 @@ class NondeterministicEnv(ValueError):
     """The brute-force oracle requires a fully deterministic environment."""
 
 
-@dataclass
-class Counters:
-    rollbacks: int = 0
-    compromises: int = 0
-    invocations: int = 0
-    nodes: int = 0
-
-    @property
-    def reschedules(self) -> int:
-        """Every rollback reschedules the rest of the plan."""
-        return self.rollbacks
-
-    def to_dict(self) -> dict:
-        return {
-            "rollbacks": self.rollbacks,
-            "reschedules": self.reschedules,
-            "compromises": self.compromises,
-            "invocations": self.invocations,
-            "nodes": self.nodes,
-        }
-
-
-@dataclass
-class SearchTrace:
-    status: str = "success"  # "success" | "compromise" | "error"
-    counters: Counters = field(default_factory=Counters)
-    agenda: list = field(default_factory=list)
-    tree: list = field(default_factory=list)
-    final: dict = field(default_factory=dict)
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        data = {
-            "status": self.status,
-            "counters": self.counters.to_dict(),
-            "agenda": self.agenda,
-            "tree": self.tree,
-            "final": self.final,
-        }
-        if self.error:
-            data["error"] = self.error
-        return data
+def new_trace() -> dict:
+    """An empty run trace, in the JSON shape ``run`` writes to ``traces/*.json``;
+    ``run_workflow`` adds ``final`` and, on an error, ``error``."""
+    return {
+        "status": "success",  # "success" | "compromise" | "error"
+        "counters": {
+            "rollbacks": 0, "reschedules": 0, "compromises": 0, "invocations": 0, "nodes": 0,
+        },
+        "agenda": [],
+        "tree": [],
+    }
 
 
 @dataclass(frozen=True)
@@ -92,7 +61,7 @@ def _step(plan, profile, deps, stream, counters, children):
     ``children``; returns (outcome, node) so the caller can add its verdict."""
     outcome = execute_subtask(plan[0], profile, deps.tools, deps.evaluator, deps.policy, stream,
                               use_reflection=deps.use_reflection)
-    counters.invocations += outcome.invocations
+    counters["invocations"] += outcome.invocations
     node = {
         "plan": [TASK_VALUE[t] for t in plan],
         "subtask": TASK_VALUE[plan[0]],
@@ -104,14 +73,14 @@ def _step(plan, profile, deps, stream, counters, children):
     return outcome, node
 
 
-def dfs(profile, plan, deps: WorkflowDeps, stream: Stream, trace: SearchTrace | None = None):
+def dfs(profile, plan, deps: WorkflowDeps, stream: Stream, trace: dict | None = None):
     """Depth-first search over subtask orders; returns (SearchResult, bool).
 
     Sibling branches always restart from the same pre-branch profile;
     rollback is value restoration, never undo-mutation.
     """
-    trace = trace or SearchTrace()
-    return _dfs(profile, tuple(plan), deps, stream, trace.counters, trace.tree)
+    trace = new_trace() if trace is None else trace
+    return _dfs(profile, tuple(plan), deps, stream, trace["counters"], trace["tree"])
 
 
 def _dfs(profile, plan, deps, stream, counters, children):
@@ -124,7 +93,7 @@ def _dfs(profile, plan, deps, stream, counters, children):
         subtask = plan[0]
         outcome, node = _step(plan, profile, deps, stream.child("branch", branch), counters, children)
         if branch == 0:
-            counters.nodes += 1  # a DFS call counts once its first subtask has run
+            counters["nodes"] += 1  # a DFS call counts once its first subtask has run
         if outcome.status is Status.SUCCESS:
             node["children"] = []
             sub_result, success = _dfs(
@@ -149,7 +118,8 @@ def _dfs(profile, plan, deps, stream, counters, children):
         attempts.add(subtask)
         inferiors.append(branch_best)
         if len(attempts) != len(plan):
-            counters.rollbacks += 1
+            counters["rollbacks"] += 1
+            counters["reschedules"] += 1  # every rollback reschedules the rest of the plan
             plan = tuple(
                 reschedule(
                     deps.scheduler,
@@ -171,18 +141,18 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
     """Evaluate, then search with compromise, or run the plan once when rollback
     or reflection is ablated (without reflection no subtask can be rejected)."""
     stream = Stream(seed, "workflow", *run_key)
-    trace = SearchTrace()
+    trace = new_trace()
     profile = initial
     try:
         agenda = evaluate_agenda(deps.evaluator, initial, stream.child("evaluate"))
-        trace.agenda = sorted(TASK_VALUE[t] for t in agenda)
+        trace["agenda"] = sorted(TASK_VALUE[t] for t in agenda)
         if agenda:
             run = _search if deps.use_rollback and deps.use_reflection else _run_straight_line
             profile = run(initial, agenda, deps, stream, trace)
     except (Unschedulable, NoTools) as exc:
-        trace.status = "error"
-        trace.error = f"{type(exc).__name__}: {exc}"
-    trace.final = profile.to_dict()
+        trace["status"] = "error"
+        trace["error"] = f"{type(exc).__name__}: {exc}"
+    trace["final"] = profile.to_dict()
     return profile, trace
 
 
@@ -195,10 +165,10 @@ def _search(profile, remaining, deps, stream, trace):
         result, success = dfs(profile, plan, deps, stream.child("outer", outer), trace)
         profile = result.profile
         if success:
-            trace.status = "success"
+            trace["status"] = "success"
             return profile
-        trace.counters.compromises += 1
-        trace.status = "compromise"
+        trace["counters"]["compromises"] += 1
+        trace["status"] = "compromise"
         remaining = frozenset(plan) - result.completed - {result.branch_root}
         if not remaining:
             return profile
@@ -208,15 +178,14 @@ def _run_straight_line(profile, agenda, deps, stream, trace):
     """Ablated control flow: execute the plan once, keep best-effort results."""
     plan = tuple(deps.scheduler.schedule(agenda, rng=stream.child("schedule", 0)))
     for i in range(len(plan)):
-        outcome, node = _step(
-            plan[i:], profile, deps, stream.child("straight", i), trace.counters, trace.tree
-        )
-        trace.counters.nodes += 1
+        outcome, node = _step(plan[i:], profile, deps, stream.child("straight", i),
+                              trace["counters"], trace["tree"])
+        trace["counters"]["nodes"] += 1
         if outcome.status is Status.SUCCESS:
             node["verdict"] = "accepted"
         else:
             node["verdict"] = "kept-best-effort"
-            trace.status = "compromise"
+            trace["status"] = "compromise"
         node["children"] = []
         profile = outcome.result
     return profile

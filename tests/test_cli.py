@@ -295,6 +295,10 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                                     "order": ["deraining", "dehazing"],
                                     "flags": {"deraining": True}}], 1,
                      id="summarize-flags-miss-a-task"),
+        pytest.param("summarize", [{"combination": ["rain", "haze"],
+                                    "order": ["deraining", "deraining", "dehazing"],
+                                    "flags": {"deraining": True, "dehazing": True}}], 1,
+                     id="summarize-order-repeats-a-task"),
         pytest.param("summarize", [[1, 2]], 1, id="summarize-row-not-an-object"),
         pytest.param("summarize", [{"combination": [], "order": [], "flags": {}}], 1,
                      id="summarize-empty-combination"),
@@ -305,6 +309,8 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-kb-fail-rate-null"),
         pytest.param("consistency --kb", _kb(["records", 0, "per_task_fail", "dehazing"], None),
                      1, id="consistency-kb-fail-rate-null"),
+        pytest.param("run --kb", _kb(["records", 5, "order"], ["dehazing"]), 1,
+                     id="run-kb-order-short-of-its-combination"),
         pytest.param("run --kb", _kb(["rules", 0, "support"], 5), 1,
                      id="run-kb-support-not-a-list"),
         pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),

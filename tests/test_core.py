@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from restoragent.core import (
     ALL_DEGRADATIONS,
     ALL_TASKS,
+    PRESENCE_THRESHOLD,
     Degradation,
     DegradationProfile,
     Severity,
@@ -82,8 +83,8 @@ def test_profile_defaults_and_presence():
     assert profile.severity(Degradation.RAIN) is Severity.VERY_LOW
     assert profile.present() == frozenset()
     hazy = profile.with_severity(Degradation.HAZE, Severity.MEDIUM)
-    assert hazy.is_present(Degradation.HAZE)
-    assert not hazy.with_severity(Degradation.HAZE, Severity.LOW).is_present(Degradation.HAZE)
+    assert Degradation.HAZE in hazy.present()
+    assert Degradation.HAZE not in hazy.with_severity(Degradation.HAZE, Severity.LOW).present()
 
 
 def test_profile_roundtrip():
@@ -123,4 +124,6 @@ def test_profile_copy_isolation(initial, mutations):
           Degradation.NOISE: Severity.LOW, Degradation.LOW_LIGHT: Severity.VERY_HIGH})
 def test_present_matches_a_filter_over_every_degradation(entries):
     profile = DegradationProfile(dict(entries))
-    assert profile.present() == frozenset(d for d in ALL_DEGRADATIONS if profile.is_present(d))
+    assert profile.present() == frozenset(
+        d for d in ALL_DEGRADATIONS if profile.severity(d) >= PRESENCE_THRESHOLD
+    )

@@ -43,7 +43,7 @@ def test_accept_now_short_circuits():
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 1
     assert outcome.tools_tried == ["a"]
-    assert not outcome.result.is_present(Degradation.NOISE)
+    assert Degradation.NOISE not in outcome.result.present()
 
 
 def test_partial_results_go_through_pick_best():

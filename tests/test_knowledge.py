@@ -87,6 +87,8 @@ BOTH_OK = {T.DERAINING: True, T.DEHAZING: True}
                       (RAIN_HAZE, RAIN_THEN_HAZE, BOTH_OK),
                       (RAIN_HAZE, RAIN_THEN_HAZE, {T.DERAINING: True})],
                      id="flags-mismatch-in-a-seen-group"),
+        pytest.param([(RAIN_HAZE, (T.DERAINING, T.DERAINING, T.DEHAZING), BOTH_OK)],
+                     id="order-repeats-a-task"),
     ],
 )
 def test_aggregate_rejects_inconsistent_flags(bad):

@@ -20,10 +20,10 @@ from restoragent.rng import Stream
 from restoragent.scheduling import ExperienceScheduler, Unschedulable
 from restoragent.search import (
     NondeterministicEnv,
-    SearchTrace,
     WorkflowDeps,
     brute_force_oracle,
     dfs,
+    new_trace,
     run_workflow,
 )
 
@@ -71,7 +71,7 @@ def test_dfs_trivial_success():
     env = Environment(
         "mechanistic", [ToolSpec("derain", T.DERAINING, 1.0, 0.0, 0.0)], []
     )
-    trace = SearchTrace()
+    trace = new_trace()
     result, success = dfs(
         DegradationProfile({D.RAIN: Severity.HIGH}),
         (T.DERAINING,),
@@ -80,43 +80,43 @@ def test_dfs_trivial_success():
         trace,
     )
     assert success
-    assert not result.profile.is_present(D.RAIN)
+    assert D.RAIN not in result.profile.present()
     assert result.completed == frozenset({T.DERAINING})
     assert result.branch_root is T.DERAINING
-    assert trace.counters.nodes == 1
-    assert trace.counters.rollbacks == 0
+    assert trace["counters"]["nodes"] == 1
+    assert trace["counters"]["rollbacks"] == 0
 
 
 def test_dfs_hand_trace_counters():
     # preferred plan [derain, dehaze] fails at dehaze; [dehaze, derain] works
-    trace = SearchTrace()
+    trace = new_trace()
     result, success = dfs(
         RAIN_HAZE, (T.DERAINING, T.DEHAZING), _deps(order_sensitive_env()), Stream(0), trace
     )
     assert success
     assert result.profile.present() == frozenset()
-    assert trace.counters.nodes == 3
-    assert trace.counters.rollbacks == 1
-    assert trace.counters.reschedules == 1
-    assert trace.counters.invocations == 4
-    roots = [node["subtask"] for node in trace.tree]
+    assert trace["counters"]["nodes"] == 3
+    assert trace["counters"]["rollbacks"] == 1
+    assert trace["counters"]["reschedules"] == 1
+    assert trace["counters"]["invocations"] == 4
+    roots = [node["subtask"] for node in trace["tree"]]
     assert roots == ["deraining", "dehazing"]
-    assert trace.tree[0]["verdict"] == "subtree-failed"
-    assert trace.tree[1]["verdict"] == "accepted"
+    assert trace["tree"][0]["verdict"] == "subtree-failed"
+    assert trace["tree"][1]["verdict"] == "accepted"
 
 
 def test_dfs_exhaustion_returns_best_inferior():
-    trace = SearchTrace()
+    trace = new_trace()
     result, success = dfs(
         RAIN_HAZE, (T.DERAINING, T.DEHAZING), _deps(dehaze_hopeless_env()), Stream(0), trace
     )
     assert not success
     # the derain-first branch cleared rain, so it wins pick-best
-    assert not result.profile.is_present(D.RAIN)
-    assert result.profile.is_present(D.HAZE)
+    assert D.RAIN not in result.profile.present()
+    assert D.HAZE in result.profile.present()
     assert result.completed == frozenset({T.DERAINING})
     assert result.branch_root is T.DERAINING
-    assert trace.counters.rollbacks == 1
+    assert trace["counters"]["rollbacks"] == 1
 
 
 def test_dfs_input_profile_untouched():
@@ -127,60 +127,81 @@ def test_dfs_input_profile_untouched():
 
 def test_run_workflow_success_and_trace():
     profile, trace = run_workflow(RAIN_HAZE, _deps(order_sensitive_env()), seed=0)
-    assert trace.status == "success"
+    assert trace["status"] == "success"
     assert profile.present() == frozenset()
-    assert trace.agenda == ["dehazing", "deraining"]
-    assert trace.counters.compromises == 0
-    assert trace.final == profile.to_dict()
+    assert trace["agenda"] == ["dehazing", "deraining"]
+    assert trace["counters"]["compromises"] == 0
+    assert trace["final"] == profile.to_dict()
 
 
 def test_run_workflow_empty_agenda_is_noop():
     profile, trace = run_workflow(DegradationProfile(), _deps(order_sensitive_env()), seed=0)
-    assert trace.status == "success"
-    assert trace.agenda == []
-    assert trace.counters.invocations == 0
+    assert trace["status"] == "success"
+    assert trace["agenda"] == []
+    assert trace["counters"]["invocations"] == 0
     assert profile == DegradationProfile()
 
 
 def test_run_workflow_compromise_keeps_best_effort():
     profile, trace = run_workflow(RAIN_HAZE, _deps(dehaze_hopeless_env()), seed=0)
-    assert trace.status == "compromise"
-    assert trace.counters.compromises >= 1
-    assert not profile.is_present(D.RAIN)
-    assert profile.is_present(D.HAZE)
+    assert trace["status"] == "compromise"
+    assert trace["counters"]["compromises"] >= 1
+    assert D.RAIN not in profile.present()
+    assert D.HAZE in profile.present()
 
 
 def test_run_workflow_no_rollback_stops_at_first_plan():
     deps = _deps(order_sensitive_env(), use_rollback=False)
     profile, trace = run_workflow(RAIN_HAZE, deps, seed=0)
     # the preferred plan runs derain first, so dehazing can never pass
-    assert trace.status == "compromise"
-    assert trace.counters.rollbacks == 0
-    assert profile.is_present(D.HAZE)
+    assert trace["status"] == "compromise"
+    assert trace["counters"]["rollbacks"] == 0
+    assert D.HAZE in profile.present()
 
 
 def test_run_workflow_no_reflection_accepts_blindly():
     deps = _deps(dehaze_hopeless_env(), use_reflection=False)
     profile, trace = run_workflow(RAIN_HAZE, deps, seed=0)
     # every result is accepted, so the trace claims success while haze remains
-    assert trace.status == "success"
-    assert profile.is_present(D.HAZE)
+    assert trace["status"] == "success"
+    assert D.HAZE in profile.present()
+
+
+def _assert_trace_schema(trace, top_keys):
+    assert set(trace) == top_keys
+    assert set(trace["counters"]) == {
+        "rollbacks", "reschedules", "compromises", "invocations", "nodes"
+    }
+    assert trace["counters"]["reschedules"] == trace["counters"]["rollbacks"]
 
 
 def test_trace_node_shapes_per_control_flow():
+    top_keys = {"status", "counters", "agenda", "tree", "final"}
     keys = {"plan", "subtask", "tools_tried", "invocations", "status", "verdict"}
     _, searched = run_workflow(RAIN_HAZE, _deps(dehaze_hopeless_env()), seed=0)
-    rejected = [node for node in searched.tree if node["verdict"] == "rejected"]
+    _assert_trace_schema(searched, top_keys)
+    assert searched["counters"]["rollbacks"] > 0
+    rejected = [node for node in searched["tree"] if node["verdict"] == "rejected"]
     assert rejected and all(set(node) == keys for node in rejected)
+    # a trace that dfs fills on its own counts a reschedule with each rollback too
+    alone = new_trace()
+    dfs(RAIN_HAZE, (T.DERAINING, T.DEHAZING), _deps(order_sensitive_env()), Stream(0), alone)
+    _assert_trace_schema(alone, top_keys - {"final"})
+    assert alone["counters"]["rollbacks"] == 1
+    # only a run that raised carries an error
+    no_dehaze = Environment("mechanistic", [ToolSpec("derain", T.DERAINING, 1.0, 0.0, 0.0)], [])
+    _, failed = run_workflow(RAIN_HAZE, _deps(no_dehaze), seed=0)
+    _assert_trace_schema(failed, top_keys | {"error"})
     # either ablation runs the plan once: one childless node per subtask
     for ablation, dehaze_verdict in (("use_rollback", "kept-best-effort"),
                                      ("use_reflection", "accepted")):
         deps = _deps(dehaze_hopeless_env(), **{ablation: False})
         _, straight = run_workflow(RAIN_HAZE, deps, seed=0)
-        assert all(set(node) == keys | {"children"} for node in straight.tree)
-        assert [node["children"] for node in straight.tree] == [[], []]
-        assert straight.counters.nodes == 2
-        verdicts = {node["subtask"]: node["verdict"] for node in straight.tree}
+        _assert_trace_schema(straight, top_keys)
+        assert all(set(node) == keys | {"children"} for node in straight["tree"])
+        assert [node["children"] for node in straight["tree"]] == [[], []]
+        assert straight["counters"]["nodes"] == 2
+        verdicts = {node["subtask"]: node["verdict"] for node in straight["tree"]}
         assert verdicts["dehazing"] == dehaze_verdict
 
 
@@ -191,8 +212,8 @@ def test_run_workflow_error_status_on_unschedulable():
 
     deps = _deps(order_sensitive_env(), scheduler=BrokenScheduler())
     profile, trace = run_workflow(RAIN_HAZE, deps, seed=0)
-    assert trace.status == "error"
-    assert "no plan today" in trace.error
+    assert trace["status"] == "error"
+    assert "no plan today" in trace["error"]
     assert profile == RAIN_HAZE
 
 
@@ -207,13 +228,13 @@ def test_run_workflow_error_trace_holds_only_executed_subtasks():
 
     for use_rollback in (True, False):
         profile, trace = run_workflow(RAIN_HAZE, _deps(env, use_rollback=use_rollback), seed=0)
-        assert trace.status == "error"
-        assert "dehazing" in trace.error
+        assert trace["status"] == "error"
+        assert "dehazing" in trace["error"]
         assert profile == RAIN_HAZE
-        assert trace.final == RAIN_HAZE.to_dict()
-        assert [node["subtask"] for node in nodes(trace.tree)] == ["deraining"]
-        assert trace.counters.invocations == 1
-        assert trace.counters.nodes == 1
+        assert trace["final"] == RAIN_HAZE.to_dict()
+        assert [node["subtask"] for node in nodes(trace["tree"])] == ["deraining"]
+        assert trace["counters"]["invocations"] == 1
+        assert trace["counters"]["nodes"] == 1
 
 
 def test_run_workflow_propagates_a_pick_best_bug(monkeypatch):
@@ -244,7 +265,7 @@ def test_run_workflow_determinism_same_seed():
         a_profile, a_trace = run_workflow(RAIN_HAZE, deps_factory(), seed=7)
         b_profile, b_trace = run_workflow(RAIN_HAZE, deps_factory(), seed=7)
         assert a_profile == b_profile
-        assert a_trace.to_dict() == b_trace.to_dict()
+        assert a_trace == b_trace
 
 
 def test_oracle_matches_dfs_on_fixtures():
