@@ -116,10 +116,10 @@ def execute_subtask(
     if not tools:
         raise NoTools(f"no tools registered for {task.value!r}")
 
-    # A one-element permutation takes no draw, so a single tool needs no shuffle.
+    # Shuffling one element takes no draw, so a single tool needs no stream.
     if len(tools) > 1:
-        order = stream.child("tool-order").permutation(len(tools))
-        tools = [tools[i] for i in order]
+        tools = list(tools)
+        stream.child("tool-order").shuffle(tools)
 
     candidates = []
     produced = []

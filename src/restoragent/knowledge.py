@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
 
-from .core import DEGRADATION_VALUE, TASK_VALUE, Degradation, TaskKind, task_for
+from .core import DEGRADATION_VALUE, TASK_VALUE, Degradation, TaskKind, check_probability, task_for
 from .envsim import reference_calibration
 
 #: Total-fail differences at or below this count as "no significant effect".
@@ -288,25 +288,38 @@ def _rows(data: dict, key: str, parse) -> list:
 
 
 def _record_from_dict(row, path: str) -> ExperienceRecord:
+    rates = _expect(row, "per_task_fail", dict, path)
+    for task, p in rates.items():
+        check_probability(f"per_task_fail[{task!r}]", p)
+    n_trials = _expect(row, "n_trials", int, path)
+    if isinstance(n_trials, bool) or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
     record = ExperienceRecord(
         frozenset(Degradation(d) for d in _expect(row, "combination", list, path)),
         tuple(TaskKind(t) for t in _expect(row, "order", list, path)),
-        {TaskKind(t): float(p) for t, p in _expect(row, "per_task_fail", dict, path).items()},
+        {TaskKind(t): float(p) for t, p in rates.items()},
         float(_expect(row, "total_fail", (int, float), path)),
-        int(_expect(row, "n_trials", int, path)),
+        n_trials,
     )
     _check_shape(record.combination, record.order, record.per_task_fail)
+    if not abs(record.total_fail - sum(record.per_task_fail.values()) / len(rates)) <= 1e-9:
+        raise ValueError(f"total_fail {record.total_fail} is not the mean of per_task_fail")
     return record
 
 
 def _rule_from_dict(row, path: str) -> PrecedenceRule:
-    return PrecedenceRule(
+    rule = PrecedenceRule(
         TaskKind(_expect(row, "before", str, path)),
         TaskKind(_expect(row, "after", str, path)),
         float(_expect(row, "margin", (int, float), path)),
-        bool(row.get("indifferent", False)),
+        _expect(row, "indifferent", bool, path) if "indifferent" in row else False,
         tuple(frozenset(Degradation(d) for d in combo) for combo in row.get("support", [])),
     )
+    check_probability("margin", row["margin"])  # a difference of two mean fail rates
+    if rule.before == rule.after or (rule.indifferent and rule.margin):
+        raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "
+                         "a rule needs two tasks, and margin 0 if indifferent")
+    return rule
 
 
 def _expect(container, key, types, parent="$"):

@@ -1,42 +1,38 @@
 """Hierarchical, collision-resistant random substreams.
 
-One root seed plus an arbitrary tuple of key parts (ints, strings, enums)
-deterministically selects an independent Philox stream.  Streams keyed
-differently never share draws, so adding trials or interleaving workers
-cannot perturb existing streams.
-
-A ``Stream`` is a lazy handle: it builds its substream on its first draw and
-``generator()`` returns that same substream on every later call, so streams
-that are keyed but never drawn from cost no key derivation at all.
+One root seed plus a tuple of key parts (ints, strings, enums) selects an
+independent Philox stream, so adding trials or interleaving workers cannot
+perturb existing streams.  A ``Stream`` is a lazy handle: it derives its key
+and builds its substream on its first draw only, and ``generator()`` returns
+that substream on every later call.
 
 ``stream_key`` keeps the last key's path and the blake2b state after each of
-its elements, so it hashes only the parts that a new path does not share with
-it.  Keys equal a from-scratch hash of the whole path, and the memo's memory
-is bounded by the path depth.  The encoding of each enum member and string
-part is cached; plain ints, which grow with run and trial indices, are not.
+its elements, and hashes only the parts after the longest prefix of identical
+objects that a new path shares with it.  Keys equal a from-scratch hash of the
+whole path, and the memo's memory is bounded by the path depth.  Encodings of
+enum members and strings are cached; plain ints, which grow with run and trial
+indices, are not.
 
-Philox is counter-based, so a fresh stream is only a key with counter 0.
-One process-wide Philox is therefore re-keyed per stream instead of building
-a numpy generator for each: a substream holds its own Philox state and loads
-it into the shared Philox when it draws after another stream did, saving the
-displaced stream's state only while that stream is still referenced.  Draws
-equal those of ``Generator(Philox(key=stream_key(...)))`` bit for bit.  The
-shared Philox and the key memo make key derivation and draws single-threaded:
-neither may run concurrently in two threads.  ``run_batch`` parallelises with
-processes, each of which has its own.
+Philox is counter-based, so a fresh stream is only a key with counter 0.  One
+process-wide Philox is re-keyed per stream: a fresh key is written into
+numpy's C state through a ``ctypes`` view that passed a self-check at import
+(else through the ``state`` dict), and a displaced stream's state is saved
+only while that stream is still referenced.  Draws, and ``shuffle`` as
+``permutation``, equal those of ``Generator(Philox(key=stream_key(...)))`` bit
+for bit.  The shared Philox and the key memo make key derivation and draws
+single-threaded; ``run_batch`` parallelises with processes.
 
-Quirk kept for bit-compatibility: numpy converts a key tuple with
-``np.asarray(key).astype(np.uint64)``, and when exactly one half is >= 2**63
-that array is float64, so such a key keeps only 53 significant bits per half.
-``int(float(half))`` gives the same correctly rounded value without numpy,
-except for a half that rounds up to 2**64, whose cast depends on the platform
-and so still goes through numpy.
+Quirk kept for bit-compatibility: numpy converts a key tuple through float64
+when exactly one half is >= 2**63, keeping 53 significant bits per half (see
+``_philox_key``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import hashlib
+import itertools
 import operator
 import struct
 import weakref
@@ -89,17 +85,13 @@ def stream_key(seed: int, *parts) -> tuple:
     """128-bit Philox key derived from the seed and key parts.
 
     Only the parts after the longest prefix shared with the last call's path
-    are hashed; a prefix part counts as shared when it has the same type and
-    compares equal, so it has the same encoding.
+    are hashed; a prefix part counts as shared when it is the same object.
     """
     global _memo
     path = (operator.index(seed), *parts)
     last_path, last_states = _memo
-    n = 0
-    for old, new in zip(last_path, path):
-        if old.__class__ is not new.__class__ or old != new:
-            break
-        n += 1
+    n = next(itertools.compress(itertools.count(), map(operator.is_not, last_path, path)),
+             min(len(last_path), len(path)))
     if n:
         states = last_states[:n]
         h = states[-1]
@@ -121,11 +113,55 @@ def _philox_key(key: tuple) -> tuple:
     if (k0 >> 63) == (k1 >> 63):
         return key  # numpy converts these exactly
     # numpy goes through float64 here: int(float(half)) is the same correctly
-    # rounded value, unless a half rounds up to 2**64.
+    # rounded value, unless a half rounds up to 2**64, whose cast depends on the platform.
     f0, f1 = float(k0), float(k1)
     if f0 == _TWO_64 or f1 == _TWO_64:
         return tuple(np.asarray(key).astype(np.uint64).tolist())
     return int(f0), int(f1)
+
+
+def _load_through_dict(key: tuple):
+    _PHILOX.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": _philox_key(key)},
+                     "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+class _PhiloxState(ctypes.Structure):  # numpy's C philox_state, viewed in place
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)), ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int), ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+def _struct_loader(philox):
+    """A key loader writing into ``philox``'s C state, or None if it fails a self-check."""
+    try:
+        view = _PhiloxState.from_address(philox.ctypes.state_address)
+        view.owner = philox  # keeps the struct alive as long as the view
+        ctr, words = view.ctr.contents, view.key.contents
+        philox.state = {"bit_generator": "Philox", "state": {"counter": (1, 2, 3, 4), "key": (5, 6)},
+                        "buffer": (7, 8, 9, 10), "buffer_pos": 2, "has_uint32": 1, "uinteger": 11}
+        read = (ctr[:], words[:], view.buffer[:], view.buffer_pos, view.has_uint32, view.uinteger)
+        if read != ([1, 2, 3, 4], [5, 6], [7, 8, 9, 10], 2, 1, 11):
+            return None  # and write nothing through a view that misreads
+
+        def load(key: tuple):
+            words[0], words[1] = _philox_key(key)
+            ctr[:] = _ZEROS
+            view.buffer_pos, view.has_uint32, view.uinteger = 4, 0, 0
+
+        gen = np.random.Generator(philox)
+        for key in ((1, 2), (3, 2**63 + 5)):  # the second straddles 2**63
+            load(key)
+            # Raw 32-bit draws first, which a has_uint32 left set would change.
+            draws = [(g.integers(2**32, size=3, dtype=np.uint32).tolist(), g.random())
+                     for g in (gen, np.random.Generator(np.random.Philox(key=key)))]
+            if draws[0] != draws[1]:
+                return None
+        return load
+    except Exception:  # any failure over a foreign layout means the dict setter
+        return None
+
+
+_load_key = _struct_loader(_PHILOX) or _load_through_dict
 
 
 class Substream:
@@ -144,14 +180,10 @@ class Substream:
         if holder is not self:
             if holder is not None:
                 holder._state = _PHILOX.state
-            _PHILOX.state = self._state or {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZEROS, "key": _philox_key(self._key)},
-                "buffer": _ZEROS,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            if self._state is None:
+                _load_key(self._key)
+            else:
+                _PHILOX.state = self._state
             _owner = weakref.ref(self)
         return _GENERATOR
 
@@ -161,8 +193,8 @@ class Substream:
     def integers(self, high):
         return self._shared().integers(high)
 
-    def permutation(self, n):
-        return self._shared().permutation(n)
+    def shuffle(self, items: list):
+        self._shared().shuffle(items)
 
 
 def substream(seed: int, *parts) -> Substream:
@@ -173,7 +205,7 @@ def substream(seed: int, *parts) -> Substream:
 class Stream:
     """A substream handle that can spawn child streams by key extension.
 
-    Draws go through ``random``, ``integers`` and ``permutation``, which
+    Draws go through ``random``, ``integers`` and ``shuffle``, which
     behave exactly like the same calls on ``substream(seed, *parts)``.
     """
 
@@ -206,8 +238,8 @@ class Stream:
     def integers(self, high):
         return (self._generator or self.generator()).integers(high)
 
-    def permutation(self, n):
-        return (self._generator or self.generator()).permutation(n)
+    def shuffle(self, items: list):
+        (self._generator or self.generator()).shuffle(items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Stream(seed={self.seed}, parts={self.parts!r})"

@@ -44,7 +44,10 @@ class ExperienceScheduler:
         key = (agenda_set, banned)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(agenda_set, banned)
+            plan = self._plan(agenda_set, banned)
+            if len(plan) != len(agenda_set) or frozenset(plan) != agenda_set:
+                raise RuntimeError(f"plan {_names(plan)} is not a permutation of its agenda")
+            self._plans[key] = plan
         return plan
 
     def _plan(self, agenda_set, banned):
@@ -85,8 +88,8 @@ class RandomScheduler:
             raise Unschedulable("banned_first covers the whole agenda")
         first = eligible[int(rng.integers(len(eligible)))]
         rest = sorted(agenda_set - {first}, key=TASK_VALUE.__getitem__)
-        order = rng.permutation(len(rest))
-        return (first,) + tuple(rest[i] for i in order)
+        rng.shuffle(rest)
+        return (first, *rest)
 
 
 def reschedule(scheduler, plan, attempts, rng=None):

@@ -311,6 +311,24 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      1, id="consistency-kb-fail-rate-null"),
         pytest.param("run --kb", _kb(["records", 5, "order"], ["dehazing"]), 1,
                      id="run-kb-order-short-of-its-combination"),
+        pytest.param("run --kb", _kb(["records", 0, "per_task_fail", "dehazing"], 1.5), 1,
+                     id="run-kb-fail-rate-above-one"),
+        pytest.param("run --kb", _kb(["records", 0, "n_trials"], 0), 1,
+                     id="run-kb-no-trials"),
+        pytest.param("run --kb", _kb(["records", 0, "n_trials"], True), 1,
+                     id="run-kb-trials-a-bool"),
+        pytest.param("run --kb", _kb(["records", 0, "total_fail"], 0.19), 1,
+                     id="run-kb-total-fail-not-the-mean"),
+        pytest.param("run --kb", _kb(["rules", 0, "after"], "defocus deblurring"), 1,
+                     id="run-kb-rule-before-itself"),
+        pytest.param("run --kb", _kb(["rules", 0, "margin"], -0.02), 1,
+                     id="run-kb-negative-margin"),
+        pytest.param("run --kb", _kb(["rules", 0, "margin"], True), 1,
+                     id="run-kb-margin-a-bool"),
+        pytest.param("run --kb", _kb(["rules", 0, "indifferent"], True), 1,
+                     id="run-kb-indifferent-with-a-margin"),
+        pytest.param("run --kb", _kb(["rules", 0, "indifferent"], "false"), 1,
+                     id="run-kb-indifferent-a-string"),
         pytest.param("run --kb", _kb(["rules", 0, "support"], 5), 1,
                      id="run-kb-support-not-a-list"),
         pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),

@@ -1,3 +1,4 @@
+import ctypes
 import enum
 import hashlib
 
@@ -32,11 +33,17 @@ def _count_substreams(monkeypatch):
     return built
 
 
+def _shuffled(source, n):
+    items = list(range(n))
+    source.shuffle(items)
+    return items
+
+
 def _draws(source):
     return [
         source.random(),
         int(source.integers(7)),
-        source.permutation(5).tolist(),
+        _shuffled(source, 5),
         source.random(),
         int(source.integers(1000)),
     ]
@@ -56,7 +63,7 @@ def test_generator_is_built_once_and_reused(monkeypatch):
     first = stream.generator()
     stream.random()
     stream.integers(4)
-    stream.permutation(3)
+    stream.shuffle([0, 1, 2])
     assert stream.generator() is first
     assert built == [("a", 1)]
 
@@ -72,15 +79,15 @@ def test_interleaved_child_streams_match_substreams():
     ref_b = substream(5, "workflow", "run", 9, "invoke", 1)
     got, want = [], []
     for _ in range(4):
-        got += [a.random(), int(b.integers(10)), b.permutation(4).tolist(), a.random()]
-        want += [ref_a.random(), int(ref_b.integers(10)), ref_b.permutation(4).tolist(),
-                 ref_a.random()]
+        got += [a.random(), int(b.integers(10)), _shuffled(b, 4), a.random()]
+        want += [ref_a.random(), int(ref_b.integers(10)), _shuffled(ref_b, 4), ref_a.random()]
     assert got == want
 
 
 def test_one_element_permutation_takes_no_draw():
-    gen = substream(2, "p")
-    assert gen.permutation(1).tolist() == [0]
+    gen, items = substream(2, "p"), ["x"]
+    gen.shuffle(items)
+    assert items == ["x"]
     assert _draws(gen) == _draws(substream(2, "p"))
 
 
@@ -149,7 +156,7 @@ def test_three_interleaved_streams_match_fresh_numpy_generators():
             for source, out in ((handle, got), (ref, want)):
                 out.append(int(source.integers(10 + step)))  # leaves half a word buffered
                 out.append(source.random())
-                out.append(source.permutation(4).tolist())
+                out.append(_shuffled(source, 4))
                 out.append(source.random(2).tolist())
     assert got == want
 
@@ -163,9 +170,9 @@ def test_stream_drawn_again_after_another_stream_was_dropped():
     got += [a.random(), int(a.integers(9))]
     want += [ref_a.random(), int(ref_a.integers(9))]
     c, ref_c = Stream(8, "c"), _reference(8, "c")
-    assert [c.random(), c.permutation(5).tolist()] == [ref_c.random(), ref_c.permutation(5).tolist()]
-    got += [a.random(3).tolist(), a.permutation(6).tolist()]
-    want += [ref_a.random(3).tolist(), ref_a.permutation(6).tolist()]
+    assert [c.random(), _shuffled(c, 5)] == [ref_c.random(), _shuffled(ref_c, 5)]
+    got += [a.random(3).tolist(), _shuffled(a, 6)]
+    want += [ref_a.random(3).tolist(), _shuffled(ref_a, 6)]
     del c
     got.append(a.random())
     want.append(ref_a.random())
@@ -202,6 +209,55 @@ def test_a_straddling_key_loads_as_numpy_converts_it(low, high, high_first):
     key = (high, low) if high_first else (low, high)
     assert np.asarray(key).dtype == np.float64
     assert _loaded_key(key) == _numpy_converted_key(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k0=_LOW_HALF | _HIGH_HALF, k1=_LOW_HALF | _HIGH_HALF, n=st.integers(1, 8))
+@example(k0=5, k1=2**64 - 2**10, n=3)  # a half rounding up to 2**64
+def test_shuffle_draws_as_numpy_permutation_does(k0, k1, n):
+    with np.errstate(invalid="ignore"):
+        stream, ref = rng_module.Substream((k0, k1)), np.random.Generator(np.random.Philox(key=(k0, k1)))
+        assert _shuffled(stream, n) == ref.permutation(n).tolist()
+        assert stream.random() == ref.random()
+
+
+# Key loading through numpy's C state struct, its self-check and its fallback.
+
+def _interleaved_draws():
+    root = Stream(9, "load")
+    handles = [root.child("a"), substream(9, "load", "b"), root.child("c"), root.child("d")]
+    out = []
+    for _ in range(3):
+        for handle in handles:
+            # A shuffle takes 32-bit draws unfiltered, so on a fresh load it
+            # would take the half word that the last handle left buffered.
+            out += [_shuffled(handle, 6), *_draws(handle)]
+            while not rng_module._PHILOX.state["has_uint32"]:
+                out.append(int(handle.integers(10)))
+    return out
+
+
+def test_the_dict_setter_fallback_draws_as_the_struct_path(monkeypatch):
+    by_struct = _interleaved_draws()
+    monkeypatch.setattr(rng_module, "_load_key", rng_module._load_through_dict)
+    assert _interleaved_draws() == by_struct
+
+
+def test_the_struct_self_check_passes_on_this_numpy():
+    # Falling back to the dict setter would keep every draw but lose the speed.
+    assert rng_module._load_key is not rng_module._load_through_dict
+    assert rng_module._struct_loader(np.random.Philox()) is not None
+
+
+def test_the_struct_self_check_rejects_a_layout_numpy_does_not_have(monkeypatch):
+    fields = dict(rng_module._PhiloxState._fields_)
+
+    class Swapped(ctypes.Structure):  # has_uint32 and uinteger trade places
+        _fields_ = [(name, fields[name])
+                    for name in ("ctr", "key", "buffer_pos", "buffer", "uinteger", "has_uint32")]
+
+    monkeypatch.setattr(rng_module, "_PhiloxState", Swapped)
+    assert rng_module._struct_loader(np.random.Philox()) is None
 
 
 # Key derivation: every key below is compared with a from-scratch blake2b of

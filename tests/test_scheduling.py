@@ -4,8 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restoragent.core import TaskKind
-from restoragent.knowledge import KnowledgeBase, reference_kb
+from restoragent.core import Degradation, TaskKind
+from restoragent.knowledge import ExperienceRecord, KnowledgeBase, reference_kb
 from restoragent.rng import substream
 from restoragent.scheduling import (
     ExperienceScheduler,
@@ -100,6 +100,20 @@ def test_experience_schedule_unschedulable():
         scheduler.schedule({T.DERAINING}, banned_first={T.DERAINING})
     with pytest.raises(Unschedulable):
         scheduler.schedule(set())
+
+
+def test_a_record_order_missing_a_task_is_a_program_error():
+    record = ExperienceRecord(
+        frozenset({Degradation.RAIN, Degradation.HAZE}),
+        (T.DEHAZING,),
+        {T.DERAINING: 0.1, T.DEHAZING: 0.2},
+        0.15,
+        100,
+    )
+    scheduler = ExperienceScheduler(KnowledgeBase([record]))
+    for _ in range(2):  # the bad plan is not memoised either
+        with pytest.raises(RuntimeError, match="not a permutation of its agenda"):
+            scheduler.schedule({T.DERAINING, T.DEHAZING})
 
 
 tasks_strategy = st.sets(st.sampled_from(list(TaskKind)), min_size=1, max_size=5)

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
+from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind, builtin_combinations
 from restoragent.envsim import (
     DegradationPresent,
     Environment,
@@ -14,6 +14,7 @@ from restoragent.envsim import (
 )
 from restoragent import search
 from restoragent.execution import EmptyCandidates, ExecutionPolicy, adapters_for
+from restoragent.harness import run_batch
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream
@@ -148,6 +149,19 @@ def test_run_workflow_compromise_keeps_best_effort():
     assert trace["counters"]["compromises"] >= 1
     assert D.RAIN not in profile.present()
     assert D.HAZE in profile.present()
+
+
+def test_a_success_status_can_follow_a_compromise_round():
+    """``status`` is the planner's belief after its last round; only
+    ``true_success`` says whether the final profile is clean."""
+    _, traces, _ = run_batch(reference_tabular_env(), reference_kb(), "full", builtin_combinations(), 20, 0)
+    after_compromise = [
+        t for runs in traces.values() for t in runs
+        if t["status"] == "success" and t["counters"]["compromises"] >= 1
+    ]
+    assert after_compromise
+    assert any(not t["true_success"] for t in after_compromise)
+    assert any(t["true_success"] for t in after_compromise)
 
 
 def test_run_workflow_no_rollback_stops_at_first_plan():
