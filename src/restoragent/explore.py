@@ -68,8 +68,9 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         for si in range(config.samples_per_combination):
             base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
+                per_order = Stream(config.seed, "explore", ci, si, pi)
                 for ti in range(config.trials_per_sample):
-                    rng = Stream(config.seed, "explore", ci, si, pi, ti)
+                    rng = per_order.child(ti)
                     state = base.copy()
                     for tools in tool_lists:
                         # integers(1) consumes no draw, so skipping it keeps the stream.

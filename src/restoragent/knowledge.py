@@ -269,7 +269,7 @@ def kb_from_dict(data: dict) -> KnowledgeBase:
         raise SchemaError("$.version", f"expected {KB_VERSION}, got {data.get('version')!r}")
     records = _rows(data, "records", _record_from_dict)
     rules = _rows(data, "rules", _rule_from_dict)
-    return KnowledgeBase(records, rules, data.get("provenance", ""))
+    return KnowledgeBase(records, rules, _expect(data, "provenance", str) if "provenance" in data else "")
 
 
 def _rows(data: dict, key: str, parse) -> list:
@@ -319,6 +319,10 @@ def _rule_from_dict(row, path: str) -> PrecedenceRule:
     if rule.before == rule.after or (rule.indifferent and rule.margin):
         raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "
                          "a rule needs two tasks, and margin 0 if indifferent")
+    for combo in rule.support:
+        if not {rule.before, rule.after} <= {task_for(d) for d in combo}:
+            raise ValueError(f"support {sorted(DEGRADATION_VALUE[d] for d in combo)} lacks the degradation "
+                             f"of {rule.before.value!r} or {rule.after.value!r}")
     return rule
 
 

@@ -6,12 +6,11 @@ perturb existing streams.  A ``Stream`` is a lazy handle: it derives its key
 and builds its substream on its first draw only, and ``generator()`` returns
 that substream on every later call.
 
-``stream_key`` keeps the last key's path and the blake2b state after each of
-its elements, and hashes only the parts after the longest prefix of identical
-objects that a new path shares with it.  Keys equal a from-scratch hash of the
-whole path, and the memo's memory is bounded by the path depth.  Encodings of
-enum members and strings are cached; plain ints, which grow with run and trial
-indices, are not.
+A ``Stream`` keeps its parent, its own key parts and, once a descendant needs
+it, the blake2b state after its whole path.  A child's first draw passes its
+parent to ``stream_key``, which hashes only the child's own parts on a copy of
+that state.  Keys equal a from-scratch hash of the whole path.  Encodings of
+enum members and strings are cached; plain ints, which grow, are not.
 
 Philox is counter-based, so a fresh stream is only a key with counter 0.  One
 process-wide Philox is re-keyed per stream: a fresh key is written into
@@ -19,8 +18,8 @@ numpy's C state through a ``ctypes`` view that passed a self-check at import
 (else through the ``state`` dict), and a displaced stream's state is saved
 only while that stream is still referenced.  Draws, and ``shuffle`` as
 ``permutation``, equal those of ``Generator(Philox(key=stream_key(...)))`` bit
-for bit.  The shared Philox and the key memo make key derivation and draws
-single-threaded; ``run_batch`` parallelises with processes.
+for bit.  The shared Philox makes draws single-threaded; ``run_batch``
+parallelises with processes.
 
 Quirk kept for bit-compatibility: numpy converts a key tuple through float64
 when exactly one half is >= 2**63, keeping 53 significant bits per half (see
@@ -32,7 +31,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import hashlib
-import itertools
 import operator
 import struct
 import weakref
@@ -76,34 +74,19 @@ def _encode_part(part) -> bytes:
     raise TypeError(f"unsupported substream key part: {part!r}")
 
 
-# (seed, *parts) of the last key derived, and the blake2b state after each
-# element of that path.  Replaced as one tuple, only once a whole path encoded.
-_memo = ((), ())
-
-
 def stream_key(seed: int, *parts) -> tuple:
-    """128-bit Philox key derived from the seed and key parts.
-
-    Only the parts after the longest prefix shared with the last call's path
-    are hashed; a prefix part counts as shared when it is the same object.
-    """
-    global _memo
-    path = (operator.index(seed), *parts)
-    last_path, last_states = _memo
-    n = next(itertools.compress(itertools.count(), map(operator.is_not, last_path, path)),
-             min(len(last_path), len(path)))
-    if n:
-        states = last_states[:n]
-        h = states[-1]
+    """128-bit Philox key derived from the seed and key parts.  A ``Stream`` as
+    the first part stands for its whole path: hashing goes on from its state."""
+    seed = operator.index(seed)
+    if parts and parts[0].__class__ is Stream:
+        parent, parts = parts[0], parts[1:]
+        if parent.seed != seed:
+            raise ValueError(f"seed {seed} does not match {parent!r}")
+        h = (parent._state or parent._hash()).copy()
     else:
-        h = hashlib.blake2b(path[0].to_bytes(16, "little", signed=True), digest_size=16)
-        states = [h]
-        n = 1
-    for part in path[n:]:
-        h = h.copy()
+        h = hashlib.blake2b(seed.to_bytes(16, "little", signed=True), digest_size=16)
+    for part in parts:
         h.update(_encode(part))
-        states.append(h)
-    _memo = (path, states)
     return _HALVES.unpack(h.digest())
 
 
@@ -206,28 +189,45 @@ class Stream:
     """A substream handle that can spawn child streams by key extension.
 
     Draws go through ``random``, ``integers`` and ``shuffle``, which
-    behave exactly like the same calls on ``substream(seed, *parts)``.
+    behave exactly like the same calls on ``substream(seed, *parts)`` over
+    the parts of the stream's whole path.
     """
 
-    __slots__ = ("seed", "parts", "_generator")
+    __slots__ = ("seed", "_parent", "_own", "_state", "_generator")
 
     def __init__(self, seed: int, *parts):
         self.seed = operator.index(seed)
-        self.parts = parts
+        self._parent = None
+        self._own = parts
+        self._state = None  # blake2b state after the whole path, once needed
         self._generator = None
 
     def child(self, *parts) -> "Stream":
         # The parent checked the seed, so the child skips __init__.
         stream = Stream.__new__(Stream)
         stream.seed = self.seed
-        stream.parts = self.parts + parts
-        stream._generator = None
+        stream._parent = self
+        stream._own = parts
+        stream._state = stream._generator = None
         return stream
+
+    def _hash(self):
+        """The blake2b state after this stream's whole path, built once."""
+        if self._state is None:
+            parent = self._parent
+            h = (hashlib.blake2b(self.seed.to_bytes(16, "little", signed=True), digest_size=16)
+                 if parent is None else parent._hash().copy())
+            for part in self._own:
+                h.update(_encode(part))
+            self._state = h  # only once every part has encoded
+        return self._state
 
     def generator(self) -> Substream:
         """The stream's substream, built on the first call."""
         if self._generator is None:
-            self._generator = substream(self.seed, *self.parts)
+            parent = self._parent
+            self._generator = (substream(self.seed, *self._own) if parent is None
+                               else substream(self.seed, parent, *self._own))
         return self._generator
 
     # A built substream (always truthy) is called directly; only the first
@@ -242,4 +242,7 @@ class Stream:
         (self._generator or self.generator()).shuffle(items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Stream(seed={self.seed}, parts={self.parts!r})"
+        parts, stream = (), self
+        while stream is not None:
+            parts, stream = stream._own + parts, stream._parent
+        return f"Stream(seed={self.seed}, parts={parts!r})"

@@ -143,12 +143,13 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
     presentations = list(
         itertools.permutations(sorted(agenda_set, key=TASK_VALUE.__getitem__))
     )
+    streams = [Stream(seed, "consistency", i) for i in range(len(presentations))]
     per_presentation = [
         Counter(
-            tuple(scheduler.schedule(presentation, rng=Stream(seed, "consistency", i, j)))
+            tuple(scheduler.schedule(presentation, rng=stream.child(j)))
             for j in range(n_per_presentation)
         )
-        for i, presentation in enumerate(presentations)
+        for presentation, stream in zip(presentations, streams)
     ]
     pooled = sum(per_presentation, Counter())  # keys in first-occurrence order
     n = len(presentations) * n_per_presentation

@@ -331,6 +331,9 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-kb-indifferent-a-string"),
         pytest.param("run --kb", _kb(["rules", 0, "support"], 5), 1,
                      id="run-kb-support-not-a-list"),
+        pytest.param("run --kb", _kb(["rules", 0, "support"], [["rain"]]), 1,
+                     id="run-kb-support-without-the-rule-tasks"),
+        pytest.param("run --kb", _kb(["provenance"], 5), 1, id="run-kb-provenance-not-a-string"),
         pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),
         pytest.param("run --kb", _kb(["version"], DELETE), 1, id="run-kb-without-version"),
     ],

@@ -371,3 +371,80 @@ def test_encoding_cache_keeps_classes_apart_and_holds_no_ints():
     assert (Severity, Severity.LOW) in rng_module._encoded
     assert (bool, True) in rng_module._encoded
     assert not any(cls is int for cls, _ in rng_module._encoded)
+
+
+# Streams that hash on from their parent's state: every key below is compared
+# with the from-scratch blake2b of the stream's whole path.
+
+def _scratch_generator(seed, *parts):
+    return np.random.Generator(np.random.Philox(key=_scratch_key(seed, *parts)))
+
+
+_DRAW_OPS = (
+    lambda source: source.random(),
+    lambda source: int(source.integers(7)),
+    lambda source: _shuffled(source, 5),
+    lambda source: source.random(2).tolist(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_INT128, root_parts=st.lists(_PARTS, max_size=4), data=st.data())
+def test_a_random_tree_of_children_draws_as_from_scratch_keys(seed, root_parts, data):
+    streams, paths = [Stream(seed, *root_parts)], [tuple(root_parts)]
+    # Each new stream is the child of an earlier one, picked by index.
+    for pick, parts in data.draw(st.lists(st.tuples(st.integers(0, 99), st.lists(_PARTS, max_size=3)),
+                                          max_size=12)):
+        parent = pick % len(streams)
+        streams.append(streams[parent].child(*parts))
+        paths.append(paths[parent] + tuple(parts))
+    # Draws interleave in a random order; a stream never picked is never drawn.
+    steps = data.draw(st.lists(st.tuples(st.integers(0, len(streams) - 1), st.sampled_from(_DRAW_OPS)),
+                               max_size=40))
+    references = {}
+    for index, op in steps:
+        if index not in references:
+            references[index] = _scratch_generator(seed, *paths[index])
+        assert op(streams[index]) == op(references[index])
+
+
+def test_an_unencodable_child_part_caches_no_state_and_spares_its_relatives():
+    parent = Stream(12, "tree").child("p", 1)
+    bad = parent.child("ok", 2.5)
+    with pytest.raises(TypeError):
+        bad.random()
+    with pytest.raises(TypeError):
+        bad.child("x").random()  # hashes "ok" into bad's state before 2.5 fails
+    assert bad._state is None and bad._generator is None
+    later = parent.child("ok", 3)
+    assert _draws(parent) == _draws(_scratch_generator(12, "tree", "p", 1))
+    assert _draws(later) == _draws(_scratch_generator(12, "tree", "p", 1, "ok", 3))
+
+
+def test_a_stream_part_must_come_first_and_share_the_seed():
+    stream = Stream(3, "a").child(1)
+    assert stream_key(3, stream, "b") == _scratch_key(3, "a", 1, "b")
+    with pytest.raises(ValueError):
+        stream_key(4, stream, "b")
+    with pytest.raises(TypeError):
+        stream_key(3, "a", stream)
+
+
+def test_a_first_draw_calls_generator_substream_and_stream_key_once_each(monkeypatch):
+    # benchmarks/workloads.TRACED times this chain; a link it skips fails
+    # ``benchmarks/run.py --trace 1`` as unmeasured.
+    calls = []
+    for owner, name in ((Stream, "generator"), (rng_module, "substream"), (rng_module, "stream_key")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    child = Stream(3, "workflow").child("invoke", 0)
+    child.random()
+    assert calls == ["generator", "substream", "stream_key"]
+    calls.clear()
+    child.random(2)
+    child.integers(5)
+    child.shuffle([1, 2, 3])
+    assert calls == []
