@@ -6,6 +6,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
+from functools import cached_property
 
 from .core import DEGRADATION_VALUE, TASK_VALUE, Degradation, TaskKind, check_probability, task_for
 from .envsim import reference_calibration
@@ -30,7 +31,8 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ExperienceRecord:
-    """Aggregated fail statistics for one (combination, order)."""
+    """Aggregated fail statistics for one (combination, order); an immutable
+    value, so its task set is built on first use and kept."""
 
     combination: frozenset  # of Degradation
     order: tuple  # (TaskKind, ...)
@@ -38,7 +40,7 @@ class ExperienceRecord:
     total_fail: float
     n_trials: int
 
-    @property
+    @cached_property  # stored in the instance dict, past the frozen __setattr__
     def tasks(self) -> frozenset:
         return frozenset(self.per_task_fail)
 
@@ -50,6 +52,10 @@ class PrecedenceRule:
     margin: float  # total-fail difference; 0 for indifferent rules
     indifferent: bool = False
     support: tuple = ()  # source combinations, as frozensets of Degradation
+
+    def __post_init__(self):
+        # The scheduler's early stop takes a plan violating no margin as best.
+        check_probability("margin", self.margin)
 
 
 @dataclass
@@ -292,7 +298,7 @@ def _record_from_dict(row, path: str) -> ExperienceRecord:
     for task, p in rates.items():
         check_probability(f"per_task_fail[{task!r}]", p)
     n_trials = _expect(row, "n_trials", int, path)
-    if isinstance(n_trials, bool) or n_trials < 1:
+    if n_trials < 1:
         raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
     record = ExperienceRecord(
         frozenset(Degradation(d) for d in _expect(row, "combination", list, path)),
@@ -315,7 +321,6 @@ def _rule_from_dict(row, path: str) -> PrecedenceRule:
         _expect(row, "indifferent", bool, path) if "indifferent" in row else False,
         tuple(frozenset(Degradation(d) for d in combo) for combo in row.get("support", [])),
     )
-    check_probability("margin", row["margin"])  # a difference of two mean fail rates
     if rule.before == rule.after or (rule.indifferent and rule.margin):
         raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "
                          "a rule needs two tasks, and margin 0 if indifferent")
@@ -330,7 +335,8 @@ def _expect(container, key, types, parent="$"):
     if not isinstance(container, dict) or key not in container:
         raise SchemaError(f"{parent}.{key}", "missing field")
     value = container[key]
-    if not isinstance(value, types):
+    # A JSON bool is a Python int, but it is a number nowhere in a KB.
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise SchemaError(f"{parent}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 

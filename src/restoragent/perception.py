@@ -109,12 +109,14 @@ class NoisyOracle:
         if rng is None:
             raise ValueError("NoisyOracle.assess requires an rng substream")
         draws = rng.random(len(degradations)).tolist()
+        stored = profile.severities
+        p_miss, p_false = self.model.p_miss, self.model.p_false
         severities = []
         for degradation, u in zip(degradations, draws):
-            true = profile.severity(degradation)
+            true = stored.get(degradation, Severity.VERY_LOW)
             if true >= PRESENCE_THRESHOLD:
-                severities.append(true.lowered() if u < self.model.miss(degradation) else true)
-            elif u < self.model.false(degradation):
+                severities.append(true.lowered() if u < p_miss.get(degradation, 0.0) else true)
+            elif u < p_false.get(degradation, 0.0):
                 severities.append(Severity.MEDIUM)
             else:
                 severities.append(true)

@@ -58,19 +58,24 @@ class ExperienceScheduler:
             best = min(feasible_records, key=lambda r: (r.total_fail, _names(r.order)))
             return best.order
 
-        strict = [r for r in found.rules if not r.indifferent]
-
-        def violated_margin(plan):
-            position = {task: i for i, task in enumerate(plan)}
-            return sum(r.margin for r in strict if position[r.before] > position[r.after])
-
-        # Permutations of the name-sorted agenda come in name order and min
-        # keeps the first of equal margins, so ties go to the first plan by name.
+        strict = [(r.before, r.after, r.margin) for r in found.rules if not r.indifferent]
+        # Permutations of the name-sorted agenda come in name order and only a
+        # strictly smaller margin replaces the best, so ties go to the first
+        # plan by name.  Margins are >= 0, so no later plan beats one that
+        # violates nothing: the scan stops there.  Each plan's margin is summed
+        # from 0 over the strict rules in rule order, so float ties stay ties.
         tasks = sorted(agenda_set, key=TASK_VALUE.__getitem__)
-        return min(
-            (plan for plan in itertools.permutations(tasks) if plan[0] not in banned),
-            key=violated_margin,
-        )
+        best, best_margin = None, math.inf
+        for plan in itertools.permutations(tasks):
+            if plan[0] in banned:
+                continue
+            position = {task: i for i, task in enumerate(plan)}
+            margin = sum(m for before, after, m in strict if position[before] > position[after])
+            if not margin:
+                return plan
+            if margin < best_margin:
+                best, best_margin = plan, margin
+        return best
 
 
 class RandomScheduler:

@@ -82,6 +82,50 @@ def test_compose_failboosts_clamps_and_normalizes():
     assert probs[2] > 0.99  # both boosts exhausted the success mass
 
 
+def test_failboosts_compose_in_registry_order_and_other_tasks_rules_stay_unevaluated(monkeypatch):
+    import restoragent.envsim as envsim
+
+    evaluated = []
+
+    class SpyCondition:
+        def matches(self, profile):
+            evaluated.append(profile)
+            return True
+
+    composed = []
+
+    def spy_compose(probs, deltas):
+        composed.append(list(deltas))
+        return compose_failboosts(probs, deltas)
+
+    monkeypatch.setattr(envsim, "compose_failboosts", spy_compose)
+    dehaze = ToolSpec("dehaze", TaskKind.DEHAZING, 0.6, 0.3, 0.1)
+    derain = ToolSpec("derain", TaskKind.DERAINING, 1.0, 0.0, 0.0)
+    noise = InteractionRule(TaskKind.DEHAZING, DegradationPresent(Degradation.NOISE), FailBoost(0.1))
+    history = InteractionRule(TaskKind.DEHAZING, TaskInHistory(TaskKind.DENOISING), FailBoost(0.7))
+    spy = InteractionRule(TaskKind.DERAINING, SpyCondition(), FailBoost(0.2))
+    state = DegradationProfile(
+        {Degradation.HAZE: Severity.HIGH, Degradation.NOISE: Severity.MEDIUM},
+        ((TaskKind.DENOISING, "dn"),),
+    )
+    for rules in ([noise, spy, history], [history, spy, noise]):
+        env = _env([dehaze, derain], rules)
+        deltas = [r.effect.delta for r in rules if r.task is TaskKind.DEHAZING]
+        full, partial, _ = compose_failboosts(dehaze.probs(), deltas)
+        for i in range(100):
+            composed.clear()
+            result = apply_tool(env, state, dehaze, substream(5, i))
+            assert composed == [deltas]
+            u = substream(5, i).random()
+            want = (Severity.VERY_LOW if u < full
+                    else Severity.LOW if u < full + partial else Severity.HIGH)
+            assert result.severity(Degradation.HAZE) is want
+        assert evaluated == []
+        apply_tool(env, state, derain, substream(6))
+        assert len(evaluated) == 1 and composed[-1] == [0.2]
+        evaluated.clear()
+
+
 def test_side_effect_saturates():
     tool = ToolSpec("deblur", TaskKind.MOTION_DEBLURRING, 1.0, 0.0, 0.0)
     rule = InteractionRule(

@@ -1,4 +1,6 @@
 import json
+import math
+import pickle
 
 import pytest
 
@@ -204,6 +206,30 @@ def test_retrieve_singleton_and_unknown_tasks():
     assert partial.records == ()  # no exact 3-task record in the reference KB
     for rule in partial.rules:
         assert {rule.before, rule.after} <= {T.DERAINING, T.DEHAZING, T.MOTION_DEBLURRING}
+
+
+def test_a_records_task_set_is_its_fail_rates_keys_built_once_and_pickled():
+    trials = (_trials(RAIN_HAZE, (T.DERAINING, T.DEHAZING), {T.DEHAZING: 3}, 10)
+              + _trials(RAIN_HAZE, (T.DEHAZING, T.DERAINING), {T.DERAINING: 1}, 10))
+    records = (aggregate(trials) + reference_records()
+               + kb_from_dict(kb_to_dict(reference_kb())).records)
+    for record in records:
+        before_use = pickle.loads(pickle.dumps(record))  # task set not built yet
+        assert record.tasks == frozenset(record.per_task_fail)
+        assert record.tasks is record.tasks
+        after_use = pickle.loads(pickle.dumps(record))  # carries the built set
+        for clone in (before_use, after_use):
+            assert clone == record
+            assert clone.tasks == frozenset(clone.per_task_fail) == record.tasks
+
+
+@pytest.mark.parametrize("margin, error", [
+    (-0.02, ValueError), (1.5, ValueError), (math.nan, ValueError), ("0.1", TypeError),
+    (True, TypeError),
+])
+def test_a_precedence_rule_margin_must_be_a_number_in_0_1(margin, error):
+    with pytest.raises(error, match="margin"):
+        PrecedenceRule(T.DERAINING, T.DEHAZING, margin)
 
 
 def test_kb_roundtrip_empty(tmp_path):

@@ -264,3 +264,43 @@ def test_margin_only_plan_equals_the_margin_then_names_min_for_every_small_agend
                 for banned in map(frozenset, itertools.combinations(agenda, n_banned)):
                     want = _margin_then_names_plan(agenda, banned, rules)
                     assert scheduler.schedule(draw.sample(agenda, size), banned) == want
+
+
+@pytest.mark.parametrize("size, n_rule_sets", [(5, 12), (6, 3)])
+def test_rule_scored_plans_of_five_and_six_tasks_equal_the_margin_then_names_min(size, n_rule_sets):
+    """Every banned subset, over rule sets that are acyclic (with no banned
+    head, some plan violates nothing) or hold a cycle (every plan violates
+    some margin).  Margins come from {0.1, 0.2, 0.3, 0.6}, whose float sums
+    depend on the order of addition, so a plan's margin must be summed in
+    rule order to break ties as the reference does."""
+    import random
+
+    from restoragent.knowledge import PrecedenceRule
+
+    draw = random.Random(29 + size)
+    margins = (0.1, 0.2, 0.3, 0.6)
+    for k in range(n_rule_sets):
+        agenda = draw.sample(list(TaskKind), size)
+        rank = {task: i for i, task in enumerate(draw.sample(agenda, size))}
+        rules = []
+        for _ in range(draw.randrange(4, 13)):
+            before, after = draw.sample(agenda, 2)
+            if k % 2 == 0 and rank[before] > rank[after]:
+                before, after = after, before  # agrees with one order: acyclic
+            if draw.random() < 0.15:
+                rules.append(PrecedenceRule(before, after, 0.0, True))
+            else:
+                rules.append(PrecedenceRule(before, after, draw.choice(margins)))
+        if k % 2 == 1:
+            a, b, c = draw.sample(agenda, 3)
+            rules += [PrecedenceRule(a, b, draw.choice(margins)),
+                      PrecedenceRule(b, c, draw.choice(margins)),
+                      PrecedenceRule(c, a, draw.choice(margins))]
+        outside = next(t for t in TaskKind if t not in agenda)
+        rules.append(PrecedenceRule(outside, agenda[0], 0.6))  # not retrieved
+        draw.shuffle(rules)
+        scheduler = ExperienceScheduler(KnowledgeBase(rules=rules))
+        for n_banned in range(size):
+            for banned in map(frozenset, itertools.combinations(agenda, n_banned)):
+                want = _margin_then_names_plan(agenda, banned, rules)
+                assert scheduler.schedule(draw.sample(agenda, size), banned) == want
