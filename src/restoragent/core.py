@@ -110,7 +110,6 @@ _DEGRADATION_FOR = {t: d for d, t in _TASK_FOR.items()}
 
 #: Canonical iteration order for the eight degradations.
 ALL_DEGRADATIONS = tuple(_TASK_FOR)
-ALL_TASKS = tuple(_TASK_FOR.values())
 
 
 def task_for(degradation: Degradation) -> TaskKind:

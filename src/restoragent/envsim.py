@@ -131,6 +131,11 @@ class OrderStats:
     stated_total_pct: int | None = None  # published total, where available
 
     def __post_init__(self):
+        names = [t.value for t in self.order]
+        if not self.order or len(set(self.order)) != len(self.order):
+            raise ValueError(f"order {names} is empty or repeats a task")
+        if set(self.fail) != {degradation_for(t) for t in self.order}:
+            raise ValueError(f"fail rates of order {names} must name exactly its degradations")
         for degradation, p in self.fail.items():
             check_probability(f"fail probability of {degradation}", p)
 
@@ -142,11 +147,12 @@ class TabularCalibration:
     entries: dict = field(default_factory=dict)  # frozenset[Degradation] -> [OrderStats]
 
     def add(self, stats: OrderStats):
+        """A second row for one order is a ValueError: only the first is read."""
         key = frozenset(degradation_for(t) for t in stats.order)
-        self.entries.setdefault(key, []).append(stats)
-
-    def orders(self, combo_key: frozenset) -> list:
-        return list(self.entries.get(frozenset(combo_key), []))
+        rows = self.entries.setdefault(key, [])
+        if any(row.order == stats.order for row in rows):
+            raise ValueError(f"order {[t.value for t in stats.order]} is given twice")
+        rows.append(stats)
 
     def fail_prob(self, combo_key: frozenset, prefix: tuple) -> float:
         """Fail probability of the last task in ``prefix`` under this order.
@@ -160,7 +166,7 @@ class TabularCalibration:
         if not orders:
             return 0.0
         for stats in orders:
-            if stats.order[: len(prefix)] == prefix and degradation in stats.fail:
+            if stats.order[: len(prefix)] == prefix:
                 return stats.fail[degradation]
         marginal = [s.fail[degradation] for s in orders if degradation in s.fail]
         if marginal:
@@ -226,8 +232,17 @@ class Environment:
         if self.mode == "tabular":
             if self.calibration is None:
                 raise ValueError("tabular environment requires a calibration")
+            if self.rules:
+                raise ValueError("a tabular environment reads no interaction rules")
             if not self.tools:
                 self.tools = list(_TABULAR_TOOLS)
+        elif self.calibration is not None:
+            raise ValueError("a mechanistic environment reads no calibration")
+        ids = [tool.id for tool in self.tools]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            # apply_tool looks a tool up by id, so one id must name one tool.
+            raise ValueError(f"tool ids given more than once: {repeated}")
         self._by_id = {tool.id: tool for tool in self.tools}
         self._by_task = {}
         for tool in self.tools:

@@ -18,19 +18,6 @@ class EmptyCandidates(ValueError):
     """pick_best was called without candidates."""
 
 
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """A result whose reflected severity is VERY_LOW is always accepted at
-    once; ``accept_candidate`` is the level up to which a result is kept as
-    a PickBest candidate."""
-
-    accept_candidate: Severity = Severity.LOW
-
-    def strict(self) -> "ExecutionPolicy":
-        """Variant accepting only very-low residual severity."""
-        return ExecutionPolicy(Severity.VERY_LOW)
-
-
 class Status(enum.Enum):
     SUCCESS = "success"
     FAILURE = "failure"
@@ -100,7 +87,7 @@ def execute_subtask(
     profile: DegradationProfile,
     tools,
     evaluator,
-    policy: ExecutionPolicy,
+    accept_candidate: Severity,
     stream,
     use_reflection: bool = True,
 ) -> SubtaskOutcome:
@@ -110,7 +97,8 @@ def execute_subtask(
     task's tools run in an order shuffled under the ``tool-order`` child of
     ``stream``, an rng Stream handle.  Each invocation and reflection draws
     from its own child substream, and PickBest compares under the
-    ``compare`` child.
+    ``compare`` child.  A result reflected at VERY_LOW is accepted at once;
+    one at most ``accept_candidate`` is kept as a PickBest candidate.
     """
     tools = tools.get(task, [])
     if not tools:
@@ -134,7 +122,7 @@ def execute_subtask(
         severity = reflect(evaluator, result, task, stream.child("reflect", i))
         if severity == Severity.VERY_LOW:
             return SubtaskOutcome(Status.SUCCESS, result, tried)
-        if severity <= policy.accept_candidate:
+        if severity <= accept_candidate:
             candidates.append(result)
 
     # Built only here: most subtasks end before they reach PickBest.

@@ -9,12 +9,13 @@ from .core import (
     Degradation,
     DegradationCombination,
     DegradationProfile,
+    Severity,
     builtin_combinations,
     combinations_in_group,
     initial_profile,
 )
 from .envsim import Environment, env_from_dict, env_to_dict
-from .execution import ExecutionPolicy, adapters_for
+from .execution import adapters_for
 from .knowledge import KnowledgeBase
 from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler
@@ -26,9 +27,6 @@ RUN_MODES = ("full", "no-reflection", "no-rollback", "no-retrieval", "strict-thr
 def make_deps(env: Environment, kb: KnowledgeBase | None, mode: str, evaluator) -> WorkflowDeps:
     if mode not in RUN_MODES:
         raise ValueError(f"unknown run mode: {mode!r} (expected one of {RUN_MODES})")
-    policy = ExecutionPolicy()
-    if mode == "strict-threshold":
-        policy = policy.strict()
     if mode == "no-retrieval":
         scheduler = RandomScheduler()
     else:
@@ -37,7 +35,7 @@ def make_deps(env: Environment, kb: KnowledgeBase | None, mode: str, evaluator) 
         scheduler=scheduler,
         evaluator=evaluator,
         tools=adapters_for(env),
-        policy=policy,
+        accept_candidate=Severity.VERY_LOW if mode == "strict-threshold" else Severity.LOW,
         use_reflection=mode != "no-reflection",
         use_rollback=mode != "no-rollback",
     )

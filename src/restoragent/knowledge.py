@@ -26,7 +26,6 @@ class SchemaError(ValueError):
 
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
-        self.field_path = field_path
 
 
 @dataclass(frozen=True)

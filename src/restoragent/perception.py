@@ -49,31 +49,6 @@ class NoiseModel:
             for degradation, p in table.items():
                 check_probability(f"probability for {degradation}", p)
 
-    def miss(self, degradation: Degradation) -> float:
-        return self.p_miss.get(degradation, 0.0)
-
-    def false(self, degradation: Degradation) -> float:
-        return self.p_false.get(degradation, 0.0)
-
-    @classmethod
-    def from_precision_recall(cls, targets: dict) -> "NoiseModel":
-        """Fit p_miss/p_false so a balanced assessment population hits the
-        target binary precision/recall per degradation.
-
-        ``targets`` maps Degradation -> (precision, recall).  Assumes
-        positives sit at MEDIUM severity, where a single one-level miss
-        flips presence.
-        """
-        p_miss, p_false = {}, {}
-        for degradation, (precision, recall) in targets.items():
-            if not 0 < precision <= 1 or not 0 <= recall <= 1:
-                raise ValueError(f"invalid target for {degradation}: {(precision, recall)}")
-            p_miss[degradation] = 1.0 - recall
-            # Half the population is positive, so
-            # precision = recall / (recall + p_false).
-            p_false[degradation] = min(1.0, recall * (1.0 - precision) / precision)
-        return cls(p_miss, p_false)
-
     def to_dict(self) -> dict:
         return {
             "p_miss": {d.value: p for d, p in sorted(self.p_miss.items(), key=lambda kv: kv[0].value)},

@@ -20,6 +20,18 @@ def _names(plan) -> tuple:
     return tuple(TASK_VALUE[t] for t in plan)
 
 
+def _schedulable(agenda, banned_first) -> tuple:
+    """(agenda set, banned firsts within it), or Unschedulable when the
+    agenda is empty or every task in it is banned from going first."""
+    agenda_set = frozenset(agenda)
+    if not agenda_set:
+        raise Unschedulable("empty agenda")
+    banned = frozenset(banned_first) & agenda_set
+    if banned >= agenda_set:
+        raise Unschedulable("banned_first covers the whole agenda")
+    return agenda_set, banned
+
+
 class ExperienceScheduler:
     """Deterministic scheduler grounded in a knowledge base.
 
@@ -35,12 +47,7 @@ class ExperienceScheduler:
         self._plans = {}  # (agenda, banned & agenda) -> plan
 
     def schedule(self, agenda, banned_first=frozenset(), rng=None):
-        agenda_set = frozenset(agenda)
-        if not agenda_set:
-            raise Unschedulable("empty agenda")
-        banned = frozenset(banned_first) & agenda_set
-        if banned >= agenda_set:
-            raise Unschedulable("banned_first covers the whole agenda")
+        agenda_set, banned = _schedulable(agenda, banned_first)
         key = (agenda_set, banned)
         plan = self._plans.get(key)
         if plan is None:
@@ -84,13 +91,8 @@ class RandomScheduler:
     def schedule(self, agenda, banned_first=frozenset(), rng=None):
         if rng is None:
             raise ValueError("RandomScheduler.schedule requires an rng substream")
-        agenda_set = frozenset(agenda)
-        if not agenda_set:
-            raise Unschedulable("empty agenda")
-        banned = frozenset(banned_first) & agenda_set
+        agenda_set, banned = _schedulable(agenda, banned_first)
         eligible = sorted(agenda_set - banned, key=TASK_VALUE.__getitem__)
-        if not eligible:
-            raise Unschedulable("banned_first covers the whole agenda")
         first = eligible[int(rng.integers(len(eligible)))]
         rest = sorted(agenda_set - {first}, key=TASK_VALUE.__getitem__)
         rng.shuffle(rest)

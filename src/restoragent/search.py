@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import TASK_VALUE, DegradationProfile, degradation_for
+from .core import TASK_VALUE, DegradationProfile, Severity, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
-    ExecutionPolicy,
     NoTools,
     Status,
     default_comparator,
@@ -51,7 +50,9 @@ class WorkflowDeps:
     scheduler: object
     evaluator: object
     tools: dict  # TaskKind -> [ToolAdapter]
-    policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
+    # A reflection at VERY_LOW accepts a tool's result at once; one at most
+    # this level is kept as a PickBest candidate.
+    accept_candidate: Severity = Severity.LOW
     use_reflection: bool = True
     use_rollback: bool = True
 
@@ -59,8 +60,8 @@ class WorkflowDeps:
 def _step(plan, profile, deps, stream, counters, children):
     """Executes ``plan[0]`` on ``profile`` and appends its trace node to
     ``children``; returns (outcome, node) so the caller can add its verdict."""
-    outcome = execute_subtask(plan[0], profile, deps.tools, deps.evaluator, deps.policy, stream,
-                              use_reflection=deps.use_reflection)
+    outcome = execute_subtask(plan[0], profile, deps.tools, deps.evaluator,
+                              deps.accept_candidate, stream, use_reflection=deps.use_reflection)
     counters["invocations"] += outcome.invocations
     node = {
         "plan": [TASK_VALUE[t] for t in plan],
@@ -215,11 +216,11 @@ def _check_deterministic(env: Environment):
             raise NondeterministicEnv("SideEffect probability must be 0 or 1")
 
 
-def brute_force_oracle(profile, agenda, env: Environment, policy: ExecutionPolicy):
+def brute_force_oracle(profile, agenda, env: Environment, accept_candidate: Severity):
     """Enumerates every subtask order and tool-choice sequence.
 
     Returns (success, witness_plan).  Success means some complete sequence
-    keeps every addressed degradation at or below the acceptance level.
+    keeps every addressed degradation at or below ``accept_candidate``.
     """
     _check_deterministic(env)
     agenda = sorted(frozenset(agenda), key=lambda t: t.value)
@@ -227,18 +228,18 @@ def brute_force_oracle(profile, agenda, env: Environment, policy: ExecutionPolic
         raise ValueError("oracle enumeration is limited to agendas of size 4")
     rng = _HalfRng()
     for perm in itertools.permutations(agenda):
-        if _attempt_order(profile, perm, env, policy, rng):
+        if _attempt_order(profile, perm, env, accept_candidate, rng):
             return True, tuple(perm)
     return False, None
 
 
-def _attempt_order(state, order, env, policy, rng):
+def _attempt_order(state, order, env, accept_candidate, rng):
     if not order:
         return True
     task = order[0]
     for tool in env.tools_for(task):
         result = apply_tool(env, state, tool, rng)
-        if result.severity(degradation_for(task)) <= policy.accept_candidate:
-            if _attempt_order(result, order[1:], env, policy, rng):
+        if result.severity(degradation_for(task)) <= accept_candidate:
+            if _attempt_order(result, order[1:], env, accept_candidate, rng):
                 return True
     return False

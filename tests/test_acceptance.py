@@ -31,7 +31,7 @@ from restoragent.envsim import (
     reference_calibration,
     reference_tabular_env,
 )
-from restoragent.execution import ExecutionPolicy, adapters_for
+from restoragent.execution import adapters_for
 from restoragent.explore import ExplorationConfig, explore
 from restoragent.harness import run_batch
 from restoragent.knowledge import (
@@ -49,7 +49,7 @@ from restoragent.search import WorkflowDeps, brute_force_oracle, dfs, run_workfl
 
 D = Degradation
 T = TaskKind
-POLICY = ExecutionPolicy()
+ACCEPT = Severity.LOW
 
 
 def _record(number: int, name: str, ok: bool, detail: str = ""):
@@ -74,7 +74,7 @@ def test_criterion_1_calibration_fidelity():
     rate_errors = []
     for record in records:
         stats = next(
-            s for s in calibration.orders(record.combination) if s.order == record.order
+            s for s in calibration.entries[record.combination] if s.order == record.order
         )
         for degradation, p in stats.fail.items():
             emp = record.per_task_fail[task_for(degradation)]
@@ -195,12 +195,12 @@ def test_criterion_3_search_correctness():
     n_cases = 1_000
     for i in range(n_cases):
         env, profile, agenda = _random_deterministic_case(rnd)
-        expected, _ = brute_force_oracle(profile, agenda, env, POLICY)
+        expected, _ = brute_force_oracle(profile, agenda, env, ACCEPT)
         deps = WorkflowDeps(
             scheduler=scheduler,
             evaluator=PerfectOracle(),
             tools=adapters_for(env),
-            policy=POLICY,
+            accept_candidate=ACCEPT,
         )
         plan = scheduler.schedule(agenda)
         _, got = dfs(profile, plan, deps, Stream(i))
@@ -269,7 +269,7 @@ def test_criterion_5_ablation_directions():
             scheduler=ExperienceScheduler(kb),
             evaluator=PerfectOracle(),
             tools=adapters_for(fixture_env),
-            policy=POLICY,
+            accept_candidate=ACCEPT,
             use_rollback=use_rollback,
         )
 
@@ -357,7 +357,7 @@ def test_criterion_7_determinism_and_purity(tmp_path):
         scheduler=ExperienceScheduler(reference_kb()),
         evaluator=PerfectOracle(),
         tools=adapters_for(env),
-        policy=POLICY,
+        accept_candidate=ACCEPT,
     )
     for i in range(200):
         profile = DegradationProfile(

@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from restoragent.core import (
     ALL_DEGRADATIONS,
-    ALL_TASKS,
     PRESENCE_THRESHOLD,
     Degradation,
     DegradationProfile,
@@ -20,7 +19,6 @@ from restoragent.core import (
 
 def test_task_degradation_bijection():
     assert len(ALL_DEGRADATIONS) == 8
-    assert len(ALL_TASKS) == 8
     for d in Degradation:
         assert degradation_for(task_for(d)) is d
     for t in TaskKind:

@@ -211,18 +211,18 @@ def test_reference_calibration_shape():
     assert len(orders) == 16
     assert sum(len(s.fail) for s in orders) == 32
     derain_first = next(
-        s for s in cal.orders(frozenset({Degradation.RAIN, Degradation.HAZE}))
+        s for s in cal.entries[frozenset({Degradation.RAIN, Degradation.HAZE})]
         if s.order[0] is TaskKind.DERAINING
     )
     assert derain_first.fail[Degradation.RAIN] == 0.05
     assert derain_first.fail[Degradation.HAZE] == 0.37
     dehaze_first = next(
-        s for s in cal.orders(frozenset({Degradation.RAIN, Degradation.HAZE}))
+        s for s in cal.entries[frozenset({Degradation.RAIN, Degradation.HAZE})]
         if s.order[0] is TaskKind.DEHAZING
     )
     assert dehaze_first.fail == {Degradation.RAIN: 0.25, Degradation.HAZE: 0.24}
     dark_noise = next(
-        s for s in cal.orders(frozenset({Degradation.LOW_LIGHT, Degradation.NOISE}))
+        s for s in cal.entries[frozenset({Degradation.LOW_LIGHT, Degradation.NOISE})]
         if s.order[0] is TaskKind.DENOISING
     )
     assert dark_noise.fail[Degradation.LOW_LIGHT] == 0.22

@@ -2,10 +2,9 @@
 import pytest
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
-from restoragent.envsim import Environment, ToolSpec
+from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
 from restoragent.execution import (
     EmptyCandidates,
-    ExecutionPolicy,
     NoTools,
     SimulatorToolAdapter,
     Status,
@@ -14,6 +13,8 @@ from restoragent.execution import (
     execute_subtask,
     pick_best,
 )
+from restoragent.harness import make_deps
+from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream
 
@@ -24,12 +25,14 @@ def _adapters(*specs):
 
 
 NOISE_HIGH = DegradationProfile({Degradation.NOISE: Severity.HIGH})
-POLICY = ExecutionPolicy()
+ACCEPT = Severity.LOW
 
 
 def test_strict_policy_accepts_only_very_low():
-    strict = ExecutionPolicy().strict()
+    env, kb = reference_tabular_env(), reference_kb()
+    strict = make_deps(env, kb, "strict-threshold", PerfectOracle())
     assert strict.accept_candidate is Severity.VERY_LOW
+    assert make_deps(env, kb, "full", PerfectOracle()).accept_candidate is Severity.LOW
 
 
 def test_accept_now_short_circuits():
@@ -38,7 +41,7 @@ def test_accept_now_short_circuits():
         ToolSpec("b", TaskKind.DENOISING, 1.0, 0.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 1
@@ -52,7 +55,7 @@ def test_partial_results_go_through_pick_best():
         ToolSpec("p2", TaskKind.DENOISING, 0.0, 1.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
     assert outcome.status is Status.SUCCESS
     assert outcome.invocations == 2
@@ -65,7 +68,7 @@ def test_all_tools_fail_is_failure_with_best_output():
         ToolSpec("n2", TaskKind.DENOISING, 0.0, 0.0, 1.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
     assert outcome.status is Status.FAILURE
     assert outcome.invocations == 2
@@ -76,7 +79,7 @@ def test_all_tools_fail_is_failure_with_best_output():
 def test_strict_policy_rejects_partial():
     tools = _adapters(ToolSpec("p", TaskKind.DENOISING, 0.0, 1.0, 0.0))
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY.strict(), Stream(0)
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), Severity.VERY_LOW, Stream(0)
     )
     assert outcome.status is Status.FAILURE
 
@@ -87,7 +90,7 @@ def test_no_reflection_accepts_first_result():
         ToolSpec("good", TaskKind.DENOISING, 1.0, 0.0, 0.0),
     )
     outcome = execute_subtask(
-        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(0),
+        TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0),
         use_reflection=False,
     )
     assert outcome.status is Status.SUCCESS
@@ -99,7 +102,7 @@ def test_no_reflection_accepts_first_result():
 def test_no_tools_raises():
     with pytest.raises(NoTools):
         execute_subtask(
-            TaskKind.DERAINING, NOISE_HIGH, {}, PerfectOracle(), POLICY, Stream(0)
+            TaskKind.DERAINING, NOISE_HIGH, {}, PerfectOracle(), ACCEPT, Stream(0)
         )
 
 
@@ -109,7 +112,7 @@ def test_seeded_shuffle_is_deterministic_and_varies_with_seed():
     )
     def tried(seed):
         return execute_subtask(
-            TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), POLICY, Stream(seed)
+            TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(seed)
         ).tools_tried
 
     assert tried(1) == tried(1)

@@ -133,7 +133,12 @@ def test_metrics_harmonic_identity(tp, fp, fn):
 
 def test_calibration_round_trip_monte_carlo():
     target_precision, target_recall = 0.88, 0.91
-    model = NoiseModel.from_precision_recall({Degradation.HAZE: (target_precision, target_recall)})
+    # Half the population is positive at MEDIUM, where one miss flips
+    # presence: recall = 1 - p_miss and precision = recall / (recall + p_false).
+    model = NoiseModel(
+        {Degradation.HAZE: 1.0 - target_recall},
+        {Degradation.HAZE: target_recall * (1.0 - target_precision) / target_precision},
+    )
     oracle = NoisyOracle(model)
     present = DegradationProfile({Degradation.HAZE: Severity.MEDIUM})
     absent = DegradationProfile()
@@ -165,10 +170,11 @@ def _one_at_a_time(oracle, profile, degradations, rng):
         if isinstance(oracle, PerfectOracle):
             severities.append(true)
         elif true >= Severity.MEDIUM:
-            severities.append(Severity(max(true - 1, 0)) if rng.random() < oracle.model.miss(d)
-                              else true)
+            missed = rng.random() < oracle.model.p_miss.get(d, 0.0)
+            severities.append(Severity(max(true - 1, 0)) if missed else true)
         else:
-            severities.append(Severity.MEDIUM if rng.random() < oracle.model.false(d) else true)
+            flagged = rng.random() < oracle.model.p_false.get(d, 0.0)
+            severities.append(Severity.MEDIUM if flagged else true)
     return severities
 
 

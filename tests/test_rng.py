@@ -15,7 +15,7 @@ from restoragent.core import (
     builtin_combinations,
 )
 from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
-from restoragent.execution import ExecutionPolicy, adapters_for, execute_subtask
+from restoragent.execution import adapters_for, execute_subtask
 from restoragent.harness import run_batch
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream, stream_key, substream
@@ -99,7 +99,7 @@ def test_single_tool_subtask_builds_no_tool_order_generator(monkeypatch):
         DegradationProfile({Degradation.NOISE: Severity.HIGH}),
         adapters_for(env),
         PerfectOracle(),
-        ExecutionPolicy(),
+        Severity.LOW,
         Stream(0, "subtask"),
     )
     assert outcome.tools_tried == ["dn"]

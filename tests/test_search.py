@@ -13,7 +13,7 @@ from restoragent.envsim import (
     reference_tabular_env,
 )
 from restoragent import search
-from restoragent.execution import EmptyCandidates, ExecutionPolicy, adapters_for
+from restoragent.execution import EmptyCandidates, adapters_for
 from restoragent.harness import run_batch
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
@@ -30,7 +30,7 @@ from restoragent.search import (
 
 D = Degradation
 T = TaskKind
-POLICY = ExecutionPolicy()
+ACCEPT = Severity.LOW
 RAIN_HAZE = DegradationProfile({D.RAIN: Severity.HIGH, D.HAZE: Severity.HIGH})
 
 
@@ -39,7 +39,7 @@ def _deps(env, **overrides):
         scheduler=ExperienceScheduler(reference_kb()),
         evaluator=PerfectOracle(),
         tools=adapters_for(env),
-        policy=POLICY,
+        accept_candidate=ACCEPT,
     )
     kwargs.update(overrides)
     return WorkflowDeps(**kwargs)
@@ -284,34 +284,34 @@ def test_run_workflow_determinism_same_seed():
 
 def test_oracle_matches_dfs_on_fixtures():
     ok, witness = brute_force_oracle(
-        RAIN_HAZE, {T.DERAINING, T.DEHAZING}, order_sensitive_env(), POLICY
+        RAIN_HAZE, {T.DERAINING, T.DEHAZING}, order_sensitive_env(), ACCEPT
     )
     assert ok
     assert witness == (T.DEHAZING, T.DERAINING)
     ok, witness = brute_force_oracle(
-        RAIN_HAZE, {T.DERAINING, T.DEHAZING}, dehaze_hopeless_env(), POLICY
+        RAIN_HAZE, {T.DERAINING, T.DEHAZING}, dehaze_hopeless_env(), ACCEPT
     )
     assert not ok and witness is None
 
 
 def test_oracle_rejects_nondeterministic_envs():
     with pytest.raises(NondeterministicEnv):
-        brute_force_oracle(RAIN_HAZE, {T.DERAINING}, reference_tabular_env(), POLICY)
+        brute_force_oracle(RAIN_HAZE, {T.DERAINING}, reference_tabular_env(), ACCEPT)
     stochastic = Environment(
         "mechanistic", [ToolSpec("derain", T.DERAINING, 0.5, 0.25, 0.25)], []
     )
     with pytest.raises(NondeterministicEnv):
-        brute_force_oracle(RAIN_HAZE, {T.DERAINING}, stochastic, POLICY)
+        brute_force_oracle(RAIN_HAZE, {T.DERAINING}, stochastic, ACCEPT)
     boosted = Environment(
         "mechanistic",
         [ToolSpec("dehaze", T.DEHAZING, 1.0, 0.0, 0.0)],
         [InteractionRule(T.DEHAZING, DegradationPresent(D.NOISE, Severity.MEDIUM), FailBoost(0.5))],
     )
     with pytest.raises(NondeterministicEnv):
-        brute_force_oracle(RAIN_HAZE, {T.DEHAZING}, boosted, POLICY)
+        brute_force_oracle(RAIN_HAZE, {T.DEHAZING}, boosted, ACCEPT)
 
 
 def test_oracle_agenda_size_cap():
     env = order_sensitive_env()
     with pytest.raises(ValueError):
-        brute_force_oracle(RAIN_HAZE, set(T), env, POLICY)
+        brute_force_oracle(RAIN_HAZE, set(T), env, ACCEPT)
