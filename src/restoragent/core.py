@@ -29,32 +29,42 @@ class Severity(enum.IntEnum):
             raise ValueError(f"unknown severity label: {text!r}") from None
 
     def raised(self, levels: int = 1) -> "Severity":
-        return Severity(min(self + levels, Severity.VERY_HIGH))
+        return _SEVERITY_OF[min(self + levels, VERY_HIGH)]
 
     def lowered(self, levels: int = 1) -> "Severity":
-        return Severity(max(self - levels, Severity.VERY_LOW))
+        return _SEVERITY_OF[max(self - levels, VERY_LOW)]
 
+
+# Hot paths read members and values through module constants and dicts, never
+# through the enum classes: on Python 3.11 ``Severity.LOW`` goes through
+# EnumType's attribute hook, ``member.value`` is a Python-level descriptor,
+# ``Enum.__hash__`` and ``__format__`` are Python functions, and so is the
+# ``Severity(2)`` or ``TaskKind(name)`` call.
+VERY_LOW, LOW, MEDIUM, HIGH, VERY_HIGH = Severity
+_SEVERITY_OF = {int(s): s for s in Severity}  # a dict, so a negative value raises
 
 _SEVERITY_LABELS = {
-    Severity.VERY_LOW: "very low",
-    Severity.LOW: "low",
-    Severity.MEDIUM: "medium",
-    Severity.HIGH: "high",
-    Severity.VERY_HIGH: "very high",
+    VERY_LOW: "very low",
+    LOW: "low",
+    MEDIUM: "medium",
+    HIGH: "high",
+    VERY_HIGH: "very high",
 }
 _SEVERITY_BY_LABEL = {v: k for k, v in _SEVERITY_LABELS.items()}
 
 #: A degradation counts as present at this severity or above.
-PRESENCE_THRESHOLD = Severity.MEDIUM
+PRESENCE_THRESHOLD = MEDIUM
 
 
-def check_probability(name: str, p) -> None:
+def check_probability(name: str, p, *args) -> None:
     """Raises unless ``p`` is a real number in [0, 1]; a bool or a string is
-    not one, so a config cannot smuggle either into a draw comparison."""
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise TypeError(f"{name} must be a number, not {p!r}")
+    not one, so a config cannot smuggle either into a draw comparison.  The
+    error text names ``p`` as ``name % args``, formatted only on a raise."""
+    # A float is a Real and no bool: it skips the ABC's Python-level check.
+    if p.__class__ is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+        raise TypeError(f"{name % args} must be a number, not {p!r}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} out of range: {p}")
+        raise ValueError(f"{name % args} out of range: {p}")
 
 
 class Degradation(enum.Enum):
@@ -91,12 +101,21 @@ class TaskKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-# Each member's value, read from a dict on the trace and sort paths: Enum's
-# ``value`` is a Python-level descriptor.
 DEGRADATION_VALUE = {d: d.value for d in Degradation}
 TASK_VALUE = {t: t.value for t in TaskKind}
+_MEMBER_OF = {cls: {m.value: m for m in cls} for cls in (Degradation, TaskKind)}
 
-_TASK_FOR = {
+
+def member_of(cls, value):
+    """``cls(value)`` for Degradation or TaskKind, through a dict, with the
+    same ValueError text for a value that names no member."""
+    try:
+        return _MEMBER_OF[cls][value]
+    except (KeyError, TypeError):  # a TypeError: an unhashable JSON value
+        raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+
+
+TASK_FOR = {
     Degradation.LOW_RESOLUTION: TaskKind.SUPER_RESOLUTION,
     Degradation.NOISE: TaskKind.DENOISING,
     Degradation.MOTION_BLUR: TaskKind.MOTION_DEBLURRING,
@@ -106,20 +125,20 @@ _TASK_FOR = {
     Degradation.JPEG_ARTIFACT: TaskKind.JPEG_ARTIFACT_REMOVAL,
     Degradation.LOW_LIGHT: TaskKind.BRIGHTENING,
 }
-_DEGRADATION_FOR = {t: d for d, t in _TASK_FOR.items()}
+DEGRADATION_FOR = {t: d for d, t in TASK_FOR.items()}
 
 #: Canonical iteration order for the eight degradations.
-ALL_DEGRADATIONS = tuple(_TASK_FOR)
+ALL_DEGRADATIONS = tuple(TASK_FOR)
 
 
 def task_for(degradation: Degradation) -> TaskKind:
     """The unique restoration task addressing a degradation."""
-    return _TASK_FOR[degradation]
+    return TASK_FOR[degradation]
 
 
 def degradation_for(task: TaskKind) -> Degradation:
     """The unique degradation addressed by a restoration task."""
-    return _DEGRADATION_FOR[task]
+    return DEGRADATION_FOR[task]
 
 
 @dataclass(slots=True)
@@ -136,7 +155,7 @@ class DegradationProfile:
     origin: str = ""
 
     def severity(self, degradation: Degradation) -> Severity:
-        return self.severities.get(degradation, Severity.VERY_LOW)
+        return self.severities.get(degradation, VERY_LOW)
 
     def present(self) -> frozenset:
         return frozenset(d for d, s in self.severities.items() if s >= PRESENCE_THRESHOLD)
@@ -146,7 +165,7 @@ class DegradationProfile:
 
     def with_severity(self, degradation: Degradation, severity: Severity) -> "DegradationProfile":
         severities = dict(self.severities)
-        if severity == Severity.VERY_LOW:
+        if severity == VERY_LOW:
             severities.pop(degradation, None)
         else:
             severities[degradation] = severity
@@ -170,7 +189,7 @@ class DegradationProfile:
             "severities": {
                 DEGRADATION_VALUE[d]: _SEVERITY_LABELS[severities[d]]
                 for d in sorted(severities, key=DEGRADATION_VALUE.__getitem__)
-                if severities[d] != Severity.VERY_LOW
+                if severities[d] != VERY_LOW
             },
             "history": [[TASK_VALUE[task], tool_id] for task, tool_id in self.history],
             "origin": self.origin,
@@ -200,7 +219,7 @@ def initial_profile(combo: DegradationCombination, index: int) -> DegradationPro
     """The profile a workflow run or an exploration sample starts from:
     every degradation of ``combo`` at HIGH, no history."""
     return DegradationProfile(
-        {d: Severity.HIGH for d in combo.degradations}, (), f"{combo.label()}#{index}"
+        {d: HIGH for d in combo.degradations}, (), f"{combo.label()}#{index}"
     )
 
 

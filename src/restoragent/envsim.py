@@ -11,12 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    DEGRADATION_FOR,
+    DEGRADATION_VALUE,
+    LOW,
+    MEDIUM,
+    TASK_VALUE,
+    VERY_LOW,
     Degradation,
     DegradationProfile,
     Severity,
     TaskKind,
     check_probability,
-    degradation_for,
+    member_of,
 )
 
 _PROB_TOL = 1e-9
@@ -38,7 +44,7 @@ class ToolSpec:
 
     def __post_init__(self):
         for outcome, p in zip(("full", "partial", "none"), self.probs()):
-            check_probability(f"{outcome} outcome probability of {self.id!r}", p)
+            check_probability("%s outcome probability of %r", p, outcome, self.id)
         total = self.p_full + self.p_partial + self.p_none
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"outcome probabilities of {self.id!r} sum to {total}, not 1")
@@ -53,7 +59,7 @@ class ToolSpec:
 @dataclass(frozen=True)
 class DegradationPresent:
     degradation: Degradation
-    min_severity: Severity = Severity.MEDIUM
+    min_severity: Severity = MEDIUM
 
     def matches(self, profile: DegradationProfile) -> bool:
         return profile.severity(self.degradation) >= self.min_severity
@@ -131,13 +137,21 @@ class OrderStats:
     stated_total_pct: int | None = None  # published total, where available
 
     def __post_init__(self):
-        names = [t.value for t in self.order]
         if not self.order or len(set(self.order)) != len(self.order):
-            raise ValueError(f"order {names} is empty or repeats a task")
-        if set(self.fail) != {degradation_for(t) for t in self.order}:
-            raise ValueError(f"fail rates of order {names} must name exactly its degradations")
+            raise ValueError(f"order {self._names()} is empty or repeats a task")
+        if set(self.fail) != {DEGRADATION_FOR[t] for t in self.order}:
+            raise ValueError(f"fail rates of order {self._names()} must name exactly its degradations")
         for degradation, p in self.fail.items():
-            check_probability(f"fail probability of {degradation}", p)
+            check_probability("fail probability of %s", p, degradation)
+        total = self.stated_total_pct
+        if total is not None and (isinstance(total, bool) or not isinstance(total, int)
+                                  or not 0 <= total <= 100):
+            raise ValueError(f"stated total of order {self._names()} must be a percent "
+                             f"from 0 to 100, not {total!r}")
+
+    def _names(self) -> list:
+        """The order's task names, for error text."""
+        return [TASK_VALUE[t] for t in self.order]
 
 
 @dataclass
@@ -148,10 +162,10 @@ class TabularCalibration:
 
     def add(self, stats: OrderStats):
         """A second row for one order is a ValueError: only the first is read."""
-        key = frozenset(degradation_for(t) for t in stats.order)
+        key = frozenset(DEGRADATION_FOR[t] for t in stats.order)
         rows = self.entries.setdefault(key, [])
         if any(row.order == stats.order for row in rows):
-            raise ValueError(f"order {[t.value for t in stats.order]} is given twice")
+            raise ValueError(f"order {stats._names()} is given twice")
         rows.append(stats)
 
     def fail_prob(self, combo_key: frozenset, prefix: tuple) -> float:
@@ -160,8 +174,7 @@ class TabularCalibration:
         Falls back to the marginal mean across orders when the attempted
         prefix matches no recorded order, and to 0 for unknown mixtures.
         """
-        task = prefix[-1]
-        degradation = degradation_for(task)
+        degradation = DEGRADATION_FOR[prefix[-1]]
         orders = self.entries.get(frozenset(combo_key))
         if not orders:
             return 0.0
@@ -267,12 +280,12 @@ def apply_tool(
 ) -> DegradationProfile:
     """Apply one tool; returns a new profile, never mutating the input."""
     tool = env.tool(tool.id)
-    target = degradation_for(tool.task)
+    target = DEGRADATION_FOR[tool.task]
 
     if env.mode == "tabular":
         # The mixture: what is still present plus what the history addressed.
         hist = state.tasks_in_history()
-        combo = state.present().union(map(degradation_for, hist))
+        combo = state.present().union(map(DEGRADATION_FOR.__getitem__, hist))
         if tool.task in hist:
             # Retry of an already-attempted task: same position as before.
             prefix = hist[: hist.index(tool.task) + 1]
@@ -280,7 +293,7 @@ def apply_tool(
             prefix = hist + (tool.task,)
         p_fail = env.calibration.fail_prob(combo, prefix)
         if rng.random() >= p_fail:
-            state = state.with_severity(target, Severity.VERY_LOW)
+            state = state.with_severity(target, VERY_LOW)
         return state.with_history_entry(tool.task, tool.id)
 
     matching = [r for r in env.rules if r.task == tool.task and r.condition.matches(state)]
@@ -289,9 +302,9 @@ def apply_tool(
     draw = rng.random()
     result = state
     if draw < full:
-        result = state.with_severity(target, Severity.VERY_LOW)
-    elif draw < full + partial and state.severity(target) > Severity.LOW:
-        result = state.with_severity(target, Severity.LOW)
+        result = state.with_severity(target, VERY_LOW)
+    elif draw < full + partial and state.severity(target) > LOW:
+        result = state.with_severity(target, LOW)
     for rule in matching:
         effect = rule.effect
         if isinstance(effect, SideEffect) and rng.random() < effect.p:
@@ -344,20 +357,20 @@ def _condition_to_dict(condition) -> dict:
     if isinstance(condition, DegradationPresent):
         return {
             "kind": "degradation-present",
-            "degradation": condition.degradation.value,
+            "degradation": DEGRADATION_VALUE[condition.degradation],
             "min_severity": condition.min_severity.label,
         }
-    return {"kind": "task-in-history", "task": condition.task.value}
+    return {"kind": "task-in-history", "task": TASK_VALUE[condition.task]}
 
 
 def _condition_from_dict(data: dict):
     if data["kind"] == "degradation-present":
         return DegradationPresent(
-            Degradation(data["degradation"]),
+            member_of(Degradation, data["degradation"]),
             Severity.from_label(data.get("min_severity", "medium")),
         )
     if data["kind"] == "task-in-history":
-        return TaskInHistory(TaskKind(data["task"]))
+        return TaskInHistory(member_of(TaskKind, data["task"]))
     raise ValueError(f"unknown condition kind: {data['kind']!r}")
 
 
@@ -366,7 +379,7 @@ def _effect_to_dict(effect) -> dict:
         return {"kind": "fail-boost", "delta": effect.delta}
     return {
         "kind": "side-effect",
-        "degradation": effect.degradation.value,
+        "degradation": DEGRADATION_VALUE[effect.degradation],
         "levels": effect.levels,
         "p": effect.p,
     }
@@ -377,7 +390,7 @@ def _effect_from_dict(data: dict):
         return FailBoost(data["delta"])
     if data["kind"] == "side-effect":
         return SideEffect(
-            Degradation(data["degradation"]), data.get("levels", 1), data.get("p", 1.0)
+            member_of(Degradation, data["degradation"]), data.get("levels", 1), data.get("p", 1.0)
         )
     raise ValueError(f"unknown effect kind: {data['kind']!r}")
 
@@ -390,7 +403,7 @@ def env_to_dict(env: Environment) -> dict:
     data["tools"] = [
         {
             "id": t.id,
-            "task": t.task.value,
+            "task": TASK_VALUE[t.task],
             "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
         }
         for t in tools
@@ -398,7 +411,7 @@ def env_to_dict(env: Environment) -> dict:
     if env.rules:
         data["rules"] = [
             {
-                "task": r.task.value,
+                "task": TASK_VALUE[r.task],
                 "condition": _condition_to_dict(r.condition),
                 "effect": _effect_to_dict(r.effect),
             }
@@ -413,7 +426,7 @@ def env_from_dict(data: dict) -> Environment:
     tools = [
         ToolSpec(
             t["id"],
-            TaskKind(t["task"]),
+            member_of(TaskKind, t["task"]),
             t["outcome"]["full"],
             t["outcome"]["partial"],
             t["outcome"]["none"],
@@ -422,7 +435,7 @@ def env_from_dict(data: dict) -> Environment:
     ]
     rules = [
         InteractionRule(
-            TaskKind(r["task"]),
+            member_of(TaskKind, r["task"]),
             _condition_from_dict(r["condition"]),
             _effect_from_dict(r["effect"]),
         )
@@ -436,11 +449,12 @@ def env_from_dict(data: dict) -> Environment:
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
     rows = []
-    for key in sorted(calibration.entries, key=lambda k: sorted(d.value for d in k)):
+    for key in sorted(calibration.entries, key=lambda k: sorted(map(DEGRADATION_VALUE.__getitem__, k))):
         for stats in calibration.entries[key]:
             row = {
-                "order": [t.value for t in stats.order],
-                "fail": {d.value: p for d, p in sorted(stats.fail.items(), key=lambda kv: kv[0].value)},
+                "order": stats._names(),
+                "fail": {DEGRADATION_VALUE[d]: stats.fail[d]
+                         for d in sorted(stats.fail, key=DEGRADATION_VALUE.__getitem__)},
             }
             if stats.stated_total_pct is not None:
                 row["stated_total_pct"] = stats.stated_total_pct
@@ -453,8 +467,8 @@ def calibration_from_dict(data: dict) -> TabularCalibration:
     for row in data.get("orders", []):
         calibration.add(
             OrderStats(
-                tuple(TaskKind(t) for t in row["order"]),
-                {Degradation(d): p for d, p in row["fail"].items()},
+                tuple(member_of(TaskKind, t) for t in row["order"]),
+                {member_of(Degradation, d): p for d, p in row["fail"].items()},
                 row.get("stated_total_pct"),
             )
         )

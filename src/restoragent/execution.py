@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .core import ALL_DEGRADATIONS, DegradationProfile, Severity, TaskKind
+from .core import ALL_DEGRADATIONS, VERY_LOW, DegradationProfile, Severity, TaskKind
 from .envsim import Environment, apply_tool
 from .perception import reflect
 
@@ -21,6 +21,14 @@ class EmptyCandidates(ValueError):
 class Status(enum.Enum):
     SUCCESS = "success"
     FAILURE = "failure"
+
+    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
+    __hash__ = object.__hash__
+
+
+# Read instead of ``Status.SUCCESS`` and ``status.value``, as in ``core``.
+SUCCESS, FAILURE = Status
+STATUS_VALUE = {s: s.value for s in Status}
 
 
 @dataclass
@@ -118,15 +126,15 @@ def execute_subtask(
         produced.append(result)
         if not use_reflection:
             # Reflection ablated: the first tool result is accepted as-is.
-            return SubtaskOutcome(Status.SUCCESS, result, tried)
+            return SubtaskOutcome(SUCCESS, result, tried)
         severity = reflect(evaluator, result, task, stream.child("reflect", i))
-        if severity == Severity.VERY_LOW:
-            return SubtaskOutcome(Status.SUCCESS, result, tried)
+        if severity == VERY_LOW:
+            return SubtaskOutcome(SUCCESS, result, tried)
         if severity <= accept_candidate:
             candidates.append(result)
 
     # Built only here: most subtasks end before they reach PickBest.
     comparator = default_comparator(evaluator, stream.child("compare"))
     if candidates:
-        return SubtaskOutcome(Status.SUCCESS, pick_best(candidates, comparator), tried)
-    return SubtaskOutcome(Status.FAILURE, pick_best(produced, comparator), tried)
+        return SubtaskOutcome(SUCCESS, pick_best(candidates, comparator), tried)
+    return SubtaskOutcome(FAILURE, pick_best(produced, comparator), tried)

@@ -51,7 +51,8 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
-        for task in combo.tasks:
+        # In synthesis order: a set of tasks iterates in memory-address order.
+        for task in map(task_for, combo.degradations):
             if not env.tools_for(task):
                 raise MissingTools(f"no tools for {task.value!r}")
     threshold = config.success_threshold

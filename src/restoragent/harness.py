@@ -6,13 +6,15 @@ import operator
 import time
 
 from .core import (
+    LOW,
+    VERY_LOW,
     Degradation,
     DegradationCombination,
     DegradationProfile,
-    Severity,
     builtin_combinations,
     combinations_in_group,
     initial_profile,
+    member_of,
 )
 from .envsim import Environment, env_from_dict, env_to_dict
 from .execution import adapters_for
@@ -35,7 +37,7 @@ def make_deps(env: Environment, kb: KnowledgeBase | None, mode: str, evaluator) 
         scheduler=scheduler,
         evaluator=evaluator,
         tools=adapters_for(env),
-        accept_candidate=Severity.VERY_LOW if mode == "strict-threshold" else Severity.LOW,
+        accept_candidate=VERY_LOW if mode == "strict-threshold" else LOW,
         use_reflection=mode != "no-reflection",
         use_rollback=mode != "no-rollback",
     )
@@ -158,7 +160,7 @@ def parse_combinations(spec) -> list:
     builtin = {c.key: c for c in builtin_combinations()}
     combos = []
     for names in spec:
-        degradations = tuple(Degradation(n) for n in names)
+        degradations = tuple(member_of(Degradation, n) for n in names)
         key = frozenset(degradations)
         if not degradations or len(key) != len(degradations):
             raise ValueError(f"combination {names!r} is empty or repeats a degradation")

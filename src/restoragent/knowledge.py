@@ -7,8 +7,17 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_DOWN, Decimal
 from functools import cached_property
+from typing import NamedTuple
 
-from .core import DEGRADATION_VALUE, TASK_VALUE, Degradation, TaskKind, check_probability, task_for
+from .core import (
+    DEGRADATION_VALUE,
+    TASK_VALUE,
+    Degradation,
+    TaskKind,
+    check_probability,
+    member_of,
+    task_for,
+)
 from .envsim import reference_calibration
 
 #: Total-fail differences at or below this count as "no significant effect".
@@ -166,8 +175,7 @@ def distill(records) -> list:
     return rules
 
 
-@dataclass(frozen=True)
-class Retrieval:
+class Retrieval(NamedTuple):
     rules: tuple
     records: tuple
 
@@ -222,7 +230,7 @@ def render_experience_text(records) -> str:
         for record in by_combo[combination]:
             order_text = " and then ".join(t.value for t in record.order)
             rates = [
-                f"'{display_percent(record.per_task_fail[task_for(Degradation(d))])}%'"
+                f"'{display_percent(record.per_task_fail[task_for(member_of(Degradation, d))])}%'"
                 for d in degradations
             ]
             parts.append(
@@ -300,9 +308,9 @@ def _record_from_dict(row, path: str) -> ExperienceRecord:
     if n_trials < 1:
         raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
     record = ExperienceRecord(
-        frozenset(Degradation(d) for d in _expect(row, "combination", list, path)),
-        tuple(TaskKind(t) for t in _expect(row, "order", list, path)),
-        {TaskKind(t): float(p) for t, p in rates.items()},
+        frozenset(member_of(Degradation, d) for d in _expect(row, "combination", list, path)),
+        tuple(member_of(TaskKind, t) for t in _expect(row, "order", list, path)),
+        {member_of(TaskKind, t): float(p) for t, p in rates.items()},
         float(_expect(row, "total_fail", (int, float), path)),
         n_trials,
     )
@@ -314,11 +322,11 @@ def _record_from_dict(row, path: str) -> ExperienceRecord:
 
 def _rule_from_dict(row, path: str) -> PrecedenceRule:
     rule = PrecedenceRule(
-        TaskKind(_expect(row, "before", str, path)),
-        TaskKind(_expect(row, "after", str, path)),
+        member_of(TaskKind, _expect(row, "before", str, path)),
+        member_of(TaskKind, _expect(row, "after", str, path)),
         float(_expect(row, "margin", (int, float), path)),
         _expect(row, "indifferent", bool, path) if "indifferent" in row else False,
-        tuple(frozenset(Degradation(d) for d in combo) for combo in row.get("support", [])),
+        tuple(frozenset(member_of(Degradation, d) for d in combo) for combo in row.get("support", [])),
     )
     if rule.before == rule.after or (rule.indifferent and rule.margin):
         raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "

@@ -6,14 +6,18 @@ from dataclasses import dataclass, field
 
 from .core import (
     ALL_DEGRADATIONS,
+    DEGRADATION_FOR,
+    DEGRADATION_VALUE,
+    MEDIUM,
     PRESENCE_THRESHOLD,
+    TASK_FOR,
+    VERY_LOW,
     Degradation,
     DegradationProfile,
     Severity,
     TaskKind,
     check_probability,
-    degradation_for,
-    task_for,
+    member_of,
 )
 
 
@@ -30,7 +34,7 @@ class PerfectOracle:
 
     def assess(self, profile: DegradationProfile, degradations, rng=None) -> list:
         severities = profile.severities
-        return [severities.get(d, Severity.VERY_LOW) for d in degradations]
+        return [severities.get(d, VERY_LOW) for d in degradations]
 
 
 @dataclass
@@ -47,12 +51,12 @@ class NoiseModel:
     def __post_init__(self):
         for table in (self.p_miss, self.p_false):
             for degradation, p in table.items():
-                check_probability(f"probability for {degradation}", p)
+                check_probability("probability for %s", p, degradation)
 
     def to_dict(self) -> dict:
         return {
-            "p_miss": {d.value: p for d, p in sorted(self.p_miss.items(), key=lambda kv: kv[0].value)},
-            "p_false": {d.value: p for d, p in sorted(self.p_false.items(), key=lambda kv: kv[0].value)},
+            key: {DEGRADATION_VALUE[d]: table[d] for d in sorted(table, key=DEGRADATION_VALUE.__getitem__)}
+            for key, table in (("p_miss", self.p_miss), ("p_false", self.p_false))
         }
 
     @classmethod
@@ -64,7 +68,7 @@ class NoiseModel:
             table = data.get(key, {})
             if not isinstance(table, dict):
                 raise ValueError(f"{key} must map degradation names to numbers, not {table!r}")
-            tables.append({Degradation(d): p for d, p in table.items()})
+            tables.append({member_of(Degradation, d): p for d, p in table.items()})
         return cls(*tables)
 
 
@@ -88,11 +92,11 @@ class NoisyOracle:
         p_miss, p_false = self.model.p_miss, self.model.p_false
         severities = []
         for degradation, u in zip(degradations, draws):
-            true = stored.get(degradation, Severity.VERY_LOW)
+            true = stored.get(degradation, VERY_LOW)
             if true >= PRESENCE_THRESHOLD:
                 severities.append(true.lowered() if u < p_miss.get(degradation, 0.0) else true)
             elif u < p_false.get(degradation, 0.0):
-                severities.append(Severity.MEDIUM)
+                severities.append(MEDIUM)
             else:
                 severities.append(true)
         return severities
@@ -110,13 +114,13 @@ def evaluate_agenda(evaluator, profile: DegradationProfile, rng=None) -> frozens
     """Tasks for every degradation assessed at MEDIUM or above."""
     severities = evaluator.assess(profile, ALL_DEGRADATIONS, rng)
     return frozenset(
-        task_for(d) for d, s in zip(ALL_DEGRADATIONS, severities) if s >= PRESENCE_THRESHOLD
+        TASK_FOR[d] for d, s in zip(ALL_DEGRADATIONS, severities) if s >= PRESENCE_THRESHOLD
     )
 
 
 def reflect(evaluator, profile: DegradationProfile, task: TaskKind, rng=None) -> Severity:
     """Assessed residual severity of the degradation a subtask addresses."""
-    return evaluator.assess(profile, (degradation_for(task),), rng)[0]
+    return evaluator.assess(profile, (DEGRADATION_FOR[task],), rng)[0]
 
 
 @dataclass(frozen=True)

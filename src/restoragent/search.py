@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import TASK_VALUE, DegradationProfile, Severity, degradation_for
+from .core import LOW, TASK_VALUE, DegradationProfile, Severity, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
+    STATUS_VALUE,
+    SUCCESS,
     NoTools,
-    Status,
     default_comparator,
     execute_subtask,
     pick_best,
@@ -36,8 +38,7 @@ def new_trace() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """A profile annotated with the path bookkeeping compromise needs."""
 
     profile: DegradationProfile
@@ -52,7 +53,7 @@ class WorkflowDeps:
     tools: dict  # TaskKind -> [ToolAdapter]
     # A reflection at VERY_LOW accepts a tool's result at once; one at most
     # this level is kept as a PickBest candidate.
-    accept_candidate: Severity = Severity.LOW
+    accept_candidate: Severity = LOW
     use_reflection: bool = True
     use_rollback: bool = True
 
@@ -68,7 +69,7 @@ def _step(plan, profile, deps, stream, counters, children):
         "subtask": TASK_VALUE[plan[0]],
         "tools_tried": list(outcome.tools_tried),
         "invocations": outcome.invocations,
-        "status": outcome.status.value,
+        "status": STATUS_VALUE[outcome.status],
     }
     children.append(node)
     return outcome, node
@@ -95,7 +96,7 @@ def _dfs(profile, plan, deps, stream, counters, children):
         outcome, node = _step(plan, profile, deps, stream.child("branch", branch), counters, children)
         if branch == 0:
             counters["nodes"] += 1  # a DFS call counts once its first subtask has run
-        if outcome.status is Status.SUCCESS:
+        if outcome.status is SUCCESS:
             node["children"] = []
             sub_result, success = _dfs(
                 outcome.result,
@@ -182,7 +183,7 @@ def _run_straight_line(profile, agenda, deps, stream, trace):
         outcome, node = _step(plan[i:], profile, deps, stream.child("straight", i),
                               trace["counters"], trace["tree"])
         trace["counters"]["nodes"] += 1
-        if outcome.status is Status.SUCCESS:
+        if outcome.status is SUCCESS:
             node["verdict"] = "accepted"
         else:
             node["verdict"] = "kept-best-effort"

@@ -1,8 +1,10 @@
 import ast
+import enum
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from click.testing import CliRunner
 
 from restoragent import cli
 from restoragent.cli import main
-from restoragent.core import Degradation, TaskKind, builtin_combinations
+from restoragent.core import Degradation, TaskKind, builtin_combinations, combinations_in_group
 from restoragent.envsim import (
     TabularCalibration,
     default_mechanistic_env,
@@ -19,6 +21,7 @@ from restoragent.envsim import (
 )
 from restoragent.explore import ExplorationConfig
 from restoragent.harness import (
+    RUN_MODES,
     make_deps,
     parse_combinations,
     recompute_report,
@@ -278,6 +281,8 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-calibration-fail-names-other-degradations"),
         pytest.param("run", _tabular(["calibration", "orders", 5], CALIBRATION["orders"][4]), 1,
                      id="run-calibration-order-given-twice"),
+        pytest.param("run", _tabular(["calibration", "orders", 4, "stated_total_pct"], "lots"), 1,
+                     id="run-calibration-stated-total-not-a-percent"),
         pytest.param("run", _tabular(["rules"], [RULE]), 1, id="run-tabular-with-rules"),
         pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "calibration": CALIBRATION},
                      1, id="run-mechanistic-with-calibration"),
@@ -613,6 +618,35 @@ def test_run_batch_parallel_matches_serial():
         )
         assert serial == parallel
         assert serial_traces == parallel_traces
+
+
+def test_run_batch_makes_no_call_into_enum():
+    """``run_batch`` reads members and values through ``core``'s constants and
+    dicts, so no Python function of ``enum.py`` runs: no ``member.value``
+    descriptor, no ``Enum.__hash__`` or ``__format__``, no ``TaskKind(name)``
+    call.  Covers the per-batch config round trip and every run, for the
+    tabular env with the perfect oracle in every mode and the mechanistic env
+    with the noisy oracle.  Blind spot: a ``Class.MEMBER`` read goes through
+    EnumType's attribute hook in C and raises no profile event."""
+    noise = {"p_miss": {d.value: 0.1 for d in Degradation},
+             "p_false": {d.value: 0.05 for d in Degradation}}
+    cases = [(reference_tabular_env(), mode, None) for mode in RUN_MODES]
+    cases += [(default_mechanistic_env(0), mode, noise) for mode in ("full", "no-retrieval")]
+    combos = combinations_in_group("A") + combinations_in_group("C")
+    kb = reference_kb()
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            calls.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        for env, mode, model in cases:
+            run_batch(env, kb, mode, combos, 3, 17, model)
+    finally:
+        sys.setprofile(None)
+    assert Counter(calls) == {}
 
 
 def test_recompute_report_matches_run_batch():

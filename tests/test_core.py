@@ -3,9 +3,14 @@ import copy
 import pytest
 from hypothesis import example, given, strategies as st
 
+from restoragent import core
 from restoragent.core import (
     ALL_DEGRADATIONS,
+    DEGRADATION_FOR,
+    DEGRADATION_VALUE,
     PRESENCE_THRESHOLD,
+    TASK_FOR,
+    TASK_VALUE,
     Degradation,
     DegradationProfile,
     Severity,
@@ -13,6 +18,7 @@ from restoragent.core import (
     builtin_combinations,
     combinations_in_group,
     degradation_for,
+    member_of,
     task_for,
 )
 
@@ -49,6 +55,37 @@ def test_severity_total_order():
     assert Severity.from_label("Very Low") is Severity.VERY_LOW
     with pytest.raises(ValueError):
         Severity.from_label("sort of blurry")
+
+
+def test_severity_steps_match_the_enum_calls_they_replace():
+    for s in Severity:
+        for k in range(7):
+            assert s.raised(k) is Severity(min(s + k, 4))
+            assert s.lowered(k) is Severity(max(s - k, 0))
+
+
+def test_module_constants_are_the_members_they_name():
+    for s in Severity:
+        assert getattr(core, s.name) is s
+    assert PRESENCE_THRESHOLD is Severity.MEDIUM
+    for d in Degradation:
+        assert DEGRADATION_VALUE[d] is d.value
+        assert TASK_FOR[d] is task_for(d)
+    for t in TaskKind:
+        assert TASK_VALUE[t] is t.value
+        assert DEGRADATION_FOR[t] is degradation_for(t)
+
+
+@pytest.mark.parametrize("cls", [Degradation, TaskKind])
+def test_member_of_is_the_enum_call(cls):
+    for member in cls:
+        assert member_of(cls, member.value) is cls(member.value)
+    for value in ["no such name", "RAIN", None, 3, ["rain"], {"a": 1}]:
+        with pytest.raises(ValueError) as expected:
+            cls(value)
+        with pytest.raises(ValueError) as got:
+            member_of(cls, value)
+        assert str(got.value) == str(expected.value)
 
 
 def test_builtin_combinations_shape():

@@ -14,6 +14,7 @@ from restoragent.envsim import (
     Environment,
     FailBoost,
     InteractionRule,
+    OrderStats,
     SideEffect,
     TaskInHistory,
     ToolSpec,
@@ -227,6 +228,21 @@ def test_reference_calibration_shape():
     )
     assert dark_noise.fail[Degradation.LOW_LIGHT] == 0.22
     assert dark_noise.fail[Degradation.NOISE] == 0.43
+
+
+@pytest.mark.parametrize("total", [None, 0, 19, 100])
+def test_order_stats_takes_a_stated_total_percent(total):
+    order = (TaskKind.DERAINING, TaskKind.DEHAZING)
+    fail = {Degradation.RAIN: 0.05, Degradation.HAZE: 0.37}
+    assert OrderStats(order, fail, total).stated_total_pct == total
+
+
+@pytest.mark.parametrize("total", ["lots", "19", 19.0, True, False, -1, 101])
+def test_order_stats_rejects_a_stated_total_that_is_not_a_percent(total):
+    order = (TaskKind.DERAINING, TaskKind.DEHAZING)
+    fail = {Degradation.RAIN: 0.05, Degradation.HAZE: 0.37}
+    with pytest.raises(ValueError, match="stated total"):
+        OrderStats(order, fail, total)
 
 
 def test_tabular_rain_haze_fail_rate_within_3_sigma():

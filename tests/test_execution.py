@@ -3,7 +3,9 @@ import pytest
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
 from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
+from restoragent import execution
 from restoragent.execution import (
+    STATUS_VALUE,
     EmptyCandidates,
     NoTools,
     SimulatorToolAdapter,
@@ -26,6 +28,12 @@ def _adapters(*specs):
 
 NOISE_HIGH = DegradationProfile({Degradation.NOISE: Severity.HIGH})
 ACCEPT = Severity.LOW
+
+
+def test_status_constants_are_the_members_they_name():
+    for status in Status:
+        assert getattr(execution, status.name) is status
+        assert STATUS_VALUE[status] is status.value
 
 
 def test_strict_policy_accepts_only_very_low():

@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from restoragent.core import Degradation, Severity, TaskKind, combinations_in_group
+from restoragent.core import (
+    Degradation,
+    DegradationCombination,
+    Severity,
+    TaskKind,
+    combinations_in_group,
+)
 from restoragent.envsim import (
     Environment,
     FailBoost,
@@ -56,6 +62,17 @@ def test_missing_tools_detected():
                                trials_per_sample=1)
     with pytest.raises(MissingTools):
         explore(env, config)
+
+
+def test_missing_tools_names_the_first_task_in_synthesis_order():
+    """Not the first of a set of tasks, whose order follows memory addresses."""
+    env = Environment("mechanistic", [ToolSpec("blur", T.MOTION_DEBLURRING, 1.0, 0.0, 0.0)], [])
+    for combo, first in [(RAIN_HAZE, "deraining"),
+                         (DegradationCombination("custom", (D.HAZE, D.RAIN)), "dehazing")]:
+        config = ExplorationConfig(combinations=[combo], samples_per_combination=1,
+                                   trials_per_sample=1)
+        with pytest.raises(MissingTools, match=f"^no tools for '{first}'$"):
+            explore(env, config)
 
 
 def test_explore_shape_and_determinism():
