@@ -10,7 +10,7 @@ from pathlib import Path
 
 import click
 
-from .core import Degradation, Severity, TaskKind, builtin_combinations, member_of
+from .core import Severity, TaskKind, builtin_combinations, degradations_named, member_of
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, MissingTools, explore
 from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
@@ -173,7 +173,7 @@ def _tuples_trials(path: Path) -> list:
             row = json.loads(line)
             trials.append(
                 (
-                    frozenset(member_of(Degradation, d) for d in row["combination"]),
+                    frozenset(degradations_named(row["combination"])),
                     tuple(member_of(TaskKind, t) for t in row["order"]),
                     {member_of(TaskKind, t): bool(ok) for t, ok in row["flags"].items()},
                 )

@@ -115,6 +115,14 @@ def member_of(cls, value):
         raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
 
 
+def degradations_named(names) -> tuple:
+    """A combination's Degradations, in order; a repeated name is a ValueError."""
+    degradations = tuple(member_of(Degradation, n) for n in names)
+    if len(set(degradations)) != len(degradations):
+        raise ValueError(f"combination {names!r} repeats a degradation")
+    return degradations
+
+
 TASK_FOR = {
     Degradation.LOW_RESOLUTION: TaskKind.SUPER_RESOLUTION,
     Degradation.NOISE: TaskKind.DENOISING,

@@ -134,7 +134,6 @@ class OrderStats:
 
     order: tuple  # (TaskKind, ...)
     fail: dict  # Degradation -> probability
-    stated_total_pct: int | None = None  # published total, where available
 
     def __post_init__(self):
         if not self.order or len(set(self.order)) != len(self.order):
@@ -143,11 +142,6 @@ class OrderStats:
             raise ValueError(f"fail rates of order {self._names()} must name exactly its degradations")
         for degradation, p in self.fail.items():
             check_probability("fail probability of %s", p, degradation)
-        total = self.stated_total_pct
-        if total is not None and (isinstance(total, bool) or not isinstance(total, int)
-                                  or not 0 <= total <= 100):
-            raise ValueError(f"stated total of order {self._names()} must be a percent "
-                             f"from 0 to 100, not {total!r}")
 
     def _names(self) -> list:
         """The order's task names, for error text."""
@@ -192,38 +186,38 @@ def reference_calibration() -> TabularCalibration:
     T = TaskKind
     D = Degradation
     rows = [
-        # (order, {degradation: fail prob}, stated total %)
-        ((T.DENOISING, T.BRIGHTENING), {D.LOW_LIGHT: 0.22, D.NOISE: 0.43}, 32),
-        ((T.BRIGHTENING, T.DENOISING), {D.LOW_LIGHT: 0.28, D.NOISE: 0.42}, 35),
-        ((T.DEFOCUS_DEBLURRING, T.DEHAZING), {D.DEFOCUS_BLUR: 0.00, D.HAZE: 0.36}, 18),
-        ((T.DEHAZING, T.DEFOCUS_DEBLURRING), {D.DEFOCUS_BLUR: 0.00, D.HAZE: 0.40}, 20),
+        # (order, {degradation: fail prob})
+        ((T.DENOISING, T.BRIGHTENING), {D.LOW_LIGHT: 0.22, D.NOISE: 0.43}),
+        ((T.BRIGHTENING, T.DENOISING), {D.LOW_LIGHT: 0.28, D.NOISE: 0.42}),
+        ((T.DEFOCUS_DEBLURRING, T.DEHAZING), {D.DEFOCUS_BLUR: 0.00, D.HAZE: 0.36}),
+        ((T.DEHAZING, T.DEFOCUS_DEBLURRING), {D.DEFOCUS_BLUR: 0.00, D.HAZE: 0.40}),
         ((T.JPEG_ARTIFACT_REMOVAL, T.DEFOCUS_DEBLURRING),
-         {D.DEFOCUS_BLUR: 0.10, D.JPEG_ARTIFACT: 0.31}, 20),
+         {D.DEFOCUS_BLUR: 0.10, D.JPEG_ARTIFACT: 0.31}),
         ((T.DEFOCUS_DEBLURRING, T.JPEG_ARTIFACT_REMOVAL),
-         {D.DEFOCUS_BLUR: 0.08, D.JPEG_ARTIFACT: 0.48}, 28),
-        ((T.MOTION_DEBLURRING, T.BRIGHTENING), {D.MOTION_BLUR: 0.22, D.LOW_LIGHT: 0.25}, 23),
-        ((T.BRIGHTENING, T.MOTION_DEBLURRING), {D.MOTION_BLUR: 0.28, D.LOW_LIGHT: 0.25}, 26),
+         {D.DEFOCUS_BLUR: 0.08, D.JPEG_ARTIFACT: 0.48}),
+        ((T.MOTION_DEBLURRING, T.BRIGHTENING), {D.MOTION_BLUR: 0.22, D.LOW_LIGHT: 0.25}),
+        ((T.BRIGHTENING, T.MOTION_DEBLURRING), {D.MOTION_BLUR: 0.28, D.LOW_LIGHT: 0.25}),
         ((T.MOTION_DEBLURRING, T.SUPER_RESOLUTION),
-         {D.MOTION_BLUR: 0.23, D.LOW_RESOLUTION: 0.09}, 16),
+         {D.MOTION_BLUR: 0.23, D.LOW_RESOLUTION: 0.09}),
         ((T.SUPER_RESOLUTION, T.MOTION_DEBLURRING),
-         {D.MOTION_BLUR: 0.31, D.LOW_RESOLUTION: 0.06}, 19),
-        ((T.DENOISING, T.JPEG_ARTIFACT_REMOVAL), {D.NOISE: 0.38, D.JPEG_ARTIFACT: 0.13}, 26),
-        ((T.JPEG_ARTIFACT_REMOVAL, T.DENOISING), {D.NOISE: 0.38, D.JPEG_ARTIFACT: 0.14}, 26),
-        ((T.DERAINING, T.DEHAZING), {D.RAIN: 0.05, D.HAZE: 0.37}, 21),
-        ((T.DEHAZING, T.DERAINING), {D.RAIN: 0.25, D.HAZE: 0.24}, 24),
-        ((T.DERAINING, T.SUPER_RESOLUTION), {D.RAIN: 0.26, D.LOW_RESOLUTION: 0.02}, 14),
-        ((T.SUPER_RESOLUTION, T.DERAINING), {D.RAIN: 0.63, D.LOW_RESOLUTION: 0.00}, 32),
+         {D.MOTION_BLUR: 0.31, D.LOW_RESOLUTION: 0.06}),
+        ((T.DENOISING, T.JPEG_ARTIFACT_REMOVAL), {D.NOISE: 0.38, D.JPEG_ARTIFACT: 0.13}),
+        ((T.JPEG_ARTIFACT_REMOVAL, T.DENOISING), {D.NOISE: 0.38, D.JPEG_ARTIFACT: 0.14}),
+        ((T.DERAINING, T.DEHAZING), {D.RAIN: 0.05, D.HAZE: 0.37}),
+        ((T.DEHAZING, T.DERAINING), {D.RAIN: 0.25, D.HAZE: 0.24}),
+        ((T.DERAINING, T.SUPER_RESOLUTION), {D.RAIN: 0.26, D.LOW_RESOLUTION: 0.02}),
+        ((T.SUPER_RESOLUTION, T.DERAINING), {D.RAIN: 0.63, D.LOW_RESOLUTION: 0.00}),
     ]
     calibration = TabularCalibration()
-    for order, fail, total in rows:
-        calibration.add(OrderStats(order, fail, total))
+    for order, fail in rows:
+        calibration.add(OrderStats(order, fail))
     return calibration
 
 
 # --- environment ------------------------------------------------------------
 
-#: The tools a tabular environment given none creates for itself: one
-#: always-applying tool per task, whose outcome the calibration decides.
+#: A tabular environment's tools: one always-applying tool per task, whose
+#: outcome the calibration decides.  A config gives a tabular env no tools.
 _TABULAR_TOOLS = tuple(
     ToolSpec(f"tabular:{task.value}", task, 1.0, 0.0, 0.0) for task in TaskKind
 )
@@ -231,13 +225,13 @@ _TABULAR_TOOLS = tuple(
 
 @dataclass
 class Environment:
-    """Immutable after construction; apply_tool is reentrant given distinct streams."""
+    """Immutable after construction; apply_tool is reentrant given distinct streams.
+    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS."""
 
     mode: str  # "mechanistic" | "tabular"
     tools: list = field(default_factory=list)  # [ToolSpec]
     rules: list = field(default_factory=list)  # [InteractionRule]
     calibration: TabularCalibration | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("mechanistic", "tabular"):
@@ -247,8 +241,9 @@ class Environment:
                 raise ValueError("tabular environment requires a calibration")
             if self.rules:
                 raise ValueError("a tabular environment reads no interaction rules")
-            if not self.tools:
-                self.tools = list(_TABULAR_TOOLS)
+            if self.tools:
+                raise ValueError("a tabular environment takes no tools")
+            self.tools = list(_TABULAR_TOOLS)
         elif self.calibration is not None:
             raise ValueError("a mechanistic environment reads no calibration")
         ids = [tool.id for tool in self.tools]
@@ -318,7 +313,9 @@ def default_mechanistic_env(seed: int = 0) -> Environment:
 
     Every task has a strong and a weak tool; interactions: dehazing is
     hampered by present noise, deraining is hampered once super-resolution
-    ran, and motion deblurring can worsen compression artifacts.
+    ran, and motion deblurring can worsen compression artifacts.  ``seed``
+    is ignored; it stays because the benchmark passes it, until ROADMAP
+    item 1 rewrites the benchmark.
     """
     tools = []
     for task in TaskKind:
@@ -342,12 +339,12 @@ def default_mechanistic_env(seed: int = 0) -> Environment:
             SideEffect(Degradation.JPEG_ARTIFACT, levels=1, p=0.5),
         ),
     ]
-    return Environment("mechanistic", tools, rules, None, seed)
+    return Environment("mechanistic", tools, rules)
 
 
-def reference_tabular_env(seed: int = 0) -> Environment:
+def reference_tabular_env() -> Environment:
     """Tabular environment replaying the published group-A statistics."""
-    return Environment("tabular", [], [], reference_calibration(), seed)
+    return Environment("tabular", calibration=reference_calibration())
 
 
 # --- JSON configuration -----------------------------------------------------
@@ -396,30 +393,28 @@ def _effect_from_dict(data: dict):
 
 
 def env_to_dict(env: Environment) -> dict:
-    data = {"mode": env.mode, "seed": env.seed}
-    tools = env.tools
-    if env.mode == "tabular" and tools == list(_TABULAR_TOOLS):
-        tools = []  # the loaded env creates these for itself
-    data["tools"] = [
-        {
-            "id": t.id,
-            "task": TASK_VALUE[t.task],
-            "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
-        }
-        for t in tools
-    ]
-    if env.rules:
-        data["rules"] = [
+    """Only the keys the env's mode reads."""
+    if env.mode == "tabular":
+        return {"mode": env.mode, "calibration": calibration_to_dict(env.calibration)}
+    return {
+        "mode": env.mode,
+        "tools": [
+            {
+                "id": t.id,
+                "task": TASK_VALUE[t.task],
+                "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
+            }
+            for t in env.tools
+        ],
+        "rules": [
             {
                 "task": TASK_VALUE[r.task],
                 "condition": _condition_to_dict(r.condition),
                 "effect": _effect_to_dict(r.effect),
             }
             for r in env.rules
-        ]
-    if env.calibration is not None:
-        data["calibration"] = calibration_to_dict(env.calibration)
-    return data
+        ],
+    }
 
 
 def env_from_dict(data: dict) -> Environment:
@@ -444,21 +439,18 @@ def env_from_dict(data: dict) -> Environment:
     calibration = None
     if "calibration" in data:
         calibration = calibration_from_dict(data["calibration"])
-    return Environment(data["mode"], tools, rules, calibration, data.get("seed", 0))
+    return Environment(data["mode"], tools, rules, calibration)
 
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
     rows = []
     for key in sorted(calibration.entries, key=lambda k: sorted(map(DEGRADATION_VALUE.__getitem__, k))):
         for stats in calibration.entries[key]:
-            row = {
+            rows.append({
                 "order": stats._names(),
                 "fail": {DEGRADATION_VALUE[d]: stats.fail[d]
                          for d in sorted(stats.fail, key=DEGRADATION_VALUE.__getitem__)},
-            }
-            if stats.stated_total_pct is not None:
-                row["stated_total_pct"] = stats.stated_total_pct
-            rows.append(row)
+            })
     return {"orders": rows}
 
 
@@ -469,7 +461,6 @@ def calibration_from_dict(data: dict) -> TabularCalibration:
             OrderStats(
                 tuple(member_of(TaskKind, t) for t in row["order"]),
                 {member_of(Degradation, d): p for d, p in row["fail"].items()},
-                row.get("stated_total_pct"),
             )
         )
     return calibration

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from .core import ALL_DEGRADATIONS, VERY_LOW, DegradationProfile, Severity, TaskKind
@@ -18,22 +17,20 @@ class EmptyCandidates(ValueError):
     """pick_best was called without candidates."""
 
 
-class Status(enum.Enum):
-    SUCCESS = "success"
-    FAILURE = "failure"
+class _Status(str):
+    """A status string; the benchmark's trace mode reads its ``value`` until ROADMAP item 1."""
 
-    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
-    __hash__ = object.__hash__
+    __slots__ = ()
+    value = property(str.__str__)
 
 
-# Read instead of ``Status.SUCCESS`` and ``status.value``, as in ``core``.
-SUCCESS, FAILURE = Status
-STATUS_VALUE = {s: s.value for s in Status}
+#: A subtask outcome's status, as a trace writes it.
+SUCCESS, FAILURE = _Status("success"), _Status("failure")
 
 
 @dataclass
 class SubtaskOutcome:
-    status: Status
+    status: str  # SUCCESS | FAILURE
     result: DegradationProfile
     tools_tried: list = field(default_factory=list)
 

@@ -8,13 +8,12 @@ import time
 from .core import (
     LOW,
     VERY_LOW,
-    Degradation,
     DegradationCombination,
     DegradationProfile,
     builtin_combinations,
     combinations_in_group,
+    degradations_named,
     initial_profile,
-    member_of,
 )
 from .envsim import Environment, env_from_dict, env_to_dict
 from .execution import adapters_for
@@ -160,10 +159,10 @@ def parse_combinations(spec) -> list:
     builtin = {c.key: c for c in builtin_combinations()}
     combos = []
     for names in spec:
-        degradations = tuple(member_of(Degradation, n) for n in names)
+        degradations = degradations_named(names)
+        if not degradations:
+            raise ValueError("a combination names no degradation")
         key = frozenset(degradations)
-        if not degradations or len(key) != len(degradations):
-            raise ValueError(f"combination {names!r} is empty or repeats a degradation")
         if key in builtin:
             combos.append(builtin[key])
         else:

@@ -15,6 +15,7 @@ from .core import (
     Degradation,
     TaskKind,
     check_probability,
+    degradations_named,
     member_of,
     task_for,
 )
@@ -308,7 +309,7 @@ def _record_from_dict(row, path: str) -> ExperienceRecord:
     if n_trials < 1:
         raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
     record = ExperienceRecord(
-        frozenset(member_of(Degradation, d) for d in _expect(row, "combination", list, path)),
+        frozenset(degradations_named(_expect(row, "combination", list, path))),
         tuple(member_of(TaskKind, t) for t in _expect(row, "order", list, path)),
         {member_of(TaskKind, t): float(p) for t, p in rates.items()},
         float(_expect(row, "total_fail", (int, float), path)),
@@ -326,7 +327,7 @@ def _rule_from_dict(row, path: str) -> PrecedenceRule:
         member_of(TaskKind, _expect(row, "after", str, path)),
         float(_expect(row, "margin", (int, float), path)),
         _expect(row, "indifferent", bool, path) if "indifferent" in row else False,
-        tuple(frozenset(member_of(Degradation, d) for d in combo) for combo in row.get("support", [])),
+        tuple(frozenset(degradations_named(combo)) for combo in row.get("support", [])),
     )
     if rule.before == rule.after or (rule.indifferent and rule.margin):
         raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "

@@ -9,7 +9,6 @@ from typing import NamedTuple
 from .core import LOW, TASK_VALUE, DegradationProfile, Severity, degradation_for
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
-    STATUS_VALUE,
     SUCCESS,
     NoTools,
     default_comparator,
@@ -69,7 +68,7 @@ def _step(plan, profile, deps, stream, counters, children):
         "subtask": TASK_VALUE[plan[0]],
         "tools_tried": list(outcome.tools_tried),
         "invocations": outcome.invocations,
-        "status": STATUS_VALUE[outcome.status],
+        "status": outcome.status,
     }
     children.append(node)
     return outcome, node
@@ -96,7 +95,7 @@ def _dfs(profile, plan, deps, stream, counters, children):
         outcome, node = _step(plan, profile, deps, stream.child("branch", branch), counters, children)
         if branch == 0:
             counters["nodes"] += 1  # a DFS call counts once its first subtask has run
-        if outcome.status is SUCCESS:
+        if outcome.status == SUCCESS:
             node["children"] = []
             sub_result, success = _dfs(
                 outcome.result,
@@ -183,7 +182,7 @@ def _run_straight_line(profile, agenda, deps, stream, trace):
         outcome, node = _step(plan[i:], profile, deps, stream.child("straight", i),
                               trace["counters"], trace["tree"])
         trace["counters"]["nodes"] += 1
-        if outcome.status is SUCCESS:
+        if outcome.status == SUCCESS:
             node["verdict"] = "accepted"
         else:
             node["verdict"] = "kept-best-effort"

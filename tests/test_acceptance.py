@@ -60,6 +60,28 @@ def _record(number: int, name: str, ok: bool, detail: str = ""):
     print(line)
 
 
+#: The total fail percent the paper prints for each group-A order, beside
+#: the per-task rates that ``reference_calibration`` replays.
+PUBLISHED_TOTAL_PCT = {
+    (T.DENOISING, T.BRIGHTENING): 32,
+    (T.BRIGHTENING, T.DENOISING): 35,
+    (T.DEFOCUS_DEBLURRING, T.DEHAZING): 18,
+    (T.DEHAZING, T.DEFOCUS_DEBLURRING): 20,
+    (T.JPEG_ARTIFACT_REMOVAL, T.DEFOCUS_DEBLURRING): 20,
+    (T.DEFOCUS_DEBLURRING, T.JPEG_ARTIFACT_REMOVAL): 28,
+    (T.MOTION_DEBLURRING, T.BRIGHTENING): 23,
+    (T.BRIGHTENING, T.MOTION_DEBLURRING): 26,
+    (T.MOTION_DEBLURRING, T.SUPER_RESOLUTION): 16,
+    (T.SUPER_RESOLUTION, T.MOTION_DEBLURRING): 19,
+    (T.DENOISING, T.JPEG_ARTIFACT_REMOVAL): 26,
+    (T.JPEG_ARTIFACT_REMOVAL, T.DENOISING): 26,
+    (T.DERAINING, T.DEHAZING): 21,
+    (T.DEHAZING, T.DERAINING): 24,
+    (T.DERAINING, T.SUPER_RESOLUTION): 14,
+    (T.SUPER_RESOLUTION, T.DERAINING): 32,
+}
+
+
 def test_criterion_1_calibration_fidelity():
     started = time.perf_counter()
     calibration = reference_calibration()
@@ -90,11 +112,10 @@ def test_criterion_1_calibration_fidelity():
         for stats in entries:
             true_total = sum(stats.fail.values()) / len(stats.fail)
             printed = display_percent(true_total)
-            if printed != stats.stated_total_pct:
+            published = PUBLISHED_TOTAL_PCT[stats.order]
+            if printed != published:
                 pair = "/".join(str(round(p * 100)) for p in stats.fail.values())
-                total_errors.append(
-                    f"{pair}: printed {printed}, published {stats.stated_total_pct}"
-                )
+                total_errors.append(f"{pair}: printed {printed}, published {published}")
 
     elapsed = time.perf_counter() - started
     ok = not rate_errors and not total_errors and elapsed < 120

@@ -58,6 +58,7 @@ def _tabular(keys, value):
 
 
 CALIBRATION = env_to_dict(reference_tabular_env())["calibration"]
+MECHANISTIC_TOOLS = env_to_dict(default_mechanistic_env(0))["tools"]  # one or more per task
 RULE = {"task": "denoising", "condition": {"kind": "task-in-history", "task": "deraining"},
         "effect": {"kind": "fail-boost", "delta": 0.5}}
 
@@ -281,9 +282,10 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-calibration-fail-names-other-degradations"),
         pytest.param("run", _tabular(["calibration", "orders", 5], CALIBRATION["orders"][4]), 1,
                      id="run-calibration-order-given-twice"),
-        pytest.param("run", _tabular(["calibration", "orders", 4, "stated_total_pct"], "lots"), 1,
-                     id="run-calibration-stated-total-not-a-percent"),
         pytest.param("run", _tabular(["rules"], [RULE]), 1, id="run-tabular-with-rules"),
+        pytest.param("run", _tabular(["tools"], MECHANISTIC_TOOLS), 1, id="run-tabular-with-tools"),
+        pytest.param("explore", {"environment": _tabular(["tools"], MECHANISTIC_TOOLS)}, 1,
+                     id="explore-tabular-env-with-tools"),
         pytest.param("run", {"mode": "mechanistic", "tools": [TOOL], "calibration": CALIBRATION},
                      1, id="run-mechanistic-with-calibration"),
         pytest.param("run", {"mode": "mechanistic", "tools": [{**TOOL, "outcome": {
@@ -329,6 +331,10 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
         pytest.param("summarize", [[1, 2]], 1, id="summarize-row-not-an-object"),
         pytest.param("summarize", [{"combination": [], "order": [], "flags": {}}], 1,
                      id="summarize-empty-combination"),
+        pytest.param("summarize", [{"combination": ["rain", "rain", "haze"],
+                                    "order": ["deraining", "dehazing"],
+                                    "flags": {"deraining": True, "dehazing": True}}], 1,
+                     id="summarize-combination-repeats-a-degradation"),
         pytest.param("summarize", [{"combination": ["rain"], "order": ["deraining"],
                                     "flags": [1]}], 1,
                      id="summarize-flags-not-an-object"),
@@ -340,6 +346,9 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-kb-order-short-of-its-combination"),
         pytest.param("run --kb", _kb(["records", 0, "per_task_fail", "dehazing"], 1.5), 1,
                      id="run-kb-fail-rate-above-one"),
+        pytest.param("run --kb", _kb(["records", 0, "combination"],
+                                     ["defocus blur", "haze", "haze"]), 1,
+                     id="run-kb-combination-repeats-a-degradation"),
         pytest.param("run --kb", _kb(["records", 0, "n_trials"], 0), 1,
                      id="run-kb-no-trials"),
         pytest.param("run --kb", _kb(["records", 0, "n_trials"], True), 1,
@@ -360,6 +369,8 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
                      id="run-kb-support-not-a-list"),
         pytest.param("run --kb", _kb(["rules", 0, "support"], [["rain"]]), 1,
                      id="run-kb-support-without-the-rule-tasks"),
+        pytest.param("run --kb", _kb(["rules", 0, "support"], [["defocus blur", "haze", "haze"]]),
+                     1, id="run-kb-support-repeats-a-degradation"),
         pytest.param("run --kb", _kb(["provenance"], 5), 1, id="run-kb-provenance-not-a-string"),
         pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),
         pytest.param("run --kb", _kb(["version"], DELETE), 1, id="run-kb-without-version"),

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import test_cli
 from restoragent.core import (
     Degradation,
     DegradationProfile,
@@ -14,7 +15,6 @@ from restoragent.envsim import (
     Environment,
     FailBoost,
     InteractionRule,
-    OrderStats,
     SideEffect,
     TaskInHistory,
     ToolSpec,
@@ -177,7 +177,7 @@ def test_determinism_same_seed_same_trace():
         current = state
         for step in range(100):
             tool = tools[step % len(tools)]
-            current = apply_tool(env, current, tool, substream(env.seed, "step", step))
+            current = apply_tool(env, current, tool, substream(11, "step", step))
             trace.append(tuple(sorted((d.value, s) for d, s in current.severities.items())))
     assert trace_a == trace_b
 
@@ -230,21 +230,6 @@ def test_reference_calibration_shape():
     assert dark_noise.fail[Degradation.NOISE] == 0.43
 
 
-@pytest.mark.parametrize("total", [None, 0, 19, 100])
-def test_order_stats_takes_a_stated_total_percent(total):
-    order = (TaskKind.DERAINING, TaskKind.DEHAZING)
-    fail = {Degradation.RAIN: 0.05, Degradation.HAZE: 0.37}
-    assert OrderStats(order, fail, total).stated_total_pct == total
-
-
-@pytest.mark.parametrize("total", ["lots", "19", 19.0, True, False, -1, 101])
-def test_order_stats_rejects_a_stated_total_that_is_not_a_percent(total):
-    order = (TaskKind.DERAINING, TaskKind.DEHAZING)
-    fail = {Degradation.RAIN: 0.05, Degradation.HAZE: 0.37}
-    with pytest.raises(ValueError, match="stated total"):
-        OrderStats(order, fail, total)
-
-
 def test_tabular_rain_haze_fail_rate_within_3_sigma():
     env = reference_tabular_env()
     tool = env.tools_for(TaskKind.DERAINING)[0]
@@ -275,13 +260,42 @@ def test_env_config_roundtrip():
     assert restored.tools == env.tools
     assert restored.rules == env.rules
 
-    tab = reference_tabular_env(1)
+    tab = reference_tabular_env()
     restored = env_from_dict(env_to_dict(tab))
     assert restored.calibration.entries == tab.calibration.entries
     assert restored.tools == tab.tools
 
     named_like_tabular = _env(TABULAR_NAMED_TOOLS)
     assert env_from_dict(env_to_dict(named_like_tabular)).tools == named_like_tabular.tools
+
+
+def test_an_env_config_holds_only_what_its_mode_reads():
+    tab, mech = reference_tabular_env(), default_mechanistic_env(0)
+    assert env_to_dict(tab).keys() == {"mode", "calibration"}
+    assert env_to_dict(mech).keys() == {"mode", "tools", "rules"}
+    # What env_to_dict wrote for a tabular env before it left tools out.
+    assert env_from_dict({**env_to_dict(tab), "tools": []}) == tab
+
+    # Keys no simulator reads are ignored, whatever they hold.
+    with_old_keys = env_to_dict(tab)
+    with_old_keys["seed"] = 7
+    for row in with_old_keys["calibration"]["orders"]:
+        row["stated_total_pct"] = "lots"
+    assert env_from_dict(with_old_keys) == tab
+    assert env_from_dict({**env_to_dict(mech), "seed": 7}) == mech
+
+    # A tabular env rejects any tools, so a CLI case that checks an outcome
+    # probability must give a mechanistic env to reach that check.
+    (cases,) = [m for m in test_cli.test_config_edge_cases_exit_without_traceback.pytestmark
+                if m.name == "parametrize"]
+    tools_elsewhere = []
+    for case in cases.args[1]:
+        _, config, _ = case.values
+        env = config.get("environment", config) if isinstance(config, dict) else {}
+        tools = env.get("tools")
+        if isinstance(tools, list) and tools and env.get("mode") != "mechanistic":
+            tools_elsewhere.append(case.id)
+    assert tools_elsewhere == ["run-tabular-with-tools", "explore-tabular-env-with-tools"]
 
 
 def test_run_batch_keeps_a_tool_named_like_a_tabular_one():

@@ -1,15 +1,16 @@
 
+import json
+
 import pytest
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
 from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
-from restoragent import execution
 from restoragent.execution import (
-    STATUS_VALUE,
+    FAILURE,
+    SUCCESS,
     EmptyCandidates,
     NoTools,
     SimulatorToolAdapter,
-    Status,
     adapters_for,
     default_comparator,
     execute_subtask,
@@ -30,10 +31,10 @@ NOISE_HIGH = DegradationProfile({Degradation.NOISE: Severity.HIGH})
 ACCEPT = Severity.LOW
 
 
-def test_status_constants_are_the_members_they_name():
-    for status in Status:
-        assert getattr(execution, status.name) is status
-        assert STATUS_VALUE[status] is status.value
+def test_status_constants_are_strings_that_answer_value():
+    for status, text in ((SUCCESS, "success"), (FAILURE, "failure")):
+        assert status == text and json.dumps(status) == f'"{text}"'
+        assert type(status.value) is str and status.value == text
 
 
 def test_strict_policy_accepts_only_very_low():
@@ -51,7 +52,7 @@ def test_accept_now_short_circuits():
     outcome = execute_subtask(
         TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
-    assert outcome.status is Status.SUCCESS
+    assert outcome.status == SUCCESS
     assert outcome.invocations == 1
     assert outcome.tools_tried == ["a"]
     assert Degradation.NOISE not in outcome.result.present()
@@ -65,7 +66,7 @@ def test_partial_results_go_through_pick_best():
     outcome = execute_subtask(
         TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
-    assert outcome.status is Status.SUCCESS
+    assert outcome.status == SUCCESS
     assert outcome.invocations == 2
     assert outcome.result.severity(Degradation.NOISE) is Severity.LOW
 
@@ -78,7 +79,7 @@ def test_all_tools_fail_is_failure_with_best_output():
     outcome = execute_subtask(
         TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0)
     )
-    assert outcome.status is Status.FAILURE
+    assert outcome.status == FAILURE
     assert outcome.invocations == 2
     assert outcome.result.severity(Degradation.NOISE) is Severity.HIGH
     assert set(outcome.result.tasks_in_history()) == {TaskKind.DENOISING}
@@ -89,7 +90,7 @@ def test_strict_policy_rejects_partial():
     outcome = execute_subtask(
         TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), Severity.VERY_LOW, Stream(0)
     )
-    assert outcome.status is Status.FAILURE
+    assert outcome.status == FAILURE
 
 
 def test_no_reflection_accepts_first_result():
@@ -101,7 +102,7 @@ def test_no_reflection_accepts_first_result():
         TaskKind.DENOISING, NOISE_HIGH, tools, PerfectOracle(), ACCEPT, Stream(0),
         use_reflection=False,
     )
-    assert outcome.status is Status.SUCCESS
+    assert outcome.status == SUCCESS
     assert outcome.invocations == 1
     # the failing tool ran first and its unimproved output was kept
     assert outcome.result.severity(Degradation.NOISE) is Severity.HIGH
