@@ -10,7 +10,14 @@ from pathlib import Path
 
 import click
 
-from .core import Severity, TaskKind, builtin_combinations, degradations_named, member_of
+from .core import (
+    Severity,
+    TaskKind,
+    builtin_combinations,
+    check_keys,
+    degradations_named,
+    member_of,
+)
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, MissingTools, explore
 from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
@@ -123,6 +130,8 @@ def cmd_explore(config_path: Path, out_path: Path):
 def _explore_config(path: Path) -> tuple:
     """(environment, ExplorationConfig, evaluator) of an ``explore`` config."""
     config = _json_object(path)
+    check_keys(config, ("environment", "combinations", "samples_per_combination",
+                        "trials_per_sample", "success_threshold", "seed", "evaluator"))
     env_spec = config.get("environment", "reference-tabular")
     if env_spec == "reference-tabular":
         env = reference_tabular_env()
@@ -222,8 +231,8 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
 def _environment_config(path: Path) -> tuple:
     """(environment, evaluator model) of a ``run`` config."""
     config = _json_object(path)
-    env = env_from_dict(config)
     evaluator_model = config.get("evaluator")
+    env = env_from_dict({key: value for key, value in config.items() if key != "evaluator"})
     evaluator_from_model(evaluator_model)  # validates the model before any run
     return env, evaluator_model
 

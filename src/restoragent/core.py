@@ -67,6 +67,22 @@ def check_probability(name: str, p, *args) -> None:
         raise ValueError(f"{name % args} out of range: {p}")
 
 
+def check_keys(data, allowed, where: str = "", *args) -> None:
+    """Raises unless ``data`` is a JSON object whose keys are all in
+    ``allowed``: a misspelt optional key is an error, not its default.  The
+    error text names the object as ``where % args``, formatted only on a
+    raise, or not at all if ``where`` is empty."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{_where(where, args)}expected a JSON object, not {data!r}")
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{_where(where, args)}unknown key {key!r}")
+
+
+def _where(where: str, args: tuple) -> str:
+    return f"{where % args}: " if where else ""
+
+
 class Degradation(enum.Enum):
     LOW_RESOLUTION = "low resolution"
     NOISE = "noise"

@@ -21,6 +21,7 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
+    check_keys,
     check_probability,
     member_of,
 )
@@ -267,6 +268,19 @@ class Environment:
             raise UnknownTool(tool_id) from None
 
 
+def tabular_fail_prob(env: Environment, state: DegradationProfile, tool: ToolSpec) -> float:
+    """The probability that ``tool`` fails on ``state`` in a tabular env."""
+    # The mixture: what is still present plus what the history addressed.
+    hist = state.tasks_in_history()
+    combo = state.present().union(map(DEGRADATION_FOR.__getitem__, hist))
+    if tool.task in hist:
+        # Retry of an already-attempted task: same position as before.
+        prefix = hist[: hist.index(tool.task) + 1]
+    else:
+        prefix = hist + (tool.task,)
+    return env.calibration.fail_prob(combo, prefix)
+
+
 def apply_tool(
     env: Environment,
     state: DegradationProfile,
@@ -278,15 +292,7 @@ def apply_tool(
     target = DEGRADATION_FOR[tool.task]
 
     if env.mode == "tabular":
-        # The mixture: what is still present plus what the history addressed.
-        hist = state.tasks_in_history()
-        combo = state.present().union(map(DEGRADATION_FOR.__getitem__, hist))
-        if tool.task in hist:
-            # Retry of an already-attempted task: same position as before.
-            prefix = hist[: hist.index(tool.task) + 1]
-        else:
-            prefix = hist + (tool.task,)
-        p_fail = env.calibration.fail_prob(combo, prefix)
+        p_fail = tabular_fail_prob(env, state, tool)
         if rng.random() >= p_fail:
             state = state.with_severity(target, VERY_LOW)
         return state.with_history_entry(tool.task, tool.id)
@@ -360,15 +366,18 @@ def _condition_to_dict(condition) -> dict:
     return {"kind": "task-in-history", "task": TASK_VALUE[condition.task]}
 
 
-def _condition_from_dict(data: dict):
-    if data["kind"] == "degradation-present":
+def _condition_from_dict(data: dict, rule: int):
+    kind = data["kind"]
+    if kind == "degradation-present":
+        check_keys(data, ("kind", "degradation", "min_severity"), "rules[%d].condition", rule)
         return DegradationPresent(
             member_of(Degradation, data["degradation"]),
             Severity.from_label(data.get("min_severity", "medium")),
         )
-    if data["kind"] == "task-in-history":
+    if kind == "task-in-history":
+        check_keys(data, ("kind", "task"), "rules[%d].condition", rule)
         return TaskInHistory(member_of(TaskKind, data["task"]))
-    raise ValueError(f"unknown condition kind: {data['kind']!r}")
+    raise ValueError(f"rules[{rule}].condition: unknown condition kind: {kind!r}")
 
 
 def _effect_to_dict(effect) -> dict:
@@ -382,14 +391,17 @@ def _effect_to_dict(effect) -> dict:
     }
 
 
-def _effect_from_dict(data: dict):
-    if data["kind"] == "fail-boost":
+def _effect_from_dict(data: dict, rule: int):
+    kind = data["kind"]
+    if kind == "fail-boost":
+        check_keys(data, ("kind", "delta"), "rules[%d].effect", rule)
         return FailBoost(data["delta"])
-    if data["kind"] == "side-effect":
+    if kind == "side-effect":
+        check_keys(data, ("kind", "degradation", "levels", "p"), "rules[%d].effect", rule)
         return SideEffect(
             member_of(Degradation, data["degradation"]), data.get("levels", 1), data.get("p", 1.0)
         )
-    raise ValueError(f"unknown effect kind: {data['kind']!r}")
+    raise ValueError(f"rules[{rule}].effect: unknown effect kind: {kind!r}")
 
 
 def env_to_dict(env: Environment) -> dict:
@@ -418,24 +430,26 @@ def env_to_dict(env: Environment) -> dict:
 
 
 def env_from_dict(data: dict) -> Environment:
-    tools = [
-        ToolSpec(
-            t["id"],
-            member_of(TaskKind, t["task"]),
-            t["outcome"]["full"],
-            t["outcome"]["partial"],
-            t["outcome"]["none"],
-        )
-        for t in data.get("tools", [])
-    ]
-    rules = [
-        InteractionRule(
+    """The environment a config describes; a key it does not read is a
+    ValueError, except the legacy top-level ``seed``, which is ignored."""
+    check_keys(data, ("mode", "tools", "rules", "calibration", "seed"))
+    tools = []
+    for i, t in enumerate(data.get("tools", [])):
+        check_keys(t, ("id", "task", "outcome"), "tools[%d]", i)
+        outcome = t["outcome"]
+        check_keys(outcome, ("full", "partial", "none"), "tools[%d].outcome", i)
+        tools.append(ToolSpec(
+            t["id"], member_of(TaskKind, t["task"]),
+            outcome["full"], outcome["partial"], outcome["none"],
+        ))
+    rules = []
+    for i, r in enumerate(data.get("rules", [])):
+        check_keys(r, ("task", "condition", "effect"), "rules[%d]", i)
+        rules.append(InteractionRule(
             member_of(TaskKind, r["task"]),
-            _condition_from_dict(r["condition"]),
-            _effect_from_dict(r["effect"]),
-        )
-        for r in data.get("rules", [])
-    ]
+            _condition_from_dict(r["condition"], i),
+            _effect_from_dict(r["effect"], i),
+        ))
     calibration = None
     if "calibration" in data:
         calibration = calibration_from_dict(data["calibration"])
@@ -455,8 +469,12 @@ def calibration_to_dict(calibration: TabularCalibration) -> dict:
 
 
 def calibration_from_dict(data: dict) -> TabularCalibration:
+    """A row's legacy ``stated_total_pct`` is ignored; any other key the
+    calibration does not read is a ValueError."""
+    check_keys(data, ("orders",), "calibration")
     calibration = TabularCalibration()
-    for row in data.get("orders", []):
+    for i, row in enumerate(data.get("orders", [])):
+        check_keys(row, ("order", "fail", "stated_total_pct"), "calibration.orders[%d]", i)
         calibration.add(
             OrderStats(
                 tuple(member_of(TaskKind, t) for t in row["order"]),

@@ -8,7 +8,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .core import TASK_VALUE, Severity, combinations_in_group, initial_profile, task_for
-from .envsim import Environment, apply_tool
+from .envsim import Environment, apply_tool, tabular_fail_prob
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
 from .rng import Stream
@@ -40,6 +40,52 @@ class ExplorationConfig:
             raise ValueError("success_threshold must be VERY_LOW or LOW")
 
 
+class _Node:
+    """One state of a (sample, order)'s tree of tabular step outcomes."""
+
+    __slots__ = ("state", "p_fail", "children", "flags")
+
+    def __init__(self, state):
+        self.state = state
+        self.p_fail = {}  # tool id -> fail probability of that tool on state
+        self.children = {}  # (tool id, u >= p_fail) -> _Node
+        self.flags = None  # at a leaf: the per-task success flags of state
+
+    def child(self, env: Environment, tool, u: float) -> "_Node":
+        """The node ``tool`` reaches from this one when the step draws ``u``;
+        ``apply_tool`` builds it on the first visit, replaying ``u``."""
+        p_fail = self.p_fail.get(tool.id)
+        if p_fail is None:
+            p_fail = self.p_fail[tool.id] = tabular_fail_prob(env, self.state, tool)
+        edge = (tool.id, u >= p_fail)
+        child = self.children.get(edge)
+        if child is None:
+            child = self.children[edge] = _Node(apply_tool(env, self.state, tool, _Replay(u)))
+        return child
+
+
+class _Replay:
+    """A trial's one draw for a tabular step, replayed into ``apply_tool``;
+    a second draw raises, so the tree cannot drift from the step it caches."""
+
+    __slots__ = ("u",)
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        u, self.u = self.u, None
+        if u is None:
+            raise RuntimeError("a tabular step drew more than once")
+        return u
+
+
+def _pick(tools: list, rng):
+    """A uniform choice among a step's tools; integers(1) consumes no draw,
+    so a task with one tool skips it and keeps the stream."""
+    return tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
+
+
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:
     """Run every permutation of every combination straight through.
 
@@ -48,6 +94,17 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     choice is uniform per step; per-task success is judged on the final
     profile.  A combination's key and flag tasks and an order's tool lists
     are built once, not per trial.
+
+    Trial ``ti`` of order ``pi`` of sample ``si`` of combination ``ci``
+    always draws from ``Stream(seed, "explore", ci, si, pi).child(ti)``.  On
+    a tabular env judged by a ``PerfectOracle`` (that exact type, which
+    draws nothing) a step's result depends only on its state, its tool and
+    whether its draw ``u`` reaches the fail probability.  So each (sample,
+    order) keeps a tree of the states its trials reached: a trial takes the
+    same draws, walks the tree by ``(tool id, u >= p_fail)`` and copies the
+    flags cached at its leaf.  ``apply_tool`` builds each state once, from
+    the trial that first reaches it; any other env or evaluator applies
+    every step of every trial.
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
@@ -55,6 +112,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         for task in map(task_for, combo.degradations):
             if not env.tools_for(task):
                 raise MissingTools(f"no tools for {task.value!r}")
+    memo = env.mode == "tabular" and type(evaluator) is PerfectOracle
     threshold = config.success_threshold
     trials = []
     for ci, combo in enumerate(config.combinations):
@@ -66,19 +124,31 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
             (order, [env.tools_for(task) for task in order])
             for order in itertools.permutations(tasks)
         ]
+
+        def judge(state, rng):
+            severities = evaluator.assess(state, degradations, rng)
+            return {task: s <= threshold for task, s in zip(flag_tasks, severities)}
+
         for si in range(config.samples_per_combination):
             base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
                 per_order = Stream(config.seed, "explore", ci, si, pi)
+                root = _Node(base.copy()) if memo else None
                 for ti in range(config.trials_per_sample):
                     rng = per_order.child(ti)
-                    state = base.copy()
-                    for tools in tool_lists:
-                        # integers(1) consumes no draw, so skipping it keeps the stream.
-                        tool = tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
-                        state = apply_tool(env, state, tool, rng)
-                    severities = evaluator.assess(state, degradations, rng)
-                    flags = {task: s <= threshold for task, s in zip(flag_tasks, severities)}
+                    if memo:
+                        node = root
+                        for tools in tool_lists:
+                            tool = _pick(tools, rng)
+                            node = node.child(env, tool, rng.random())
+                        if node.flags is None:
+                            node.flags = judge(node.state, rng)
+                        flags = dict(node.flags)
+                    else:
+                        state = base.copy()
+                        for tools in tool_lists:
+                            state = apply_tool(env, state, _pick(tools, rng), rng)
+                        flags = judge(state, rng)
                     trials.append((key, order, flags))
     return trials
 

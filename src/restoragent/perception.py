@@ -16,6 +16,7 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
+    check_keys,
     check_probability,
     member_of,
 )
@@ -61,8 +62,7 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
-        if not isinstance(data, dict):
-            raise ValueError(f"a noise model must be a JSON object, not {data!r}")
+        check_keys(data, ("p_miss", "p_false"), "evaluator")
         tables = []
         for key in ("p_miss", "p_false"):
             table = data.get(key, {})

@@ -57,6 +57,10 @@ def _tabular(keys, value):
     return _edited(env_to_dict(reference_tabular_env()), keys, value)
 
 
+def _mechanistic(keys, value):
+    return _edited(env_to_dict(default_mechanistic_env(0)), keys, value)
+
+
 CALIBRATION = env_to_dict(reference_tabular_env())["calibration"]
 MECHANISTIC_TOOLS = env_to_dict(default_mechanistic_env(0))["tools"]  # one or more per task
 RULE = {"task": "denoising", "condition": {"kind": "task-in-history", "task": "deraining"},
@@ -402,6 +406,49 @@ def test_config_edge_cases_exit_without_traceback(
     if exit_code:
         assert "error: bad" in result.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        pytest.param("run", _mechanistic(["rule"], [RULE]), "rule", id="run-top-level"),
+        pytest.param("run", _mechanistic(["tools", 0, "weight"], 2), "weight", id="run-tool"),
+        pytest.param("run", _mechanistic(["tools", 0, "outcome", "ful"], 1.0), "ful",
+                     id="run-outcome"),
+        pytest.param("run", _mechanistic(["rules", 0, "when"], "always"), "when", id="run-rule"),
+        pytest.param("run", _mechanistic(["rules", 0, "condition", "min_severty"], "high"),
+                     "min_severty", id="run-degradation-present-condition"),
+        pytest.param("run", _mechanistic(["rules", 1, "condition", "degradation"], "rain"),
+                     "degradation", id="run-task-in-history-condition"),
+        pytest.param("run", _mechanistic(["rules", 0, "effect", "p"], 0.5), "p",
+                     id="run-fail-boost-effect"),
+        pytest.param("run", _mechanistic(["rules", 2, "effect", "level"], 2), "level",
+                     id="run-side-effect-effect"),
+        pytest.param("run", _tabular(["calibration", "order"], []), "order",
+                     id="run-calibration"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fails"], {}), "fails",
+                     id="run-calibration-row"),
+        pytest.param("run", {**env_to_dict(reference_tabular_env()),
+                             "evaluator": {"p_mis": {"rain": 0.1}}}, "p_mis",
+                     id="run-evaluator"),
+        pytest.param("explore", {"trials_per_sampel": 3}, "trials_per_sampel",
+                     id="explore-top-level"),
+        pytest.param("explore", {"environment": _tabular(["evaluator"], {})}, "evaluator",
+                     id="explore-environment"),
+        pytest.param("explore", {"evaluator": {"p_fals": {}}}, "p_fals", id="explore-evaluator"),
+    ],
+)
+def test_an_unknown_config_key_is_a_user_error(runner, tmp_path, command, config, key):
+    """A misspelt optional key would otherwise load as its default."""
+    path = _write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert not isinstance(result.exception, Exception), result.exception
+    assert result.exit_code == 1, result.output
+    what = "environment" if command == "run" else "explore"
+    assert f"error: bad {what} config {path}: " in result.output
+    assert result.output.rstrip().endswith(f"unknown key '{key}'"), result.output
+    assert not out.exists()
 
 
 def test_run_lets_an_error_in_the_planner_propagate(runner, tmp_path, env_config, monkeypatch):

@@ -276,7 +276,7 @@ def test_an_env_config_holds_only_what_its_mode_reads():
     # What env_to_dict wrote for a tabular env before it left tools out.
     assert env_from_dict({**env_to_dict(tab), "tools": []}) == tab
 
-    # Keys no simulator reads are ignored, whatever they hold.
+    # The legacy keys no simulator reads are ignored, whatever they hold.
     with_old_keys = env_to_dict(tab)
     with_old_keys["seed"] = 7
     for row in with_old_keys["calibration"]["orders"]:

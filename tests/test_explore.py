@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from restoragent import explore as explore_module
 from restoragent.core import (
     Degradation,
     DegradationCombination,
@@ -16,8 +17,11 @@ from restoragent.envsim import (
     Environment,
     FailBoost,
     InteractionRule,
+    OrderStats,
+    TabularCalibration,
     TaskInHistory,
     ToolSpec,
+    reference_tabular_env,
 )
 from restoragent.explore import (
     ExplorationConfig,
@@ -25,6 +29,7 @@ from restoragent.explore import (
     explore,
     explore_and_build_kb,
 )
+from restoragent.perception import PerfectOracle
 
 D = Degradation
 T = TaskKind
@@ -135,3 +140,103 @@ def test_explore_digest_does_not_depend_on_the_hash_seed(hash_seed):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the tree of tabular step outcomes --------------------------------------
+
+RAIN_NOISE_LOWRES = DegradationCombination("C", (D.RAIN, D.NOISE, D.LOW_RESOLUTION))
+
+
+def tabular_env(rows) -> Environment:
+    calibration = TabularCalibration()
+    for order, fail in rows:
+        calibration.add(OrderStats(order, fail))
+    return Environment("tabular", calibration=calibration)
+
+
+def three_task_env() -> Environment:
+    """Certain and impossible steps, and orders whose prefix matches no row,
+    so that their rates fall back to the marginal across orders."""
+    return tabular_env([
+        ((T.DERAINING, T.DENOISING, T.SUPER_RESOLUTION),
+         {D.RAIN: 0.0, D.NOISE: 1.0, D.LOW_RESOLUTION: 0.3}),
+        ((T.DENOISING, T.DERAINING, T.SUPER_RESOLUTION),
+         {D.RAIN: 0.5, D.NOISE: 0.2, D.LOW_RESOLUTION: 1.0}),
+    ])
+
+
+def certain_env() -> Environment:
+    """Every step of every rain + haze order succeeds or fails for sure."""
+    return tabular_env([
+        ((T.DERAINING, T.DEHAZING), {D.RAIN: 0.0, D.HAZE: 1.0}),
+        ((T.DEHAZING, T.DERAINING), {D.RAIN: 1.0, D.HAZE: 0.0}),
+    ])
+
+
+class GeneralLoopOracle(PerfectOracle):
+    """The perfect oracle under another type, which explore does not
+    memoise: every trial applies every step."""
+
+
+@pytest.mark.parametrize("threshold", [Severity.VERY_LOW, Severity.LOW], ids=["very-low", "low"])
+@pytest.mark.parametrize(
+    "env, combinations",
+    [
+        pytest.param(reference_tabular_env(), combinations_in_group("A"), id="reference"),
+        pytest.param(three_task_env(), [RAIN_NOISE_LOWRES], id="three-task"),
+    ],
+)
+def test_the_tree_gives_the_trials_of_the_general_loop(env, combinations, threshold):
+    config = ExplorationConfig(combinations=combinations, samples_per_combination=2,
+                               trials_per_sample=40, success_threshold=threshold, seed=11)
+    memoised = explore(env, config, PerfectOracle())
+    general = explore(env, config, GeneralLoopOracle())
+    assert memoised == general
+    # Neither every flag true nor every flag false: both kinds of step occur.
+    assert len({ok for _, _, flags in memoised for ok in flags.values()}) == 2
+
+
+def _count_apply_tool(monkeypatch) -> list:
+    calls = []
+    original = explore_module.apply_tool
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(explore_module, "apply_tool", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 500])
+def test_each_state_is_built_once_whatever_the_trial_count(monkeypatch, trials):
+    calls = _count_apply_tool(monkeypatch)
+    config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=3,
+                               trials_per_sample=trials)
+    assert len(explore(certain_env(), config)) == 3 * 2 * trials
+    # Each (sample, order) tree is a single path of two steps.
+    assert len(calls) == 3 * 2 * 2
+    explore(certain_env(), config, GeneralLoopOracle())
+    assert len(calls) == 3 * 2 * 2 + 3 * 2 * 2 * trials
+
+
+def test_apply_tool_runs_at_most_once_per_edge_of_each_tree(monkeypatch):
+    calls = _count_apply_tool(monkeypatch)
+    config = ExplorationConfig(samples_per_combination=2, trials_per_sample=500)
+    explore(reference_tabular_env(), config)
+    # A two-step order's tree has 2 edges out of its root and 4 below them.
+    assert 0 < len(calls) <= 8 * 2 * 2 * (2 + 4)
+
+
+def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
+    original = explore_module.apply_tool
+
+    def draws_twice(env, state, tool, rng):
+        rng.random()
+        return original(env, state, tool, rng)
+
+    monkeypatch.setattr(explore_module, "apply_tool", draws_twice)
+    config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=1,
+                               trials_per_sample=1)
+    with pytest.raises(RuntimeError, match="drew more than once"):
+        explore(reference_tabular_env(), config)
