@@ -17,6 +17,7 @@ from .core import (
     check_keys,
     degradations_named,
     member_of,
+    read_field,
 )
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, MissingTools, explore
@@ -39,9 +40,9 @@ EXIT_INTERNAL_ERROR = 2
 
 #: What parsing a malformed file raises.  OSError covers a path that exists
 #: but cannot be read, such as a directory; JSONDecodeError and SchemaError
-#: are ValueErrors; AttributeError is a method called on a JSON value of the
-#: wrong type.
-BAD_INPUT = (OSError, KeyError, TypeError, ValueError, AttributeError)
+#: are ValueErrors.  A KeyError or AttributeError is a bug in a parser, since
+#: each reads its fields through ``read_field``, so it ends in a traceback.
+BAD_INPUT = (OSError, TypeError, ValueError)
 
 
 def _fail(message: str):
@@ -132,7 +133,7 @@ def _explore_config(path: Path) -> tuple:
     config = _json_object(path)
     check_keys(config, ("environment", "combinations", "samples_per_combination",
                         "trials_per_sample", "success_threshold", "seed", "evaluator"))
-    env_spec = config.get("environment", "reference-tabular")
+    env_spec = read_field(config, "environment", (str, dict), default="reference-tabular")
     if env_spec == "reference-tabular":
         env = reference_tabular_env()
     elif isinstance(env_spec, dict):
@@ -141,15 +142,18 @@ def _explore_config(path: Path) -> tuple:
         raise ValueError(f"unknown environment spec: {env_spec!r}")
     # Only the keys the config sets, so the defaults live in ExplorationConfig.
     settings = {
-        key: config[key]
+        key: read_field(config, key, int)
         for key in ("samples_per_combination", "trials_per_sample", "seed")
         if key in config
     }
     if "combinations" in config:
-        settings["combinations"] = parse_combinations(config["combinations"])
+        settings["combinations"] = parse_combinations(
+            read_field(config, "combinations", (str, list)))
     if "success_threshold" in config:
-        settings["success_threshold"] = Severity.from_label(config["success_threshold"])
-    return env, ExplorationConfig(**settings), evaluator_from_model(config.get("evaluator"))
+        settings["success_threshold"] = Severity.from_label(
+            read_field(config, "success_threshold", str))
+    evaluator = read_field(config, "evaluator", (dict, type(None)), default=None)
+    return env, ExplorationConfig(**settings), evaluator_from_model(evaluator)
 
 
 @main.command("summarize")
@@ -172,21 +176,25 @@ def cmd_summarize(tuples_path: Path, out_path: Path):
 
 
 def _tuples_trials(path: Path) -> list:
-    """The (combination, order, flags) trials of a tuples file."""
+    """The (combination, order, flags) trials of a tuples file, one JSON
+    object per line; each flag must be a JSON true or false."""
     trials = []
     with path.open(encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             row = json.loads(line)
-            trials.append(
-                (
-                    frozenset(degradations_named(row["combination"])),
-                    tuple(member_of(TaskKind, t) for t in row["order"]),
-                    {member_of(TaskKind, t): bool(ok) for t, ok in row["flags"].items()},
-                )
-            )
+            check_keys(row, ("combination", "order", "flags"), "line %d", n)
+            combination = read_field(row, "combination", list, "line %d", n)
+            order = read_field(row, "order", list, "line %d", n)
+            flags = read_field(row, "flags", dict, "line %d", n)
+            trials.append((
+                frozenset(degradations_named(combination)),
+                tuple(member_of(TaskKind, t) for t in order),
+                {member_of(TaskKind, t): read_field(flags, t, bool, "line %d.flags", n)
+                 for t in flags},
+            ))
     return trials
 
 
@@ -231,7 +239,7 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
 def _environment_config(path: Path) -> tuple:
     """(environment, evaluator model) of a ``run`` config."""
     config = _json_object(path)
-    evaluator_model = config.get("evaluator")
+    evaluator_model = read_field(config, "evaluator", (dict, type(None)), default=None)
     env = env_from_dict({key: value for key, value in config.items() if key != "evaluator"})
     evaluator_from_model(evaluator_model)  # validates the model before any run
     return env, evaluator_model
@@ -334,11 +342,11 @@ def cmd_verify(report_path: Path, trace_dir: Path):
                     mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
                                       f"!= {in_tree} over its tree")
             traces[label] = combo_traces
-        except BAD_INPUT as exc:
+        except (*BAD_INPUT, KeyError, AttributeError) as exc:  # verify indexes traces directly
             mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
     try:
         rebuilt = report_cells(traces, group_of)
-    except BAD_INPUT as exc:
+    except (*BAD_INPUT, KeyError, AttributeError) as exc:
         mismatches.append(f"traces: malformed trace: {type(exc).__name__}: {exc}")
         rebuilt = {}
     for section, cells in rebuilt.items():

@@ -67,16 +67,42 @@ def check_probability(name: str, p, *args) -> None:
         raise ValueError(f"{name % args} out of range: {p}")
 
 
+class SchemaError(ValueError):
+    """An input file is malformed; the message names where."""
+
+
 def check_keys(data, allowed, where: str = "", *args) -> None:
     """Raises unless ``data`` is a JSON object whose keys are all in
     ``allowed``: a misspelt optional key is an error, not its default.  The
     error text names the object as ``where % args``, formatted only on a
     raise, or not at all if ``where`` is empty."""
     if not isinstance(data, dict):
-        raise ValueError(f"{_where(where, args)}expected a JSON object, not {data!r}")
+        raise SchemaError(f"{_where(where, args)}expected a JSON object, not {data!r}")
     for key in data:
         if key not in allowed:
-            raise ValueError(f"{_where(where, args)}unknown key {key!r}")
+            raise SchemaError(f"{_where(where, args)}unknown key {key!r}")
+
+
+_REQUIRED = object()
+_JSON_TYPE = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+              float: "a number", bool: "true or false", type(None): "null"}
+
+
+def read_field(data, key: str, types, where: str = "", *args, default=_REQUIRED):
+    """``data[key]``, checked to be one of the JSON ``types``: the one way a
+    parser reads a field.  A missing key without a ``default``, or a value of
+    another type, is a SchemaError naming ``where % args`` and ``key``,
+    formatted only on a raise.  True and false match only ``bool``."""
+    value = data.get(key, _REQUIRED)
+    if value is _REQUIRED and default is not _REQUIRED:
+        return default
+    if isinstance(value, types) and (value.__class__ is not bool or types is bool):
+        return value
+    path = f"{where % args}.{key}" if where else key
+    if value is _REQUIRED:
+        raise SchemaError(f"{path}: missing key")
+    names = " or ".join(map(_JSON_TYPE.get, types if isinstance(types, tuple) else (types,)))
+    raise SchemaError(f"{path}: expected {names}, not {value!r}")
 
 
 def _where(where: str, args: tuple) -> str:
@@ -132,7 +158,10 @@ def member_of(cls, value):
 
 
 def degradations_named(names) -> tuple:
-    """A combination's Degradations, in order; a repeated name is a ValueError."""
+    """A combination's Degradations, in order, from a non-empty JSON list of
+    names; anything else, or a repeated name, is a ValueError."""
+    if not names or not isinstance(names, list):
+        raise ValueError(f"combination {names!r} is not a non-empty list of degradation names")
     degradations = tuple(member_of(Degradation, n) for n in names)
     if len(set(degradations)) != len(degradations):
         raise ValueError(f"combination {names!r} repeats a degradation")
@@ -153,16 +182,6 @@ DEGRADATION_FOR = {t: d for d, t in TASK_FOR.items()}
 
 #: Canonical iteration order for the eight degradations.
 ALL_DEGRADATIONS = tuple(TASK_FOR)
-
-
-def task_for(degradation: Degradation) -> TaskKind:
-    """The unique restoration task addressing a degradation."""
-    return TASK_FOR[degradation]
-
-
-def degradation_for(task: TaskKind) -> Degradation:
-    """The unique degradation addressed by a restoration task."""
-    return DEGRADATION_FOR[task]
 
 
 @dataclass(slots=True)
@@ -229,7 +248,7 @@ class DegradationCombination:
 
     @property
     def tasks(self) -> frozenset:
-        return frozenset(task_for(d) for d in self.degradations)
+        return frozenset(TASK_FOR[d] for d in self.degradations)
 
     @property
     def key(self) -> frozenset:

@@ -24,6 +24,7 @@ from .core import (
     check_keys,
     check_probability,
     member_of,
+    read_field,
 )
 
 _PROB_TOL = 1e-9
@@ -367,16 +368,18 @@ def _condition_to_dict(condition) -> dict:
 
 
 def _condition_from_dict(data: dict, rule: int):
-    kind = data["kind"]
+    where = "rules[%d].condition"
+    kind = read_field(data, "kind", str, where, rule)
     if kind == "degradation-present":
-        check_keys(data, ("kind", "degradation", "min_severity"), "rules[%d].condition", rule)
+        check_keys(data, ("kind", "degradation", "min_severity"), where, rule)
         return DegradationPresent(
-            member_of(Degradation, data["degradation"]),
-            Severity.from_label(data.get("min_severity", "medium")),
+            member_of(Degradation, read_field(data, "degradation", str, where, rule)),
+            Severity.from_label(
+                read_field(data, "min_severity", str, where, rule, default="medium")),
         )
     if kind == "task-in-history":
-        check_keys(data, ("kind", "task"), "rules[%d].condition", rule)
-        return TaskInHistory(member_of(TaskKind, data["task"]))
+        check_keys(data, ("kind", "task"), where, rule)
+        return TaskInHistory(member_of(TaskKind, read_field(data, "task", str, where, rule)))
     raise ValueError(f"rules[{rule}].condition: unknown condition kind: {kind!r}")
 
 
@@ -392,14 +395,17 @@ def _effect_to_dict(effect) -> dict:
 
 
 def _effect_from_dict(data: dict, rule: int):
-    kind = data["kind"]
+    where = "rules[%d].effect"
+    kind = read_field(data, "kind", str, where, rule)
     if kind == "fail-boost":
-        check_keys(data, ("kind", "delta"), "rules[%d].effect", rule)
-        return FailBoost(data["delta"])
+        check_keys(data, ("kind", "delta"), where, rule)
+        return FailBoost(read_field(data, "delta", (int, float), where, rule))
     if kind == "side-effect":
-        check_keys(data, ("kind", "degradation", "levels", "p"), "rules[%d].effect", rule)
+        check_keys(data, ("kind", "degradation", "levels", "p"), where, rule)
         return SideEffect(
-            member_of(Degradation, data["degradation"]), data.get("levels", 1), data.get("p", 1.0)
+            member_of(Degradation, read_field(data, "degradation", str, where, rule)),
+            read_field(data, "levels", int, where, rule, default=1),
+            read_field(data, "p", (int, float), where, rule, default=1.0),
         )
     raise ValueError(f"rules[{rule}].effect: unknown effect kind: {kind!r}")
 
@@ -431,29 +437,32 @@ def env_to_dict(env: Environment) -> dict:
 
 def env_from_dict(data: dict) -> Environment:
     """The environment a config describes; a key it does not read is a
-    ValueError, except the legacy top-level ``seed``, which is ignored."""
+    SchemaError, except the legacy top-level ``seed``, which is ignored."""
     check_keys(data, ("mode", "tools", "rules", "calibration", "seed"))
+    outcomes = ("full", "partial", "none")
     tools = []
-    for i, t in enumerate(data.get("tools", [])):
+    for i, t in enumerate(read_field(data, "tools", list, default=())):
         check_keys(t, ("id", "task", "outcome"), "tools[%d]", i)
-        outcome = t["outcome"]
-        check_keys(outcome, ("full", "partial", "none"), "tools[%d].outcome", i)
+        outcome = read_field(t, "outcome", dict, "tools[%d]", i)
+        check_keys(outcome, outcomes, "tools[%d].outcome", i)
         tools.append(ToolSpec(
-            t["id"], member_of(TaskKind, t["task"]),
-            outcome["full"], outcome["partial"], outcome["none"],
+            read_field(t, "id", str, "tools[%d]", i),
+            member_of(TaskKind, read_field(t, "task", str, "tools[%d]", i)),
+            *[read_field(outcome, key, (int, float), "tools[%d].outcome", i) for key in outcomes],
         ))
     rules = []
-    for i, r in enumerate(data.get("rules", [])):
+    for i, r in enumerate(read_field(data, "rules", list, default=())):
         check_keys(r, ("task", "condition", "effect"), "rules[%d]", i)
         rules.append(InteractionRule(
-            member_of(TaskKind, r["task"]),
-            _condition_from_dict(r["condition"], i),
-            _effect_from_dict(r["effect"], i),
+            member_of(TaskKind, read_field(r, "task", str, "rules[%d]", i)),
+            _condition_from_dict(read_field(r, "condition", dict, "rules[%d]", i), i),
+            _effect_from_dict(read_field(r, "effect", dict, "rules[%d]", i), i),
         ))
-    calibration = None
-    if "calibration" in data:
-        calibration = calibration_from_dict(data["calibration"])
-    return Environment(data["mode"], tools, rules, calibration)
+    calibration = read_field(data, "calibration", dict, default=None)
+    return Environment(
+        read_field(data, "mode", str), tools, rules,
+        None if calibration is None else calibration_from_dict(calibration),
+    )
 
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
@@ -470,15 +479,16 @@ def calibration_to_dict(calibration: TabularCalibration) -> dict:
 
 def calibration_from_dict(data: dict) -> TabularCalibration:
     """A row's legacy ``stated_total_pct`` is ignored; any other key the
-    calibration does not read is a ValueError."""
+    calibration does not read is a SchemaError."""
     check_keys(data, ("orders",), "calibration")
     calibration = TabularCalibration()
-    for i, row in enumerate(data.get("orders", [])):
-        check_keys(row, ("order", "fail", "stated_total_pct"), "calibration.orders[%d]", i)
-        calibration.add(
-            OrderStats(
-                tuple(member_of(TaskKind, t) for t in row["order"]),
-                {member_of(Degradation, d): p for d, p in row["fail"].items()},
-            )
-        )
+    where = "calibration.orders[%d]"
+    for i, row in enumerate(read_field(data, "orders", list, "calibration", default=())):
+        check_keys(row, ("order", "fail", "stated_total_pct"), where, i)
+        order = read_field(row, "order", list, where, i)
+        fail = read_field(row, "fail", dict, where, i)
+        calibration.add(OrderStats(
+            tuple(member_of(TaskKind, t) for t in order),
+            {member_of(Degradation, d): p for d, p in fail.items()},
+        ))
     return calibration

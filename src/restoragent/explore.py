@@ -4,10 +4,9 @@ training combination, judged on the final profile."""
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 
-from .core import TASK_VALUE, Severity, combinations_in_group, initial_profile, task_for
+from .core import TASK_FOR, TASK_VALUE, Severity, combinations_in_group, initial_profile
 from .envsim import Environment, apply_tool, tabular_fail_prob
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
@@ -27,11 +26,6 @@ class ExplorationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("samples_per_combination", "trials_per_sample", "seed"):
-            value = getattr(self, name)
-            # A bool is an Integral, but JSON ``true`` is no count and no seed.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.samples_per_combination < 1:
             raise ValueError("samples_per_combination must be >= 1")
         if self.trials_per_sample < 1:
@@ -109,7 +103,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
         # In synthesis order: a set of tasks iterates in memory-address order.
-        for task in map(task_for, combo.degradations):
+        for task in map(TASK_FOR.__getitem__, combo.degradations):
             if not env.tools_for(task):
                 raise MissingTools(f"no tools for {task.value!r}")
     memo = env.mode == "tabular" and type(evaluator) is PerfectOracle
@@ -118,7 +112,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     for ci, combo in enumerate(config.combinations):
         key = combo.key
         degradations = combo.degradations
-        flag_tasks = [task_for(d) for d in degradations]
+        flag_tasks = [TASK_FOR[d] for d in degradations]
         tasks = sorted(combo.tasks, key=TASK_VALUE.__getitem__)
         orders = [
             (order, [env.tools_for(task) for task in order])

@@ -157,14 +157,5 @@ def parse_combinations(spec) -> list:
             return combinations_in_group(spec.split("-", 1)[1].upper())
         raise ValueError(f"unknown combination spec: {spec!r}")
     builtin = {c.key: c for c in builtin_combinations()}
-    combos = []
-    for names in spec:
-        degradations = degradations_named(names)
-        if not degradations:
-            raise ValueError("a combination names no degradation")
-        key = frozenset(degradations)
-        if key in builtin:
-            combos.append(builtin[key])
-        else:
-            combos.append(DegradationCombination("custom", degradations))
-    return combos
+    combos = [DegradationCombination("custom", degradations_named(names)) for names in spec]
+    return [builtin.get(c.key, c) for c in combos]

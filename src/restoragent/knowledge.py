@@ -11,13 +11,15 @@ from typing import NamedTuple
 
 from .core import (
     DEGRADATION_VALUE,
+    TASK_FOR,
     TASK_VALUE,
-    Degradation,
+    SchemaError,
     TaskKind,
+    check_keys,
     check_probability,
     degradations_named,
     member_of,
-    task_for,
+    read_field,
 )
 from .envsim import reference_calibration
 
@@ -29,13 +31,6 @@ _TIE_GUARD = 1e-12  # absorbs float noise in probability arithmetic
 class InconsistentTrial(ValueError):
     """A trial or record with an empty combination, an order that is not a
     permutation of its tasks, or flags or fail rates that name other tasks."""
-
-
-class SchemaError(ValueError):
-    """A persisted knowledge-base document is malformed."""
-
-    def __init__(self, field_path: str, message: str):
-        super().__init__(f"{field_path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def _check_shape(combination: frozenset, order: tuple, task_keys: dict) -> froze
     rates) to name exactly them; else an InconsistentTrial."""
     if not combination:
         raise InconsistentTrial("empty combination")
-    tasks = frozenset(task_for(d) for d in combination)
+    tasks = frozenset(TASK_FOR[d] for d in combination)
     if len(order) != len(tasks) or frozenset(order) != tasks:
         raise _mismatch(order, combination)
     if task_keys.keys() != tasks:
@@ -201,7 +196,7 @@ def reference_records() -> list:
         calibration.entries, key=lambda k: sorted(d.value for d in k)
     ):
         for stats in calibration.entries[combination]:
-            per_task = {task_for(d): p for d, p in stats.fail.items()}
+            per_task = {TASK_FOR[d]: p for d, p in stats.fail.items()}
             total = sum(per_task.values()) / len(per_task)
             records.append(
                 ExperienceRecord(frozenset(combination), stats.order, per_task, total, 100)
@@ -226,21 +221,20 @@ def render_experience_text(records) -> str:
         by_combo.setdefault(record.combination, []).append(record)
     lines = []
     for combination in sorted(by_combo, key=lambda k: sorted(d.value for d in k)):
-        degradations = sorted(d.value for d in combination)
+        degradations = sorted(combination, key=DEGRADATION_VALUE.__getitem__)
+        names = [DEGRADATION_VALUE[d] for d in degradations]
         parts = []
         for record in by_combo[combination]:
             order_text = " and then ".join(t.value for t in record.order)
-            rates = [
-                f"'{display_percent(record.per_task_fail[task_for(member_of(Degradation, d))])}%'"
-                for d in degradations
-            ]
+            rates = [f"'{display_percent(record.per_task_fail[TASK_FOR[d]])}%'"
+                     for d in degradations]
             parts.append(
                 f"when conducting first {order_text}, the fail rates of addressing "
-                f"{degradations} are [{', '.join(rates)}] respectively, and the total "
+                f"{names} are [{', '.join(rates)}] respectively, and the total "
                 f"fail rate is {display_percent(record.total_fail)}%"
             )
         lines.append(
-            f"To address {'+'.join(degradations)} in the image, " + "; ".join(parts) + "."
+            f"To address {'+'.join(names)} in the image, " + "; ".join(parts) + "."
         )
     return "\n".join(lines)
 
@@ -276,77 +270,80 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
     }
 
 
-def kb_from_dict(data: dict) -> KnowledgeBase:
-    if not isinstance(data, dict):
-        raise SchemaError("$", "document is not a JSON object")
-    if data.get("version") != KB_VERSION:
-        raise SchemaError("$.version", f"expected {KB_VERSION}, got {data.get('version')!r}")
-    records = _rows(data, "records", _record_from_dict)
-    rules = _rows(data, "rules", _rule_from_dict)
-    return KnowledgeBase(records, rules, _expect(data, "provenance", str) if "provenance" in data else "")
-
-
-def _rows(data: dict, key: str, parse) -> list:
-    """``parse(row, path)`` over the list at ``data[key]``; an error in a
-    row becomes a SchemaError naming that row."""
-    rows = []
-    for i, row in enumerate(_expect(data, key, list)):
-        path = f"{key}[{i}]"
-        try:
-            rows.append(parse(row, path))
-        except SchemaError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(path, str(exc)) from None
-    return rows
+def kb_from_dict(data) -> KnowledgeBase:
+    """The knowledge base a document holds; a key nothing reads, or a second
+    record for one (combination, order), is a SchemaError."""
+    check_keys(data, ("version", "records", "rules", "provenance"))
+    version = read_field(data, "version", int)
+    if version != KB_VERSION:
+        raise SchemaError(f"version: expected {KB_VERSION}, not {version!r}")
+    records = [_record_from_dict(row, f"records[{i}]")
+               for i, row in enumerate(read_field(data, "records", list))]
+    first = {}
+    for i, record in enumerate(records):
+        j = first.setdefault((record.combination, record.order), i)
+        if j != i:
+            raise SchemaError(f"records[{i}]: repeats the combination and order of records[{j}]")
+    rules = [_rule_from_dict(row, f"rules[{i}]")
+             for i, row in enumerate(read_field(data, "rules", list))]
+    return KnowledgeBase(records, rules, read_field(data, "provenance", str, default=""))
 
 
 def _record_from_dict(row, path: str) -> ExperienceRecord:
-    rates = _expect(row, "per_task_fail", dict, path)
-    for task, p in rates.items():
-        check_probability(f"per_task_fail[{task!r}]", p)
-    n_trials = _expect(row, "n_trials", int, path)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
-    record = ExperienceRecord(
-        frozenset(degradations_named(_expect(row, "combination", list, path))),
-        tuple(member_of(TaskKind, t) for t in _expect(row, "order", list, path)),
-        {member_of(TaskKind, t): float(p) for t, p in rates.items()},
-        float(_expect(row, "total_fail", (int, float), path)),
-        n_trials,
-    )
-    _check_shape(record.combination, record.order, record.per_task_fail)
-    if not abs(record.total_fail - sum(record.per_task_fail.values()) / len(rates)) <= 1e-9:
-        raise ValueError(f"total_fail {record.total_fail} is not the mean of per_task_fail")
+    """The record of the KB row at ``path``; each error names ``path``."""
+    check_keys(row, ("combination", "order", "per_task_fail", "total_fail", "n_trials"), path)
+    combination = read_field(row, "combination", list, path)
+    order = read_field(row, "order", list, path)
+    rates = read_field(row, "per_task_fail", dict, path)
+    total_fail = read_field(row, "total_fail", (int, float), path)
+    n_trials = read_field(row, "n_trials", int, path)
+    try:
+        for task, p in rates.items():
+            check_probability("per_task_fail[%r]", p, task)
+        if n_trials < 1:
+            raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
+        record = ExperienceRecord(
+            frozenset(degradations_named(combination)),
+            tuple(member_of(TaskKind, t) for t in order),
+            {member_of(TaskKind, t): float(p) for t, p in rates.items()},
+            float(total_fail),
+            n_trials,
+        )
+        _check_shape(record.combination, record.order, record.per_task_fail)
+        if not abs(record.total_fail - sum(record.per_task_fail.values()) / len(rates)) <= 1e-9:
+            raise ValueError(f"total_fail {record.total_fail} is not the mean of per_task_fail")
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return record
 
 
 def _rule_from_dict(row, path: str) -> PrecedenceRule:
-    rule = PrecedenceRule(
-        member_of(TaskKind, _expect(row, "before", str, path)),
-        member_of(TaskKind, _expect(row, "after", str, path)),
-        float(_expect(row, "margin", (int, float), path)),
-        _expect(row, "indifferent", bool, path) if "indifferent" in row else False,
-        tuple(frozenset(degradations_named(combo)) for combo in row.get("support", [])),
-    )
-    if rule.before == rule.after or (rule.indifferent and rule.margin):
-        raise ValueError(f"{rule.before.value!r} before {rule.after.value!r} with margin {rule.margin}: "
-                         "a rule needs two tasks, and margin 0 if indifferent")
-    for combo in rule.support:
-        if not {rule.before, rule.after} <= {task_for(d) for d in combo}:
-            raise ValueError(f"support {sorted(DEGRADATION_VALUE[d] for d in combo)} lacks the degradation "
-                             f"of {rule.before.value!r} or {rule.after.value!r}")
+    """The rule of the KB row at ``path``; each error names ``path``."""
+    check_keys(row, ("before", "after", "margin", "indifferent", "support"), path)
+    before = read_field(row, "before", str, path)
+    after = read_field(row, "after", str, path)
+    margin = read_field(row, "margin", (int, float), path)
+    indifferent = read_field(row, "indifferent", bool, path, default=False)
+    support = read_field(row, "support", list, path, default=[])
+    try:
+        rule = PrecedenceRule(
+            member_of(TaskKind, before),
+            member_of(TaskKind, after),
+            float(margin),
+            indifferent,
+            tuple(frozenset(degradations_named(combo)) for combo in support),
+        )
+        if rule.before == rule.after or (rule.indifferent and rule.margin):
+            raise ValueError(f"{before!r} before {after!r} with margin {rule.margin}: "
+                             "a rule needs two tasks, and margin 0 if indifferent")
+        for combo in rule.support:
+            if not {rule.before, rule.after} <= {TASK_FOR[d] for d in combo}:
+                names = sorted(DEGRADATION_VALUE[d] for d in combo)
+                raise ValueError(
+                    f"support {names} lacks the degradation of {before!r} or {after!r}")
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return rule
-
-
-def _expect(container, key, types, parent="$"):
-    if not isinstance(container, dict) or key not in container:
-        raise SchemaError(f"{parent}.{key}", "missing field")
-    value = container[key]
-    # A JSON bool is a Python int, but it is a number nowhere in a KB.
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise SchemaError(f"{parent}.{key}", f"expected {types}, got {type(value).__name__}")
-    return value
 
 
 def save_kb(kb: KnowledgeBase, path):
@@ -360,5 +357,5 @@ def load_kb(path) -> KnowledgeBase:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from None
+            raise SchemaError(f"invalid JSON: {exc}") from None
     return kb_from_dict(data)

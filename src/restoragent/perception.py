@@ -19,6 +19,7 @@ from .core import (
     check_keys,
     check_probability,
     member_of,
+    read_field,
 )
 
 
@@ -63,13 +64,11 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
         check_keys(data, ("p_miss", "p_false"), "evaluator")
-        tables = []
-        for key in ("p_miss", "p_false"):
-            table = data.get(key, {})
-            if not isinstance(table, dict):
-                raise ValueError(f"{key} must map degradation names to numbers, not {table!r}")
-            tables.append({member_of(Degradation, d): p for d, p in table.items()})
-        return cls(*tables)
+        return cls(*[
+            {member_of(Degradation, d): p
+             for d, p in read_field(data, key, dict, "evaluator", default={}).items()}
+            for key in ("p_miss", "p_false")
+        ])
 
 
 class NoisyOracle:

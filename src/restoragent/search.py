@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import LOW, TASK_VALUE, DegradationProfile, Severity, degradation_for
+from .core import DEGRADATION_FOR, LOW, TASK_VALUE, DegradationProfile, Severity
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
     SUCCESS,
@@ -239,7 +239,7 @@ def _attempt_order(state, order, env, accept_candidate, rng):
     task = order[0]
     for tool in env.tools_for(task):
         result = apply_tool(env, state, tool, rng)
-        if result.severity(degradation_for(task)) <= accept_candidate:
+        if result.severity(DEGRADATION_FOR[task]) <= accept_candidate:
             if _attempt_order(result, order[1:], env, accept_candidate, rng):
                 return True
     return False

@@ -10,14 +10,14 @@ import pytest
 
 import conftest
 from restoragent.core import (
+    DEGRADATION_FOR,
+    TASK_FOR,
     Degradation,
     DegradationProfile,
     Severity,
     TaskKind,
     builtin_combinations,
     combinations_in_group,
-    degradation_for,
-    task_for,
 )
 from restoragent.envsim import (
     DegradationPresent,
@@ -99,7 +99,7 @@ def test_criterion_1_calibration_fidelity():
             s for s in calibration.entries[record.combination] if s.order == record.order
         )
         for degradation, p in stats.fail.items():
-            emp = record.per_task_fail[task_for(degradation)]
+            emp = record.per_task_fail[TASK_FOR[degradation]]
             sigma = math.sqrt(p * (1 - p) / record.n_trials)
             if abs(emp - p) > 3 * sigma:
                 rate_errors.append(
@@ -154,7 +154,7 @@ def test_criterion_2_rule_fidelity():
         by_combo.setdefault(record.combination, []).append(record)
     for combination, records in by_combo.items():
         preferred = min(records, key=lambda r: r.total_fail).order
-        agenda = {task_for(d) for d in combination}
+        agenda = {TASK_FOR[d] for d in combination}
         planned = scheduler.schedule(agenda)
         if set(preferred) != set(planned):
             order_errors.append(f"{combination}: bad task set")
@@ -200,11 +200,11 @@ def _random_deterministic_case(rnd: pyrandom.Random):
             condition = TaskInHistory(rnd.choice(agenda))
         else:
             condition = DegradationPresent(
-                degradation_for(rnd.choice(agenda)), Severity.MEDIUM
+                DEGRADATION_FOR[rnd.choice(agenda)], Severity.MEDIUM
             )
         rules.append(InteractionRule(task, condition, FailBoost(1.0)))
     env = Environment("mechanistic", tools, rules)
-    profile = DegradationProfile({degradation_for(t): Severity.HIGH for t in agenda})
+    profile = DegradationProfile({DEGRADATION_FOR[t]: Severity.HIGH for t in agenda})
     return env, profile, frozenset(agenda)
 
 
@@ -385,7 +385,7 @@ def test_criterion_7_determinism_and_purity(tmp_path):
             {d: Severity.HIGH for d in rnd.sample(degradations, rnd.randint(1, 3))}
         )
         snapshot = DegradationProfile(dict(profile.severities))
-        plan = deps.scheduler.schedule({task_for(d) for d in profile.present()})
+        plan = deps.scheduler.schedule({TASK_FOR[d] for d in profile.present()})
         dfs(profile, plan, deps, Stream(1000 + i))
         if profile != snapshot:
             errors.append(f"dfs mutated its input at iteration {i}")

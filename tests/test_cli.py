@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from restoragent import cli
+from restoragent import cli, knowledge
 from restoragent.cli import main
 from restoragent.core import Degradation, TaskKind, builtin_combinations, combinations_in_group
 from restoragent.envsim import (
@@ -62,6 +62,9 @@ def _mechanistic(keys, value):
 
 
 CALIBRATION = env_to_dict(reference_tabular_env())["calibration"]
+KB_RECORDS = kb_to_dict(reference_kb())["records"]  # records[4] is deraining -> dehazing
+TUPLE = {"combination": ["rain", "haze"], "order": ["deraining", "dehazing"],
+         "flags": {"deraining": True, "dehazing": True}}
 MECHANISTIC_TOOLS = env_to_dict(default_mechanistic_env(0))["tools"]  # one or more per task
 RULE = {"task": "denoising", "condition": {"kind": "task-in-history", "task": "deraining"},
         "effect": {"kind": "fail-boost", "delta": 0.5}}
@@ -378,6 +381,19 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
         pytest.param("run --kb", _kb(["provenance"], 5), 1, id="run-kb-provenance-not-a-string"),
         pytest.param("run --kb", _kb(["version"], 99), 1, id="run-kb-unknown-version"),
         pytest.param("run --kb", _kb(["version"], DELETE), 1, id="run-kb-without-version"),
+        pytest.param("run --kb", _kb(["version"], True), 1, id="run-kb-version-a-bool"),
+        pytest.param("run --kb", _kb(["records"], [*KB_RECORDS, KB_RECORDS[4]]), 1,
+                     id="run-kb-record-given-twice"),
+        pytest.param("summarize", [_edited(TUPLE, ["flags", "deraining"], "false")], 1,
+                     id="summarize-flag-a-string"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "order"],
+                                     dict.fromkeys(CALIBRATION["orders"][0]["order"], 1)), 1,
+                     id="run-calibration-order-an-object"),
+        pytest.param("run", _mechanistic(["tools", 0, "id"], 5), 1, id="run-tool-id-not-a-string"),
+        pytest.param("run", _mechanistic(["rules", 2, "effect", "levels"], True), 1,
+                     id="run-side-effect-levels-a-bool"),
+        pytest.param("explore", {"combinations": [{"rain": 1, "haze": 2}]}, 1,
+                     id="explore-combination-an-object"),
     ],
 )
 def test_config_edge_cases_exit_without_traceback(
@@ -385,27 +401,35 @@ def test_config_edge_cases_exit_without_traceback(
 ):
     """``config`` is the file under test: the JSON config of ``run`` and
     ``explore``, the rows of a ``summarize`` tuples file, or a ``--kb`` file."""
-    out = tmp_path / "out"
     if command == "explore":
         config = {"samples_per_combination": 1, "trials_per_sample": 1, **config}
-    if command == "summarize":
-        path = tmp_path / "tuples.jsonl"
-        path.write_text("".join(json.dumps(row) + "\n" for row in config), encoding="utf-8")
-        args = ["summarize", "--tuples", str(path)]
-    elif command == "run --kb":
-        kb = _write_json(tmp_path / "kb.json", config)
-        args = ["run", "--kb", str(kb), "--config", str(env_config), "--runs", "1"]
-    elif command == "consistency --kb":
-        kb = _write_json(tmp_path / "kb.json", config)
-        args = ["consistency", "--kb", str(kb), "--n", "1"]
-    else:
-        args = [command, "--config", str(_write_json(tmp_path / "config.json", config))]
-    result = runner.invoke(main, [*args, "--out", str(out)])
+    result, _, _ = _invoke(runner, tmp_path, env_config, command, config)
     assert not isinstance(result.exception, Exception), result.exception
     assert result.exit_code == exit_code, result.output
     if exit_code:
         assert "error: bad" in result.output
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+
+def _invoke(runner, tmp_path, env_config, command, config):
+    """(result, path, what): ``command`` run on ``config`` written to
+    ``path`` as the input it names in an error as ``what``."""
+    if command == "summarize":
+        path = tmp_path / "tuples.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in config), encoding="utf-8")
+        args, what = ["summarize", "--tuples", str(path)], "tuples file"
+    elif command == "run --kb":
+        path = _write_json(tmp_path / "kb.json", config)
+        args = ["run", "--kb", str(path), "--config", str(env_config), "--runs", "1"]
+        what = "knowledge base"
+    elif command == "consistency --kb":
+        path = _write_json(tmp_path / "kb.json", config)
+        args, what = ["consistency", "--kb", str(path), "--n", "1"], "knowledge base"
+    else:
+        path = _write_json(tmp_path / "config.json", config)
+        args = [command, "--config", str(path)]
+        what = "environment config" if command == "run" else "explore config"
+    return runner.invoke(main, [*args, "--out", str(tmp_path / "out")]), path, what
 
 
 @pytest.mark.parametrize(
@@ -436,19 +460,38 @@ def test_config_edge_cases_exit_without_traceback(
         pytest.param("explore", {"environment": _tabular(["evaluator"], {})}, "evaluator",
                      id="explore-environment"),
         pytest.param("explore", {"evaluator": {"p_fals": {}}}, "p_fals", id="explore-evaluator"),
+        pytest.param("summarize", [{**TUPLE, "weight": 2}], "weight", id="summarize-row"),
+        pytest.param("run --kb", _kb(["provnance"], ""), "provnance", id="run-kb-document"),
+        pytest.param("run --kb", _kb(["records", 0, "n_trial"], 100), "n_trial",
+                     id="run-kb-record"),
+        pytest.param("run --kb", _kb(["rules", 0, "suport"], []), "suport", id="run-kb-rule"),
     ],
 )
-def test_an_unknown_config_key_is_a_user_error(runner, tmp_path, command, config, key):
+def test_an_unknown_config_key_is_a_user_error(
+    runner, tmp_path, env_config, command, config, key
+):
     """A misspelt optional key would otherwise load as its default."""
-    path = _write_json(tmp_path / "config.json", config)
-    out = tmp_path / "out"
-    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    result, path, what = _invoke(runner, tmp_path, env_config, command, config)
     assert not isinstance(result.exception, Exception), result.exception
     assert result.exit_code == 1, result.output
-    what = "environment" if command == "run" else "explore"
-    assert f"error: bad {what} config {path}: " in result.output
+    assert f"error: bad {what} {path}: " in result.output
     assert result.output.rstrip().endswith(f"unknown key '{key}'"), result.output
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [KeyError, AttributeError])
+def test_a_bug_in_a_parser_is_not_a_user_error(runner, tmp_path, env_config, monkeypatch, error):
+    """Parsers read fields through ``read_field``, so a KeyError or an
+    AttributeError from one is a programming error and ends in a traceback,
+    not in ``sys.exit(1)``.  An uncaught exception exits 1 too, so the test
+    checks what escaped, not the exit code."""
+    def buggy(*args):
+        raise error("bug inside a parser")
+
+    monkeypatch.setattr(knowledge, "_record_from_dict", buggy)
+    result, _, _ = _invoke(runner, tmp_path, env_config, "run --kb", kb_to_dict(reference_kb()))
+    assert type(result.exception) is error, result.output
+    assert "error: bad" not in result.output
 
 
 def test_run_lets_an_error_in_the_planner_propagate(runner, tmp_path, env_config, monkeypatch):

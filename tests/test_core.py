@@ -17,18 +17,16 @@ from restoragent.core import (
     TaskKind,
     builtin_combinations,
     combinations_in_group,
-    degradation_for,
     member_of,
-    task_for,
 )
 
 
 def test_task_degradation_bijection():
     assert len(ALL_DEGRADATIONS) == 8
     for d in Degradation:
-        assert degradation_for(task_for(d)) is d
+        assert DEGRADATION_FOR[TASK_FOR[d]] is d
     for t in TaskKind:
-        assert task_for(degradation_for(t)) is t
+        assert TASK_FOR[DEGRADATION_FOR[t]] is t
 
 
 @pytest.mark.parametrize(
@@ -40,7 +38,7 @@ def test_task_degradation_bijection():
     ],
 )
 def test_task_for_examples(degradation, task):
-    assert task_for(degradation) is task
+    assert TASK_FOR[degradation] is task
 
 
 def test_severity_total_order():
@@ -70,10 +68,8 @@ def test_module_constants_are_the_members_they_name():
     assert PRESENCE_THRESHOLD is Severity.MEDIUM
     for d in Degradation:
         assert DEGRADATION_VALUE[d] is d.value
-        assert TASK_FOR[d] is task_for(d)
     for t in TaskKind:
         assert TASK_VALUE[t] is t.value
-        assert DEGRADATION_FOR[t] is degradation_for(t)
 
 
 @pytest.mark.parametrize("cls", [Degradation, TaskKind])
@@ -149,7 +145,7 @@ def test_profile_copy_isolation(initial, mutations):
     clone = original.copy()
     for degradation, severity in mutations:
         clone.severities[degradation] = severity
-        clone = clone.with_history_entry(task_for(degradation), "tool")
+        clone = clone.with_history_entry(TASK_FOR[degradation], "tool")
     assert original == snapshot
 
 

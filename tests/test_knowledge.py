@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from restoragent.core import Degradation, TaskKind, task_for
+from restoragent.core import Degradation, TaskKind
 from restoragent.knowledge import (
     EPSILON_TIE,
     InconsistentTrial,

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind, task_for
+from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
 from restoragent.perception import (
     EmptyInput,
     NoiseModel,
