@@ -190,10 +190,11 @@ def _tuples_trials(path: Path) -> list:
             order = read_field(row, "order", list, "line %d", n)
             flags = read_field(row, "flags", dict, "line %d", n)
             trials.append((
-                frozenset(degradations_named(combination)),
-                tuple(member_of(TaskKind, t) for t in order),
-                {member_of(TaskKind, t): read_field(flags, t, bool, "line %d.flags", n)
-                 for t in flags},
+                frozenset(degradations_named(combination, "line %d.combination", n)),
+                tuple(member_of(TaskKind, t, "line %d.order[%d]", n, j)
+                      for j, t in enumerate(order)),
+                {member_of(TaskKind, t, "line %d.flags", n):
+                 read_field(flags, t, bool, "line %d.flags", n) for t in flags},
             ))
     return trials
 

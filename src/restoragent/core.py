@@ -148,23 +148,29 @@ TASK_VALUE = {t: t.value for t in TaskKind}
 _MEMBER_OF = {cls: {m.value: m for m in cls} for cls in (Degradation, TaskKind)}
 
 
-def member_of(cls, value):
-    """``cls(value)`` for Degradation or TaskKind, through a dict, with the
-    same ValueError text for a value that names no member."""
+def member_of(cls, value, where: str = "", *args):
+    """``cls(value)`` for Degradation or TaskKind, through a dict.  A value
+    that names no member is a SchemaError naming the value's path
+    ``where % args``, formatted only on a raise; without a path its text is
+    the enum call's."""
     try:
         return _MEMBER_OF[cls][value]
     except (KeyError, TypeError):  # a TypeError: an unhashable JSON value
-        raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+        raise SchemaError(
+            f"{_where(where, args)}{value!r} is not a valid {cls.__qualname__}") from None
 
 
-def degradations_named(names) -> tuple:
+def degradations_named(names, where: str = "", *args) -> tuple:
     """A combination's Degradations, in order, from a non-empty JSON list of
-    names; anything else, or a repeated name, is a ValueError."""
+    names at the path ``where % args``; anything else, or a repeated name,
+    is a SchemaError naming that path."""
     if not names or not isinstance(names, list):
-        raise ValueError(f"combination {names!r} is not a non-empty list of degradation names")
-    degradations = tuple(member_of(Degradation, n) for n in names)
+        raise SchemaError(f"{_where(where, args)}combination {names!r} "
+                          "is not a non-empty list of degradation names")
+    item = f"{where}[%d]" if where else ""
+    degradations = tuple(member_of(Degradation, n, item, *args, j) for j, n in enumerate(names))
     if len(set(degradations)) != len(degradations):
-        raise ValueError(f"combination {names!r} repeats a degradation")
+        raise SchemaError(f"{_where(where, args)}combination {names!r} repeats a degradation")
     return degradations
 
 

@@ -373,13 +373,15 @@ def _condition_from_dict(data: dict, rule: int):
     if kind == "degradation-present":
         check_keys(data, ("kind", "degradation", "min_severity"), where, rule)
         return DegradationPresent(
-            member_of(Degradation, read_field(data, "degradation", str, where, rule)),
+            member_of(Degradation, read_field(data, "degradation", str, where, rule),
+                      "rules[%d].condition.degradation", rule),
             Severity.from_label(
                 read_field(data, "min_severity", str, where, rule, default="medium")),
         )
     if kind == "task-in-history":
         check_keys(data, ("kind", "task"), where, rule)
-        return TaskInHistory(member_of(TaskKind, read_field(data, "task", str, where, rule)))
+        return TaskInHistory(member_of(TaskKind, read_field(data, "task", str, where, rule),
+                                       "rules[%d].condition.task", rule))
     raise ValueError(f"rules[{rule}].condition: unknown condition kind: {kind!r}")
 
 
@@ -403,7 +405,8 @@ def _effect_from_dict(data: dict, rule: int):
     if kind == "side-effect":
         check_keys(data, ("kind", "degradation", "levels", "p"), where, rule)
         return SideEffect(
-            member_of(Degradation, read_field(data, "degradation", str, where, rule)),
+            member_of(Degradation, read_field(data, "degradation", str, where, rule),
+                      "rules[%d].effect.degradation", rule),
             read_field(data, "levels", int, where, rule, default=1),
             read_field(data, "p", (int, float), where, rule, default=1.0),
         )
@@ -447,14 +450,14 @@ def env_from_dict(data: dict) -> Environment:
         check_keys(outcome, outcomes, "tools[%d].outcome", i)
         tools.append(ToolSpec(
             read_field(t, "id", str, "tools[%d]", i),
-            member_of(TaskKind, read_field(t, "task", str, "tools[%d]", i)),
+            member_of(TaskKind, read_field(t, "task", str, "tools[%d]", i), "tools[%d].task", i),
             *[read_field(outcome, key, (int, float), "tools[%d].outcome", i) for key in outcomes],
         ))
     rules = []
     for i, r in enumerate(read_field(data, "rules", list, default=())):
         check_keys(r, ("task", "condition", "effect"), "rules[%d]", i)
         rules.append(InteractionRule(
-            member_of(TaskKind, read_field(r, "task", str, "rules[%d]", i)),
+            member_of(TaskKind, read_field(r, "task", str, "rules[%d]", i), "rules[%d].task", i),
             _condition_from_dict(read_field(r, "condition", dict, "rules[%d]", i), i),
             _effect_from_dict(read_field(r, "effect", dict, "rules[%d]", i), i),
         ))
@@ -488,7 +491,7 @@ def calibration_from_dict(data: dict) -> TabularCalibration:
         order = read_field(row, "order", list, where, i)
         fail = read_field(row, "fail", dict, where, i)
         calibration.add(OrderStats(
-            tuple(member_of(TaskKind, t) for t in order),
-            {member_of(Degradation, d): p for d, p in fail.items()},
+            tuple(member_of(TaskKind, t, where + ".order[%d]", i, j) for j, t in enumerate(order)),
+            {member_of(Degradation, d, where + ".fail", i): p for d, p in fail.items()},
         ))
     return calibration

@@ -10,7 +10,7 @@ from .core import TASK_FOR, TASK_VALUE, Severity, combinations_in_group, initial
 from .envsim import Environment, apply_tool, tabular_fail_prob
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
-from .rng import Stream
+from .rng import Stream, substream
 
 
 class MissingTools(ValueError):
@@ -37,24 +37,21 @@ class ExplorationConfig:
 class _Node:
     """One state of a (sample, order)'s tree of tabular step outcomes."""
 
-    __slots__ = ("state", "p_fail", "children", "flags")
+    __slots__ = ("state", "depth", "p_fail", "children", "flags")
 
-    def __init__(self, state):
+    def __init__(self, env: Environment, state, steps: list, depth: int):
         self.state = state
-        self.p_fail = {}  # tool id -> fail probability of that tool on state
-        self.children = {}  # (tool id, u >= p_fail) -> _Node
+        self.depth = depth  # the number of steps taken to reach state
+        # The fail probability of the order's next step; None at a leaf.
+        self.p_fail = tabular_fail_prob(env, state, steps[depth]) if depth < len(steps) else None
+        self.children = [None, None]  # [u >= p_fail] -> _Node
         self.flags = None  # at a leaf: the per-task success flags of state
 
-    def child(self, env: Environment, tool, u: float) -> "_Node":
-        """The node ``tool`` reaches from this one when the step draws ``u``;
-        ``apply_tool`` builds it on the first visit, replaying ``u``."""
-        p_fail = self.p_fail.get(tool.id)
-        if p_fail is None:
-            p_fail = self.p_fail[tool.id] = tabular_fail_prob(env, self.state, tool)
-        edge = (tool.id, u >= p_fail)
-        child = self.children.get(edge)
-        if child is None:
-            child = self.children[edge] = _Node(apply_tool(env, self.state, tool, _Replay(u)))
+    def child(self, env: Environment, steps: list, u: float) -> "_Node":
+        """The node the order's next step reaches from this one on draw ``u``,
+        built by ``apply_tool`` replaying ``u`` and kept on that side of p_fail."""
+        state = apply_tool(env, self.state, steps[self.depth], _Replay(u))
+        child = self.children[u >= self.p_fail] = _Node(env, state, steps, self.depth + 1)
         return child
 
 
@@ -93,12 +90,16 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     always draws from ``Stream(seed, "explore", ci, si, pi).child(ti)``.  On
     a tabular env judged by a ``PerfectOracle`` (that exact type, which
     draws nothing) a step's result depends only on its state, its tool and
-    whether its draw ``u`` reaches the fail probability.  So each (sample,
-    order) keeps a tree of the states its trials reached: a trial takes the
-    same draws, walks the tree by ``(tool id, u >= p_fail)`` and copies the
-    flags cached at its leaf.  ``apply_tool`` builds each state once, from
-    the trial that first reaches it; any other env or evaluator applies
-    every step of every trial.
+    whether its draw ``u`` reaches the fail probability.  A tabular env has
+    one tool per task, so no step draws ``integers``: a trial takes its n
+    draws at once, as ``substream(seed, per_order, ti).random(n)``, the same
+    doubles as n ``random()`` calls on that child stream.  Each (sample,
+    order) keeps a two-way tree of the states its trials reached: a node
+    holds the fail probability of the order's next step and its children
+    by ``u >= p_fail``, and a trial walks it and copies the flags cached at
+    its leaf.  ``apply_tool`` builds each state once, from the trial that
+    first reaches it; any other env or evaluator applies every step of
+    every trial.
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
@@ -127,23 +128,26 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
             base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
                 per_order = Stream(config.seed, "explore", ci, si, pi)
-                root = _Node(base.copy()) if memo else None
-                for ti in range(config.trials_per_sample):
-                    rng = per_order.child(ti)
-                    if memo:
+                if memo:
+                    # A tabular env has one tool per task, so no step draws integers.
+                    steps = [tool for tool, in tool_lists]
+                    n_steps = len(steps)
+                    root = _Node(env, base.copy(), steps, 0)
+                    for ti in range(config.trials_per_sample):
                         node = root
-                        for tools in tool_lists:
-                            tool = _pick(tools, rng)
-                            node = node.child(env, tool, rng.random())
-                        if node.flags is None:
-                            node.flags = judge(node.state, rng)
-                        flags = dict(node.flags)
-                    else:
+                        for u in substream(config.seed, per_order, ti).random(n_steps).tolist():
+                            node = node.children[u >= node.p_fail] or node.child(env, steps, u)
+                        flags = node.flags
+                        if flags is None:
+                            flags = node.flags = judge(node.state, None)
+                        trials.append((key, order, flags.copy()))
+                else:
+                    for ti in range(config.trials_per_sample):
+                        rng = per_order.child(ti)
                         state = base.copy()
                         for tools in tool_lists:
                             state = apply_tool(env, state, _pick(tools, rng), rng)
-                        flags = judge(state, rng)
-                    trials.append((key, order, flags))
+                        trials.append((key, order, judge(state, rng)))
     return trials
 
 

@@ -297,15 +297,18 @@ def _record_from_dict(row, path: str) -> ExperienceRecord:
     rates = read_field(row, "per_task_fail", dict, path)
     total_fail = read_field(row, "total_fail", (int, float), path)
     n_trials = read_field(row, "n_trials", int, path)
+    degradations = degradations_named(combination, "%s.combination", path)
+    tasks = tuple(member_of(TaskKind, t, "%s.order[%d]", path, j) for j, t in enumerate(order))
+    rate_tasks = [member_of(TaskKind, t, "%s.per_task_fail", path) for t in rates]
     try:
         for task, p in rates.items():
             check_probability("per_task_fail[%r]", p, task)
         if n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
         record = ExperienceRecord(
-            frozenset(degradations_named(combination)),
-            tuple(member_of(TaskKind, t) for t in order),
-            {member_of(TaskKind, t): float(p) for t, p in rates.items()},
+            frozenset(degradations),
+            tasks,
+            {task: float(p) for task, p in zip(rate_tasks, rates.values())},
             float(total_fail),
             n_trials,
         )
@@ -325,14 +328,12 @@ def _rule_from_dict(row, path: str) -> PrecedenceRule:
     margin = read_field(row, "margin", (int, float), path)
     indifferent = read_field(row, "indifferent", bool, path, default=False)
     support = read_field(row, "support", list, path, default=[])
+    before_task = member_of(TaskKind, before, "%s.before", path)
+    after_task = member_of(TaskKind, after, "%s.after", path)
+    combos = tuple(frozenset(degradations_named(combo, "%s.support[%d]", path, k))
+                   for k, combo in enumerate(support))
     try:
-        rule = PrecedenceRule(
-            member_of(TaskKind, before),
-            member_of(TaskKind, after),
-            float(margin),
-            indifferent,
-            tuple(frozenset(degradations_named(combo)) for combo in support),
-        )
+        rule = PrecedenceRule(before_task, after_task, float(margin), indifferent, combos)
         if rule.before == rule.after or (rule.indifferent and rule.margin):
             raise ValueError(f"{before!r} before {after!r} with margin {rule.margin}: "
                              "a rule needs two tasks, and margin 0 if indifferent")

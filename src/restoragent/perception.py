@@ -65,7 +65,7 @@ class NoiseModel:
     def from_dict(cls, data: dict) -> "NoiseModel":
         check_keys(data, ("p_miss", "p_false"), "evaluator")
         return cls(*[
-            {member_of(Degradation, d): p
+            {member_of(Degradation, d, "evaluator.%s", key): p
              for d, p in read_field(data, key, dict, "evaluator", default={}).items()}
             for key in ("p_miss", "p_false")
         ])

@@ -92,10 +92,13 @@ class RandomScheduler:
         if rng is None:
             raise ValueError("RandomScheduler.schedule requires an rng substream")
         agenda_set, banned = _schedulable(agenda, banned_first)
+        # integers(1) and a shuffle of at most one task take no draw, so they
+        # are skipped: a lazy Stream then never builds its substream.
         eligible = sorted(agenda_set - banned, key=TASK_VALUE.__getitem__)
-        first = eligible[int(rng.integers(len(eligible)))]
+        first = eligible[int(rng.integers(len(eligible)))] if len(eligible) > 1 else eligible[0]
         rest = sorted(agenda_set - {first}, key=TASK_VALUE.__getitem__)
-        rng.shuffle(rest)
+        if len(rest) > 1:
+            rng.shuffle(rest)
         return (first, *rest)
 
 

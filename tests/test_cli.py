@@ -479,6 +479,73 @@ def test_an_unknown_config_key_is_a_user_error(
     assert not (tmp_path / "out").exists()
 
 
+def _noise(key, table):
+    return {**env_to_dict(reference_tabular_env()), "evaluator": {key: table}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        pytest.param("run", _mechanistic(["tools", 3, "task"], "denoize"),
+                     "tools[3].task: 'denoize' is not a valid TaskKind", id="run-tool-task"),
+        pytest.param("run", _mechanistic(["rules", 1, "task"], "deraign"),
+                     "rules[1].task: 'deraign' is not a valid TaskKind", id="run-rule-task"),
+        pytest.param("run", _mechanistic(["rules", 1, "condition", "task"], "sr"),
+                     "rules[1].condition.task: 'sr' is not a valid TaskKind",
+                     id="run-condition-task"),
+        pytest.param("run", _mechanistic(["rules", 0, "condition", "degradation"], "noize"),
+                     "rules[0].condition.degradation: 'noize' is not a valid Degradation",
+                     id="run-condition-degradation"),
+        pytest.param("run", _mechanistic(["rules", 2, "effect", "degradation"], "jpeg"),
+                     "rules[2].effect.degradation: 'jpeg' is not a valid Degradation",
+                     id="run-effect-degradation"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "order", 1], "dehaze"),
+                     "calibration.orders[0].order[1]: 'dehaze' is not a valid TaskKind",
+                     id="run-calibration-order"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fail", "hazy"], 0.1),
+                     "calibration.orders[0].fail: 'hazy' is not a valid Degradation",
+                     id="run-calibration-fail"),
+        pytest.param("run", _noise("p_miss", {"rane": 0.1}),
+                     "evaluator.p_miss: 'rane' is not a valid Degradation", id="run-p-miss"),
+        pytest.param("explore", {"evaluator": {"p_false": {"rane": 0.1}}},
+                     "evaluator.p_false: 'rane' is not a valid Degradation", id="explore-p-false"),
+        pytest.param("explore", {"combinations": [["rain", "haze"], ["rain", "hazy"]]},
+                     "combinations[1][1]: 'hazy' is not a valid Degradation",
+                     id="explore-combination"),
+        pytest.param("run --kb", _kb(["records", 0, "order", 1], "dehaze"),
+                     "records[0].order[1]: 'dehaze' is not a valid TaskKind", id="run-kb-order"),
+        pytest.param("run --kb", _kb(["records", 0, "per_task_fail", "dehaze"], 0.1),
+                     "records[0].per_task_fail: 'dehaze' is not a valid TaskKind",
+                     id="run-kb-rate"),
+        pytest.param("run --kb", _kb(["records", 0, "combination", 1], "hazy"),
+                     "records[0].combination[1]: 'hazy' is not a valid Degradation",
+                     id="run-kb-combination"),
+        pytest.param("run --kb", _kb(["rules", 0, "before"], "defocus"),
+                     "rules[0].before: 'defocus' is not a valid TaskKind", id="run-kb-before"),
+        pytest.param("run --kb", _kb(["rules", 0, "after"], "dehaze"),
+                     "rules[0].after: 'dehaze' is not a valid TaskKind", id="run-kb-after"),
+        pytest.param("run --kb", _kb(["rules", 0, "support", 0, 0], "defocus"),
+                     "rules[0].support[0][0]: 'defocus' is not a valid Degradation",
+                     id="run-kb-support"),
+        pytest.param("summarize", [TUPLE, _edited(TUPLE, ["order", 1], "dehaze")],
+                     "line 2.order[1]: 'dehaze' is not a valid TaskKind", id="summarize-order"),
+        pytest.param("summarize", [_edited(TUPLE, ["flags", "dehaze"], True)],
+                     "line 1.flags: 'dehaze' is not a valid TaskKind", id="summarize-flag"),
+        pytest.param("summarize", [_edited(TUPLE, ["combination", 0], "rane")],
+                     "line 1.combination[0]: 'rane' is not a valid Degradation",
+                     id="summarize-combination"),
+    ],
+)
+def test_an_unknown_member_name_is_an_error_naming_its_path(
+    runner, tmp_path, env_config, command, config, message
+):
+    result, path, what = _invoke(runner, tmp_path, env_config, command, config)
+    assert not isinstance(result.exception, Exception), result.exception
+    assert result.exit_code == 1, result.output
+    assert result.output.rstrip().endswith(f"error: bad {what} {path}: {message}"), result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("error", [KeyError, AttributeError])
 def test_a_bug_in_a_parser_is_not_a_user_error(runner, tmp_path, env_config, monkeypatch, error):
     """Parsers read fields through ``read_field``, so a KeyError or an

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from restoragent import explore as explore_module
+from restoragent.rng import Stream
 from restoragent.core import (
     Degradation,
     DegradationCombination,
@@ -206,6 +207,32 @@ def _count_apply_tool(monkeypatch) -> list:
 
     monkeypatch.setattr(explore_module, "apply_tool", counted)
     return calls
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_a_memoised_trial_takes_one_substream_and_no_child_stream(monkeypatch, trials):
+    substreams = _count_calls(monkeypatch, explore_module, "substream")
+    children = _count_calls(monkeypatch, Stream, "child")
+    config = ExplorationConfig(samples_per_combination=2, trials_per_sample=trials)
+    n_trials = 8 * 2 * 2 * trials  # group A: 8 combinations of 2 orders
+    assert len(explore(reference_tabular_env(), config)) == n_trials
+    assert len(substreams) == n_trials and children == []
+    # The general loop still draws from one child stream per trial.
+    del substreams[:]
+    assert len(explore(reference_tabular_env(), config, GeneralLoopOracle())) == n_trials
+    assert substreams == [] and len(children) == n_trials
 
 
 @pytest.mark.parametrize("trials", [1, 500])

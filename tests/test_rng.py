@@ -146,6 +146,19 @@ def test_random_with_size_matches_a_fresh_numpy_generator():
     assert stream.random((2, 2)).tolist() == ref.random((2, 2)).tolist()
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize(
+    "halves_high", [0, 1, 2], ids=["both-halves-low", "straddling", "both-halves-high"])
+@pytest.mark.parametrize("make", [substream, Stream], ids=["substream", "Stream"])
+def test_random_of_n_equals_n_random_calls_on_one_stream(make, halves_high, n):
+    """``explore`` on a tabular env and ``NoisyOracle.assess`` take n doubles
+    as one ``random(n)``; both handles of the key go on from the same point."""
+    parts = _parts_with_key(halves_high)
+    at_once, one_by_one = make(7, *parts), make(7, *parts)
+    assert at_once.random(n).tolist() == [one_by_one.random() for _ in range(n)]
+    assert at_once.random() == one_by_one.random()
+
+
 def test_three_interleaved_streams_match_fresh_numpy_generators():
     root = Stream(6, "workflow")
     handles = [root.child("a"), substream(6, "workflow", "b"), root.child("c")]

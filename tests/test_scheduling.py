@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from restoragent.core import Degradation, TaskKind
 from restoragent.knowledge import ExperienceRecord, KnowledgeBase, reference_kb
-from restoragent.rng import substream
+from restoragent import rng as rng_module
+from restoragent.rng import Stream, substream
 from restoragent.scheduling import (
     ExperienceScheduler,
     RandomScheduler,
@@ -152,6 +153,27 @@ def test_reschedule_contract():
         reschedule(scheduler, plan, {T.DERAINING, T.DEHAZING})
     with pytest.raises(Unschedulable):
         reschedule(scheduler, plan, {T.BRIGHTENING})
+
+
+def test_random_reschedule_with_one_eligible_task_builds_no_substream(monkeypatch):
+    """integers(1) and a one-task shuffle take no draw, so they are skipped
+    and the stream's substream is never built; the plan is unchanged."""
+    built = []
+    original = rng_module.substream
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rng_module, "substream", counted)
+    plan = (T.DERAINING, T.DEHAZING)
+    for seed in range(20):
+        stream = Stream(seed, "workflow", 0).child("reschedule", 0)
+        assert reschedule(RandomScheduler(), plan, {T.DERAINING}, stream) == (T.DEHAZING, T.DERAINING)
+    assert built == []
+    # Two eligible tasks still take their draws.
+    RandomScheduler().schedule(plan, rng=Stream(0, "workflow", 0).child("schedule", 0))
+    assert len(built) == 1
 
 
 def test_reschedule_respects_kb_preferences():
