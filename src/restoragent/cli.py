@@ -36,7 +36,7 @@ from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
 
 EXIT_USER_ERROR = 1
-EXIT_INTERNAL_ERROR = 2
+EXIT_MISMATCH = 2
 
 #: What parsing a malformed file raises.  OSError covers a path that exists
 #: but cannot be read, such as a directory; JSONDecodeError and SchemaError
@@ -342,15 +342,18 @@ def cmd_verify(report_path: Path, trace_dir: Path):
                 if counted != in_tree:
                     mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
                                       f"!= {in_tree} over its tree")
+                # The fields report_cells reads, checked so that it cannot fail on a trace.
+                for field, value, kind in (
+                    ("true_success", trace["true_success"], bool),
+                    ("counters.invocations", counted, int),
+                    ("counters.rollbacks", trace["counters"]["rollbacks"], int),
+                ):
+                    if value.__class__ is not kind:
+                        raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")
             traces[label] = combo_traces
         except (*BAD_INPUT, KeyError, AttributeError) as exc:  # verify indexes traces directly
             mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
-    try:
-        rebuilt = report_cells(traces, group_of)
-    except (*BAD_INPUT, KeyError, AttributeError) as exc:
-        mismatches.append(f"traces: malformed trace: {type(exc).__name__}: {exc}")
-        rebuilt = {}
-    for section, cells in rebuilt.items():
+    for section, cells in report_cells(traces, group_of).items():
         printed = report[section]
         for name in sorted(set(cells) | set(printed)):
             if printed.get(name) != cells.get(name):
@@ -365,7 +368,7 @@ def cmd_verify(report_path: Path, trace_dir: Path):
 def _mismatch(lines):
     for line in lines:
         click.echo(f"MISMATCH {line}", err=True)
-    sys.exit(EXIT_INTERNAL_ERROR)
+    sys.exit(EXIT_MISMATCH)
 
 
 def _tree_nodes(nodes):

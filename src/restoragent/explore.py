@@ -4,6 +4,7 @@ training combination, judged on the final profile."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .core import TASK_FOR, TASK_VALUE, Severity, combinations_in_group, initial_profile
@@ -34,30 +35,9 @@ class ExplorationConfig:
             raise ValueError("success_threshold must be VERY_LOW or LOW")
 
 
-class _Node:
-    """One state of a (sample, order)'s tree of tabular step outcomes."""
-
-    __slots__ = ("state", "depth", "p_fail", "children", "flags")
-
-    def __init__(self, env: Environment, state, steps: list, depth: int):
-        self.state = state
-        self.depth = depth  # the number of steps taken to reach state
-        # The fail probability of the order's next step; None at a leaf.
-        self.p_fail = tabular_fail_prob(env, state, steps[depth]) if depth < len(steps) else None
-        self.children = [None, None]  # [u >= p_fail] -> _Node
-        self.flags = None  # at a leaf: the per-task success flags of state
-
-    def child(self, env: Environment, steps: list, u: float) -> "_Node":
-        """The node the order's next step reaches from this one on draw ``u``,
-        built by ``apply_tool`` replaying ``u`` and kept on that side of p_fail."""
-        state = apply_tool(env, self.state, steps[self.depth], _Replay(u))
-        child = self.children[u >= self.p_fail] = _Node(env, state, steps, self.depth + 1)
-        return child
-
-
 class _Replay:
-    """A trial's one draw for a tabular step, replayed into ``apply_tool``;
-    a second draw raises, so the tree cannot drift from the step it caches."""
+    """One draw for a tabular step, replayed into ``apply_tool``; a second
+    draw raises, so the path cannot drift from the step it stands for."""
 
     __slots__ = ("u",)
 
@@ -89,17 +69,27 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     Trial ``ti`` of order ``pi`` of sample ``si`` of combination ``ci``
     always draws from ``Stream(seed, "explore", ci, si, pi).child(ti)``.  On
     a tabular env judged by a ``PerfectOracle`` (that exact type, which
-    draws nothing) a step's result depends only on its state, its tool and
-    whether its draw ``u`` reaches the fail probability.  A tabular env has
-    one tool per task, so no step draws ``integers``: a trial takes its n
-    draws at once, as ``substream(seed, per_order, ti).random(n)``, the same
-    doubles as n ``random()`` calls on that child stream.  Each (sample,
-    order) keeps a two-way tree of the states its trials reached: a node
-    holds the fail probability of the order's next step and its children
-    by ``u >= p_fail``, and a trial walks it and copies the flags cached at
-    its leaf.  ``apply_tool`` builds each state once, from the trial that
-    first reaches it; any other env or evaluator applies every step of
-    every trial.
+    draws nothing), no step draws ``integers`` (one tool per task), so a
+    trial takes its n draws at once, as ``substream(seed, per_order,
+    ti).random(n)``: the same doubles as n ``random()`` calls on that child
+    stream.  Step k succeeds when its draw reaches its fail probability
+    p_k, and three facts of the tabular model make the flags a function of
+    which steps succeeded:
+
+    1. Along a straight-line order from an initial profile, the mixture
+       looked up (present degradations and those the history addressed)
+       stays the combination and the prefix stays the order's prefix, so
+       p_k does not depend on earlier outcomes.
+    2. A tabular step changes only its own degradation: to ``VERY_LOW``,
+       or not at all.
+    3. The exact ``PerfectOracle`` reads each degradation's stored severity
+       on its own.
+
+    So each (combination, order) is simulated once, before the sample loop,
+    along the path on which every step succeeds.  Task k's flag is the one
+    at that path's end if its draw reaches p_k, else the initial profile's;
+    each outcome tuple's flags are built once and copied per trial.  Any
+    other env or evaluator applies every step of every trial.
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
@@ -124,22 +114,33 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
             severities = evaluator.assess(state, degradations, rng)
             return {task: s <= threshold for task, s in zip(flag_tasks, severities)}
 
+        if memo:
+            start = initial_profile(combo, 0)
+            initial = judge(start, None)
+            paths = []
+            for order, tool_lists in orders:
+                state, p_fails = start.copy(), []
+                for tool, in tool_lists:  # a tabular env has one tool per task
+                    p_fails.append(tabular_fail_prob(env, state, tool))
+                    state = apply_tool(env, state, tool, _Replay(1.0))
+                paths.append((p_fails, judge(state, None),
+                              [order.index(task) for task in flag_tasks], {}))
         for si in range(config.samples_per_combination):
             base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
                 per_order = Stream(config.seed, "explore", ci, si, pi)
                 if memo:
-                    # A tabular env has one tool per task, so no step draws integers.
-                    steps = [tool for tool, in tool_lists]
-                    n_steps = len(steps)
-                    root = _Node(env, base.copy(), steps, 0)
+                    p_fails, success, steps_of, flags_by_outcome = paths[pi]
+                    n_steps = len(p_fails)
                     for ti in range(config.trials_per_sample):
-                        node = root
-                        for u in substream(config.seed, per_order, ti).random(n_steps).tolist():
-                            node = node.children[u >= node.p_fail] or node.child(env, steps, u)
-                        flags = node.flags
+                        draws = substream(config.seed, per_order, ti).random(n_steps).tolist()
+                        outcome = tuple(map(operator.ge, draws, p_fails))
+                        flags = flags_by_outcome.get(outcome)
                         if flags is None:
-                            flags = node.flags = judge(node.state, None)
+                            flags = flags_by_outcome[outcome] = {
+                                task: (success if outcome[k] else initial)[task]
+                                for task, k in zip(flag_tasks, steps_of)
+                            }
                         trials.append((key, order, flags.copy()))
                 else:
                     for ti in range(config.trials_per_sample):

@@ -1,6 +1,6 @@
 """Hierarchical, collision-resistant random substreams.
 
-One root seed plus a tuple of key parts (ints, strings, enums) selects an
+One root seed plus a tuple of key parts (ints and strings) selects an
 independent Philox stream, so adding trials or interleaving workers cannot
 perturb existing streams.  A ``Stream`` is a lazy handle: it derives its key
 and builds its substream on its first draw only, and ``generator()`` returns
@@ -10,7 +10,7 @@ A ``Stream`` keeps its parent, its own key parts and, once a descendant needs
 it, the blake2b state after its whole path.  A child's first draw passes its
 parent to ``stream_key``, which hashes only the child's own parts on a copy of
 that state.  Keys equal a from-scratch hash of the whole path.  Encodings of
-enum members and strings are cached; plain ints, which grow, are not.
+strings are cached; ints, which grow, are not.
 
 Philox is counter-based, so a fresh stream is only a key with counter 0.  One
 process-wide Philox is re-keyed per stream: a fresh key is written into
@@ -29,7 +29,6 @@ when exactly one half is >= 2**63, keeping 53 significant bits per half (see
 from __future__ import annotations
 
 import ctypes
-import enum
 import hashlib
 import operator
 import struct
@@ -46,30 +45,25 @@ _GENERATOR = np.random.Generator(_PHILOX)
 _owner = None  # weak reference to the substream whose state _PHILOX holds
 
 
-# (class, part) -> encoding, for every part but plain ints, whose number
-# grows with run and trial indices.  The class keeps 1, True and
-# Severity.LOW apart.
+# str part -> encoding.  Ints, whose number grows with run and trial
+# indices, are not cached.
 _encoded = {}
 
 
 def _encode(part) -> bytes:
     if part.__class__ is int:
         return b"i" + part.to_bytes(16, "little", signed=True)
-    key = (part.__class__, part)
-    encoded = _encoded.get(key)
+    encoded = _encoded.get(part) if part.__class__ is str else None
     if encoded is None:
-        encoded = _encoded[key] = _encode_part(part)
+        encoded = _encoded[part] = _encode_part(part)
     return encoded
 
 
 def _encode_part(part) -> bytes:
-    if isinstance(part, enum.Enum):
-        part = part.value
-    if isinstance(part, bool):
-        part = int(part)
-    if isinstance(part, int):
+    """A key part is an int or a str; a bool or an enum member is neither."""
+    if part.__class__ is int:
         return b"i" + part.to_bytes(16, "little", signed=True)
-    if isinstance(part, str):
+    if part.__class__ is str:
         return b"s" + part.encode("utf-8") + b"\x00"
     raise TypeError(f"unsupported substream key part: {part!r}")
 

@@ -235,6 +235,57 @@ def test_verify_rejects_a_node_whose_tools_tried_disagree_with_its_invocations(
 
 
 @pytest.mark.parametrize(
+    "keys, value, line",
+    [
+        pytest.param([1, "true_success"], "yes", "true_success 'yes' is not of type bool",
+                     id="success-flag-a-string"),
+        pytest.param([1, "counters", "invocations"], True,
+                     "counters.invocations True is not of type int", id="invocations-a-bool"),
+        pytest.param([1, "counters", "rollbacks"], 0.0,
+                     "counters.rollbacks 0.0 is not of type int", id="rollbacks-a-float"),
+    ],
+)
+def test_verify_names_the_trace_whose_counted_field_has_the_wrong_type(
+    runner, tmp_path, env_config, keys, value, line
+):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(env_config), "--runs", "2", "--seed", "0",
+         "--combinations", "group-A", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    path = out / "traces" / "rain_-_haze.json"
+    path.write_text(json.dumps(_edited(json.loads(path.read_text()), keys, value)), encoding="utf-8")
+    result = runner.invoke(
+        main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
+    )
+    assert result.exit_code == 2, result.output
+    assert (f"MISMATCH rain_-_haze.json: malformed trace file: ValueError: trace 1: {line}\n"
+            in result.output)
+
+
+def test_a_bug_in_report_cells_is_not_a_mismatch(runner, tmp_path, env_config, monkeypatch):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(env_config), "--runs", "2", "--seed", "0",
+         "--combinations", "group-A", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+
+    def buggy(*args):
+        raise KeyError("bug inside report_cells")
+
+    monkeypatch.setattr(cli, "report_cells", buggy)
+    result = runner.invoke(
+        main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
+    )
+    assert isinstance(result.exception, KeyError), result.output
+    assert "MISMATCH" not in result.output
+
+
+@pytest.mark.parametrize(
     "command, config, exit_code",
     [
         pytest.param("run", [], 1, id="run-config-not-an-object"),

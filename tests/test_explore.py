@@ -1,13 +1,17 @@
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from restoragent import explore as explore_module
 from restoragent.rng import Stream
 from restoragent.core import (
+    DEGRADATION_FOR,
+    TASK_FOR,
     Degradation,
     DegradationCombination,
     Severity,
@@ -143,7 +147,7 @@ def test_explore_digest_does_not_depend_on_the_hash_seed(hash_seed):
     assert proc.returncode == 0, proc.stderr
 
 
-# --- the tree of tabular step outcomes --------------------------------------
+# --- the tabular fast path --------------------------------------------------
 
 RAIN_NOISE_LOWRES = DegradationCombination("C", (D.RAIN, D.NOISE, D.LOW_RESOLUTION))
 
@@ -241,18 +245,24 @@ def test_each_state_is_built_once_whatever_the_trial_count(monkeypatch, trials):
     config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=3,
                                trials_per_sample=trials)
     assert len(explore(certain_env(), config)) == 3 * 2 * trials
-    # Each (sample, order) tree is a single path of two steps.
-    assert len(calls) == 3 * 2 * 2
+    # One path of two steps per order, shared by the three samples.
+    assert len(calls) == 2 * 2
     explore(certain_env(), config, GeneralLoopOracle())
-    assert len(calls) == 3 * 2 * 2 + 3 * 2 * 2 * trials
+    assert len(calls) == 2 * 2 + 3 * 2 * 2 * trials
 
 
 def test_apply_tool_runs_at_most_once_per_edge_of_each_tree(monkeypatch):
     calls = _count_apply_tool(monkeypatch)
     config = ExplorationConfig(samples_per_combination=2, trials_per_sample=500)
     explore(reference_tabular_env(), config)
-    # A two-step order's tree has 2 edges out of its root and 4 below them.
-    assert 0 < len(calls) <= 8 * 2 * 2 * (2 + 4)
+    # 8 combinations of 2 orders, each simulated once along its 2 steps.
+    assert len(calls) == 8 * 2 * 2
+
+
+def test_the_default_config_applies_each_step_of_each_order_once(monkeypatch):
+    calls = _count_apply_tool(monkeypatch)
+    assert len(explore(reference_tabular_env(), ExplorationConfig())) == 8 * 2 * 20 * 25
+    assert len(calls) == 8 * 2 * 2
 
 
 def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
@@ -267,3 +277,48 @@ def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
                                trials_per_sample=1)
     with pytest.raises(RuntimeError, match="drew more than once"):
         explore(reference_tabular_env(), config)
+
+
+# --- random calibrations ----------------------------------------------------
+
+_RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _calibrated_combinations(draw):
+    """One or two combinations of one to three degradations, each with a
+    random subset of its orders recorded at random rates.  An order left out
+    falls back to the marginal rate, a mixture with no row to 0.0."""
+    combinations = []
+    calibration = TabularCalibration()
+    keys = draw(st.lists(
+        st.lists(st.sampled_from(list(Degradation)), min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=2, unique_by=frozenset,
+    ))
+    for degradations in keys:
+        combinations.append(DegradationCombination("custom", tuple(degradations)))
+        orders = list(itertools.permutations(TASK_FOR[d] for d in degradations))
+        for order in draw(st.lists(st.sampled_from(orders), unique=True)):
+            calibration.add(OrderStats(order, {DEGRADATION_FOR[t]: draw(_RATES) for t in order}))
+    return Environment("tabular", calibration=calibration), combinations
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    env_and_combinations=_calibrated_combinations(),
+    samples=st.integers(1, 3),
+    trials=st.integers(1, 12),
+    threshold=st.sampled_from([Severity.VERY_LOW, Severity.LOW]),
+    seed=st.integers(0, 2**32),
+)
+def test_the_fast_path_gives_the_trials_of_the_general_loop(
+    env_and_combinations, samples, trials, threshold, seed
+):
+    env, combinations = env_and_combinations
+    config = ExplorationConfig(combinations=combinations, samples_per_combination=samples,
+                               trials_per_sample=trials, success_threshold=threshold, seed=seed)
+    fast = explore(env, config, PerfectOracle())
+    general = explore(env, config, GeneralLoopOracle())
+    assert fast == general
+    # Flags in synthesis order on both paths, not only equal as dicts.
+    assert [list(flags) for _, _, flags in fast] == [list(flags) for _, _, flags in general]
