@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,7 +93,30 @@ def _trace_file(label: str) -> str:
     return label.replace(" ", "_").replace("+", "-") + ".json"
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group.  A usage error click rejects (a bad flag value, a
+    missing option, an unknown command) exits EXIT_USER_ERROR with click's
+    message, not click's 2, which is ``verify``'s MISMATCH status."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_is_a_user_error():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_is_a_user_error():
+            return super().invoke(ctx)
+
+
+@contextmanager
+def _usage_error_is_a_user_error():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USER_ERROR
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Agentic restoration planning over a simulated degradation environment."""
 

@@ -126,7 +126,8 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                 paths.append((p_fails, judge(state, None),
                               [order.index(task) for task in flag_tasks], {}))
         for si in range(config.samples_per_combination):
-            base = initial_profile(combo, si)
+            if not memo:
+                base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
                 per_order = Stream(config.seed, "explore", ci, si, pi)
                 if memo:

@@ -10,7 +10,8 @@ A ``Stream`` keeps its parent, its own key parts and, once a descendant needs
 it, the blake2b state after its whole path.  A child's first draw passes its
 parent to ``stream_key``, which hashes only the child's own parts on a copy of
 that state.  Keys equal a from-scratch hash of the whole path.  Encodings of
-strings are cached; ints, which grow, are not.
+strings are cached and those of the ints 0-255 come from a table built at
+import; other ints, which grow with run and trial indices, are encoded anew.
 
 Philox is counter-based, so a fresh stream is only a key with counter 0.  One
 process-wide Philox is re-keyed per stream: a fresh key is written into
@@ -46,12 +47,15 @@ _owner = None  # weak reference to the substream whose state _PHILOX holds
 
 
 # str part -> encoding.  Ints, whose number grows with run and trial
-# indices, are not cached.
+# indices, are not cached; the table holds the encodings of 0-255.
 _encoded = {}
+_SMALL_INTS = tuple(b"i" + n.to_bytes(16, "little", signed=True) for n in range(256))
 
 
 def _encode(part) -> bytes:
     if part.__class__ is int:
+        if 0 <= part < 256:
+            return _SMALL_INTS[part]
         return b"i" + part.to_bytes(16, "little", signed=True)
     encoded = _encoded.get(part) if part.__class__ is str else None
     if encoded is None:

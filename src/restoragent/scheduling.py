@@ -37,13 +37,21 @@ class ExperienceScheduler:
 
     Exact-match records beat pairwise precedence rules beat the
     lexicographic default; the output never depends on the presentation
-    order of the agenda.  A plan is a function of the KB, the agenda and
+    order of the agenda.  The records are indexed by task set when the
+    scheduler is built, and a plan is a function of the KB, the agenda and
     the banned firsts, so each is memoised per (agenda, banned & agenda):
     the KB must not be mutated once the scheduler is built.
     """
 
     def __init__(self, kb: KnowledgeBase | None = None):
         self.kb = kb or KnowledgeBase()
+        # Task set -> its exact-match record orders, best first.  The sort is
+        # stable, so orders tied on (total_fail, names) keep their KB order,
+        # and the first one whose head is not banned is the min of the
+        # feasible records.
+        self._orders = {}
+        for record in sorted(self.kb.records, key=lambda r: (r.total_fail, _names(r.order))):
+            self._orders.setdefault(record.tasks, []).append(record.order)
         self._plans = {}  # (agenda, banned & agenda) -> plan
 
     def schedule(self, agenda, banned_first=frozenset(), rng=None):
@@ -58,14 +66,12 @@ class ExperienceScheduler:
         return plan
 
     def _plan(self, agenda_set, banned):
-        found = retrieve(self.kb, agenda_set)
+        for order in self._orders.get(agenda_set, ()):
+            if order[0] not in banned:
+                return order
 
-        feasible_records = [r for r in found.records if r.order[0] not in banned]
-        if feasible_records:
-            best = min(feasible_records, key=lambda r: (r.total_fail, _names(r.order)))
-            return best.order
-
-        strict = [(r.before, r.after, r.margin) for r in found.rules if not r.indifferent]
+        strict = [(r.before, r.after, r.margin)
+                  for r in retrieve(self.kb, agenda_set).rules if not r.indifferent]
         # Permutations of the name-sorted agenda come in name order and only a
         # strictly smaller margin replaces the best, so ties go to the first
         # plan by name.  Margins are >= 0, so no later plan beats one that

@@ -668,6 +668,44 @@ def test_missing_config_is_user_error(runner, tmp_path):
     assert "file not found" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["explore", "--config"], "Option '--config' requires an argument",
+                     id="explore-option-without-a-value"),
+        pytest.param(["summarize", "--tuples", "t.jsonl", "--out", "kb.json", "--bad"],
+                     "No such option '--bad'", id="summarize-unknown-option"),
+        pytest.param(["run", "--config", "env.json", "--out", "o", "--runs", "abc"],
+                     "Invalid value for '--runs'", id="run-runs-not-an-integer"),
+        pytest.param(["run", "--config", "env.json", "--out", "o", "--mode", "bogus"],
+                     "Invalid value for '--mode'", id="run-unknown-mode"),
+        pytest.param(["run", "--out", "o"], "Missing option '--config'", id="run-missing-option"),
+        pytest.param(["consistency", "--n", "x"], "Invalid value for '--n'",
+                     id="consistency-n-not-an-integer"),
+        pytest.param(["verify", "--report", "report.json"], "Missing option '--traces'",
+                     id="verify-missing-option"),
+        pytest.param(["bogus"], "No such command 'bogus'", id="unknown-command"),
+        pytest.param(["--bogus"], "No such option '--bogus'", id="unknown-group-option"),
+    ],
+)
+def test_a_usage_error_is_a_user_error(runner, args, message):
+    """Exit 1 with click's usage message on stderr, not click's 2, which is
+    verify's MISMATCH status."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == cli.EXIT_USER_ERROR, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert f"Error: {message}" in result.stderr
+
+
+@pytest.mark.parametrize("command", [[], ["explore"], ["summarize"], ["run"], ["consistency"],
+                                     ["verify"]], ids=lambda c: c[0] if c else "group")
+def test_help_exits_0(runner, command):
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.startswith("Usage: ")
+
+
 def test_consistency_command_experience_all_zero(runner, tmp_path):
     out = tmp_path / "consistency.json"
     result = runner.invoke(

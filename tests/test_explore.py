@@ -265,6 +265,17 @@ def test_the_default_config_applies_each_step_of_each_order_once(monkeypatch):
     assert len(calls) == 8 * 2 * 2
 
 
+def test_the_fast_path_builds_one_initial_profile_per_combination(monkeypatch):
+    calls = _count_calls(monkeypatch, explore_module, "initial_profile")
+    config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=3,
+                               trials_per_sample=2)
+    explore(reference_tabular_env(), config)
+    # The path's start only: the samples share it.
+    assert calls == [(RAIN_HAZE, 0)]
+    explore(reference_tabular_env(), config, GeneralLoopOracle())
+    assert calls == [(RAIN_HAZE, 0)] + [(RAIN_HAZE, si) for si in range(3)]
+
+
 def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
     original = explore_module.apply_tool
 

@@ -360,7 +360,8 @@ def test_run_batch_rejects_a_fractional_seed(runs):
 
 @pytest.mark.parametrize(
     "part",
-    [0, 1, -7, 2**100, True, False, "", "invoke", "é✓", *Degradation, *TaskKind, *Severity],
+    [0, 1, 255, 256, -1, -7, 2**100, True, False, "", "invoke", "é✓",
+     *Degradation, *TaskKind, *Severity],
 )
 def test_cached_encoding_equals_the_uncached_one(part):
     """An int or a str part encodes alike with and without the cache; both

@@ -4,8 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from restoragent.core import Degradation, TaskKind
-from restoragent.knowledge import ExperienceRecord, KnowledgeBase, reference_kb
+from restoragent.core import DEGRADATION_FOR, Degradation, TaskKind, builtin_combinations
+from restoragent.envsim import reference_tabular_env
+from restoragent.explore import ExplorationConfig, explore_and_build_kb
+from restoragent.knowledge import ExperienceRecord, KnowledgeBase, distill, reference_kb
 from restoragent import rng as rng_module
 from restoragent.rng import Stream, substream
 from restoragent.scheduling import (
@@ -248,6 +250,65 @@ def test_memoised_plans_equal_a_fresh_schedulers_for_every_small_agenda():
                     assert memoising.schedule(agenda, banned) == fresh
                     # Same key: presentation order and banned tasks outside the agenda don't count.
                     assert memoising.schedule(agenda[::-1], banned | {outside}) == fresh
+
+
+def _synthetic_kb():
+    """Records of 2 and 3 tasks, listed out of name order.  With deraining
+    banned, two rain + haze + noise orders tie on total_fail (the rates are
+    binary fractions, so the means tie exactly) and names break the tie."""
+    rates = {
+        (T.DENOISING, T.DERAINING, T.DEHAZING): (0.125, 0.25, 0.375),
+        (T.DEHAZING, T.DERAINING, T.DENOISING): (0.375, 0.25, 0.125),
+        (T.DERAINING, T.DEHAZING, T.DENOISING): (0.25, 0.25, 0.5),
+        (T.DERAINING, T.DENOISING, T.DEHAZING): (0.0625, 0.125, 0.1875),
+        (T.DERAINING, T.DEHAZING): (0.125, 0.25),
+        (T.DEHAZING, T.DERAINING): (0.5, 0.25),
+        (T.SUPER_RESOLUTION, T.DERAINING): (0.375, 0.0),
+        (T.DERAINING, T.SUPER_RESOLUTION): (0.0, 0.375),
+    }
+    records = []
+    for order, fails in rates.items():
+        per_task = dict(zip(order, fails))
+        combination = frozenset(DEGRADATION_FOR[t] for t in order)
+        records.append(ExperienceRecord(combination, order, per_task, sum(fails) / len(fails), 10))
+    assert records[0].total_fail == records[1].total_fail
+    return KnowledgeBase(records, distill(records))
+
+
+def _record_then_rule_plan(kb, agenda, banned):
+    """From scratch: the feasible exact-match record least by (total_fail,
+    task names), else the rule-scored plan."""
+    feasible = [r for r in kb.records
+                if frozenset(r.per_task_fail) == frozenset(agenda) and r.order[0] not in banned]
+    if feasible:
+        return min(feasible, key=lambda r: (r.total_fail, tuple(t.value for t in r.order))).order
+    return _margin_then_names_plan(agenda, banned, kb.rules)
+
+
+@pytest.mark.parametrize("kb", ["reference", "explored", "synthetic"])
+def test_indexed_records_plan_as_a_scan_of_the_kb_for_every_small_agenda(kb):
+    if kb == "reference":
+        kb = reference_kb()
+    elif kb == "explored":
+        # Groups B and C have no calibration rows, so each of their orders
+        # records a total_fail of 0 and names break every tie.
+        config = ExplorationConfig(combinations=builtin_combinations(),
+                                   samples_per_combination=1, trials_per_sample=4, seed=5)
+        kb = explore_and_build_kb(reference_tabular_env(), config)
+        assert any(len(r.order) == 3 for r in kb.records)
+    else:
+        kb = _synthetic_kb()
+    scheduler = ExperienceScheduler(kb)
+    tasks = sorted(TaskKind, key=lambda t: t.value)
+    hits = 0
+    for size in (1, 2, 3):
+        for agenda in itertools.combinations(tasks, size):
+            for n_banned in range(size):
+                for banned in map(frozenset, itertools.combinations(agenda, n_banned)):
+                    want = _record_then_rule_plan(kb, agenda, banned)
+                    assert scheduler.schedule(agenda[::-1], banned) == want
+                    hits += any(r.order == want for r in kb.records)
+    assert hits
 
 
 def _margin_then_names_plan(agenda, banned, rules):
