@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -38,11 +39,12 @@ from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistenc
 
 EXIT_USER_ERROR = 1
 EXIT_MISMATCH = 2
+EXIT_SOFTWARE = 70  # EX_SOFTWARE: an uncaught exception, which is a bug
 
 #: What parsing a malformed file raises.  OSError covers a path that exists
 #: but cannot be read, such as a directory; JSONDecodeError and SchemaError
 #: are ValueErrors.  A KeyError or AttributeError is a bug in a parser, since
-#: each reads its fields through ``read_field``, so it ends in a traceback.
+#: each reads its fields through ``read_field``, so it exits EXIT_SOFTWARE.
 BAD_INPUT = (OSError, TypeError, ValueError)
 
 
@@ -56,7 +58,7 @@ def _load(path: Path, what: str, parse):
     or ``parse`` raises one of BAD_INPUT.  ``parse`` holds only the code
     that turns the file into the command's inputs, so that an error in
     ``explore``, ``aggregate``, ``run_batch`` or ``measure_consistency``
-    still ends in a traceback."""
+    still exits EXIT_SOFTWARE."""
     if not path.exists():
         _fail(f"file not found: {path}")
     try:
@@ -96,24 +98,31 @@ def _trace_file(label: str) -> str:
 class _Group(click.Group):
     """The command group.  A usage error click rejects (a bad flag value, a
     missing option, an unknown command) exits EXIT_USER_ERROR with click's
-    message, not click's 2, which is ``verify``'s MISMATCH status."""
+    message, not click's 2, which is ``verify``'s MISMATCH status.  Any
+    other exception but click's own is a bug: it exits EXIT_SOFTWARE with
+    ``internal error:`` and its traceback on stderr."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_error_is_a_user_error():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_error_is_a_user_error():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
 @contextmanager
-def _usage_error_is_a_user_error():
+def _exit_codes():
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = EXIT_USER_ERROR
         raise
+    except (click.ClickException, click.exceptions.Exit, click.Abort):
+        raise
+    except Exception:
+        click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)
+        sys.exit(EXIT_SOFTWARE)
 
 
 @click.group(cls=_Group)
@@ -138,10 +147,9 @@ def cmd_explore(config_path: Path, out_path: Path):
             fh.write(
                 json.dumps(
                     {
-                        "combination": sorted(d.value for d in combination),
-                        "order": [t.value for t in order],
-                        "flags": {t.value: bool(ok) for t, ok in sorted(
-                            flags.items(), key=lambda kv: kv[0].value)},
+                        "combination": sorted(combination),
+                        "order": list(order),
+                        "flags": {t: bool(ok) for t, ok in sorted(flags.items())},
                     }
                 )
                 + "\n"

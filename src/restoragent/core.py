@@ -35,11 +35,9 @@ class Severity(enum.IntEnum):
         return _SEVERITY_OF[max(self - levels, VERY_LOW)]
 
 
-# Hot paths read members and values through module constants and dicts, never
-# through the enum classes: on Python 3.11 ``Severity.LOW`` goes through
-# EnumType's attribute hook, ``member.value`` is a Python-level descriptor,
-# ``Enum.__hash__`` and ``__format__`` are Python functions, and so is the
-# ``Severity(2)`` or ``TaskKind(name)`` call.
+# Hot paths read severities through module constants and dicts, never through
+# the enum class: on Python 3.11 ``Severity.LOW`` goes through EnumType's
+# attribute hook, and ``Severity(2)`` is a Python-level call.
 VERY_LOW, LOW, MEDIUM, HIGH, VERY_HIGH = Severity
 _SEVERITY_OF = {int(s): s for s in Severity}  # a dict, so a negative value raises
 
@@ -109,7 +107,9 @@ def _where(where: str, args: tuple) -> str:
     return f"{where % args}: " if where else ""
 
 
-class Degradation(enum.Enum):
+# A degradation or a task is its own name: as ``StrEnum`` members they hash,
+# compare, sort, format and encode to JSON as their values, all in C.
+class Degradation(enum.StrEnum):
     LOW_RESOLUTION = "low resolution"
     NOISE = "noise"
     MOTION_BLUR = "motion blur"
@@ -119,14 +119,8 @@ class Degradation(enum.Enum):
     JPEG_ARTIFACT = "jpeg compression artifact"
     LOW_LIGHT = "low light"
 
-    def __str__(self) -> str:  # pragma: no cover - repr sugar
-        return self.value
 
-    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
-    __hash__ = object.__hash__
-
-
-class TaskKind(enum.Enum):
+class TaskKind(enum.StrEnum):
     SUPER_RESOLUTION = "super-resolution"
     DENOISING = "denoising"
     MOTION_DEBLURRING = "motion deblurring"
@@ -136,15 +130,7 @@ class TaskKind(enum.Enum):
     JPEG_ARTIFACT_REMOVAL = "jpeg compression artifact removal"
     BRIGHTENING = "brightening"
 
-    def __str__(self) -> str:  # pragma: no cover - repr sugar
-        return self.value
 
-    # Identity hash in C: Enum's own hashes the name in Python; == is identity.
-    __hash__ = object.__hash__
-
-
-DEGRADATION_VALUE = {d: d.value for d in Degradation}
-TASK_VALUE = {t: t.value for t in TaskKind}
 _MEMBER_OF = {cls: {m.value: m for m in cls} for cls in (Degradation, TaskKind)}
 
 
@@ -236,11 +222,11 @@ class DegradationProfile:
         severities = self.severities
         return {
             "severities": {
-                DEGRADATION_VALUE[d]: _SEVERITY_LABELS[severities[d]]
-                for d in sorted(severities, key=DEGRADATION_VALUE.__getitem__)
+                d: _SEVERITY_LABELS[severities[d]]
+                for d in sorted(severities)
                 if severities[d] != VERY_LOW
             },
-            "history": [[TASK_VALUE[task], tool_id] for task, tool_id in self.history],
+            "history": [[task, tool_id] for task, tool_id in self.history],
             "origin": self.origin,
         }
 
@@ -261,7 +247,7 @@ class DegradationCombination:
         return frozenset(self.degradations)
 
     def label(self) -> str:
-        return " + ".join(DEGRADATION_VALUE[d] for d in self.degradations)
+        return " + ".join(self.degradations)
 
 
 def initial_profile(combo: DegradationCombination, index: int) -> DegradationProfile:

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 from .core import (
     DEGRADATION_FOR,
-    DEGRADATION_VALUE,
     LOW,
     MEDIUM,
-    TASK_VALUE,
     VERY_LOW,
     Degradation,
     DegradationProfile,
@@ -139,15 +137,12 @@ class OrderStats:
 
     def __post_init__(self):
         if not self.order or len(set(self.order)) != len(self.order):
-            raise ValueError(f"order {self._names()} is empty or repeats a task")
+            raise ValueError(f"order {list(map(str, self.order))} is empty or repeats a task")
         if set(self.fail) != {DEGRADATION_FOR[t] for t in self.order}:
-            raise ValueError(f"fail rates of order {self._names()} must name exactly its degradations")
+            raise ValueError(f"fail rates of order {list(map(str, self.order))} "
+                             "must name exactly its degradations")
         for degradation, p in self.fail.items():
             check_probability("fail probability of %s", p, degradation)
-
-    def _names(self) -> list:
-        """The order's task names, for error text."""
-        return [TASK_VALUE[t] for t in self.order]
 
 
 @dataclass
@@ -161,7 +156,7 @@ class TabularCalibration:
         key = frozenset(DEGRADATION_FOR[t] for t in stats.order)
         rows = self.entries.setdefault(key, [])
         if any(row.order == stats.order for row in rows):
-            raise ValueError(f"order {stats._names()} is given twice")
+            raise ValueError(f"order {list(map(str, stats.order))} is given twice")
         rows.append(stats)
 
     def fail_prob(self, combo_key: frozenset, prefix: tuple) -> float:
@@ -221,7 +216,7 @@ def reference_calibration() -> TabularCalibration:
 #: A tabular environment's tools: one always-applying tool per task, whose
 #: outcome the calibration decides.  A config gives a tabular env no tools.
 _TABULAR_TOOLS = tuple(
-    ToolSpec(f"tabular:{task.value}", task, 1.0, 0.0, 0.0) for task in TaskKind
+    ToolSpec(f"tabular:{task}", task, 1.0, 0.0, 0.0) for task in TaskKind
 )
 
 
@@ -326,7 +321,7 @@ def default_mechanistic_env(seed: int = 0) -> Environment:
     """
     tools = []
     for task in TaskKind:
-        name = task.value.replace(" ", "-")
+        name = task.replace(" ", "-")
         tools.append(ToolSpec(f"{name}:strong", task, 0.75, 0.20, 0.05))
         tools.append(ToolSpec(f"{name}:weak", task, 0.40, 0.30, 0.30))
     rules = [
@@ -361,10 +356,10 @@ def _condition_to_dict(condition) -> dict:
     if isinstance(condition, DegradationPresent):
         return {
             "kind": "degradation-present",
-            "degradation": DEGRADATION_VALUE[condition.degradation],
+            "degradation": condition.degradation,
             "min_severity": condition.min_severity.label,
         }
-    return {"kind": "task-in-history", "task": TASK_VALUE[condition.task]}
+    return {"kind": "task-in-history", "task": condition.task}
 
 
 def _condition_from_dict(data: dict, rule: int):
@@ -390,7 +385,7 @@ def _effect_to_dict(effect) -> dict:
         return {"kind": "fail-boost", "delta": effect.delta}
     return {
         "kind": "side-effect",
-        "degradation": DEGRADATION_VALUE[effect.degradation],
+        "degradation": effect.degradation,
         "levels": effect.levels,
         "p": effect.p,
     }
@@ -422,14 +417,14 @@ def env_to_dict(env: Environment) -> dict:
         "tools": [
             {
                 "id": t.id,
-                "task": TASK_VALUE[t.task],
+                "task": t.task,
                 "outcome": {"full": t.p_full, "partial": t.p_partial, "none": t.p_none},
             }
             for t in env.tools
         ],
         "rules": [
             {
-                "task": TASK_VALUE[r.task],
+                "task": r.task,
                 "condition": _condition_to_dict(r.condition),
                 "effect": _effect_to_dict(r.effect),
             }
@@ -470,13 +465,9 @@ def env_from_dict(data: dict) -> Environment:
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
     rows = []
-    for key in sorted(calibration.entries, key=lambda k: sorted(map(DEGRADATION_VALUE.__getitem__, k))):
+    for key in sorted(calibration.entries, key=sorted):
         for stats in calibration.entries[key]:
-            rows.append({
-                "order": stats._names(),
-                "fail": {DEGRADATION_VALUE[d]: stats.fail[d]
-                         for d in sorted(stats.fail, key=DEGRADATION_VALUE.__getitem__)},
-            })
+            rows.append({"order": list(stats.order), "fail": dict(sorted(stats.fail.items()))})
     return {"orders": rows}
 
 

@@ -107,7 +107,7 @@ def execute_subtask(
     """
     tools = tools.get(task, [])
     if not tools:
-        raise NoTools(f"no tools registered for {task.value!r}")
+        raise NoTools(f"no tools registered for {str(task)!r}")
 
     # Shuffling one element takes no draw, so a single tool needs no stream.
     if len(tools) > 1:

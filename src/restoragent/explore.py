@@ -7,7 +7,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .core import TASK_FOR, TASK_VALUE, Severity, combinations_in_group, initial_profile
+from .core import TASK_FOR, Severity, combinations_in_group, initial_profile
 from .envsim import Environment, apply_tool, tabular_fail_prob
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
@@ -93,10 +93,10 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
-        # In synthesis order: a set of tasks iterates in memory-address order.
+        # In synthesis order: a set of tasks iterates in hash-seed order.
         for task in map(TASK_FOR.__getitem__, combo.degradations):
             if not env.tools_for(task):
-                raise MissingTools(f"no tools for {task.value!r}")
+                raise MissingTools(f"no tools for {str(task)!r}")
     memo = env.mode == "tabular" and type(evaluator) is PerfectOracle
     threshold = config.success_threshold
     trials = []
@@ -104,7 +104,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         key = combo.key
         degradations = combo.degradations
         flag_tasks = [TASK_FOR[d] for d in degradations]
-        tasks = sorted(combo.tasks, key=TASK_VALUE.__getitem__)
+        tasks = sorted(combo.tasks)
         orders = [
             (order, [env.tools_for(task) for task in order])
             for order in itertools.permutations(tasks)

@@ -10,9 +10,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import (
-    DEGRADATION_VALUE,
     TASK_FOR,
-    TASK_VALUE,
     SchemaError,
     TaskKind,
     check_keys,
@@ -104,9 +102,7 @@ def aggregate(trials) -> list:
         count[0] += 1
     records = []
     for (combination, order), (_, fails, count) in sorted(
-        groups.items(),
-        key=lambda kv: (sorted(DEGRADATION_VALUE[d] for d in kv[0][0]),
-                        [TASK_VALUE[t] for t in kv[0][1]]),
+        groups.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
     ):
         n = count[0]
         per_task = {task: fails[task] / n for task in order}
@@ -131,8 +127,8 @@ def _check_shape(combination: frozenset, order: tuple, task_keys: dict) -> froze
 
 def _mismatch(tasks, combination) -> InconsistentTrial:
     return InconsistentTrial(
-        f"flags/order {sorted(TASK_VALUE[t] for t in tasks)} do not match "
-        f"combination {sorted(DEGRADATION_VALUE[d] for d in combination)}"
+        f"flags/order {sorted(map(str, tasks))} do not match "
+        f"combination {sorted(map(str, combination))}"
     )
 
 
@@ -154,12 +150,10 @@ def distill(records) -> list:
     totals = _pair_totals(records)
     rules = []
     for (combination, x, y), forward in sorted(
-        totals.items(),
-        key=lambda kv: (sorted(DEGRADATION_VALUE[d] for d in kv[0][0]),
-                        TASK_VALUE[kv[0][1]], TASK_VALUE[kv[0][2]]),
+        totals.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1], kv[0][2])
     ):
         backward = totals.get((combination, y, x))
-        if TASK_VALUE[y] < TASK_VALUE[x] or backward is None:
+        if y < x or backward is None:
             continue  # each pair once, x first by name, and only with both orders observed
         margin = abs(forward - backward)
         if margin <= EPSILON_TIE + _TIE_GUARD:
@@ -192,9 +186,7 @@ def reference_records() -> list:
     each counted as 100 trials."""
     calibration = reference_calibration()
     records = []
-    for combination in sorted(
-        calibration.entries, key=lambda k: sorted(d.value for d in k)
-    ):
+    for combination in sorted(calibration.entries, key=sorted):
         for stats in calibration.entries[combination]:
             per_task = {TASK_FOR[d]: p for d, p in stats.fail.items()}
             total = sum(per_task.values()) / len(per_task)
@@ -220,12 +212,12 @@ def render_experience_text(records) -> str:
     for record in records:
         by_combo.setdefault(record.combination, []).append(record)
     lines = []
-    for combination in sorted(by_combo, key=lambda k: sorted(d.value for d in k)):
-        degradations = sorted(combination, key=DEGRADATION_VALUE.__getitem__)
-        names = [DEGRADATION_VALUE[d] for d in degradations]
+    for combination in sorted(by_combo, key=sorted):
+        degradations = sorted(combination)
+        names = list(map(str, degradations))
         parts = []
         for record in by_combo[combination]:
-            order_text = " and then ".join(t.value for t in record.order)
+            order_text = " and then ".join(record.order)
             rates = [f"'{display_percent(record.per_task_fail[TASK_FOR[d]])}%'"
                      for d in degradations]
             parts.append(
@@ -247,10 +239,9 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
         "version": KB_VERSION,
         "records": [
             {
-                "combination": sorted(d.value for d in r.combination),
-                "order": [t.value for t in r.order],
-                "per_task_fail": {t.value: p for t, p in sorted(
-                    r.per_task_fail.items(), key=lambda kv: kv[0].value)},
+                "combination": sorted(r.combination),
+                "order": list(r.order),
+                "per_task_fail": dict(sorted(r.per_task_fail.items())),
                 "total_fail": r.total_fail,
                 "n_trials": r.n_trials,
             }
@@ -258,11 +249,11 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
         ],
         "rules": [
             {
-                "before": r.before.value,
-                "after": r.after.value,
+                "before": r.before,
+                "after": r.after,
                 "margin": r.margin,
                 "indifferent": r.indifferent,
-                "support": [sorted(d.value for d in combo) for combo in r.support],
+                "support": [sorted(combo) for combo in r.support],
             }
             for r in kb.rules
         ],
@@ -339,9 +330,8 @@ def _rule_from_dict(row, path: str) -> PrecedenceRule:
                              "a rule needs two tasks, and margin 0 if indifferent")
         for combo in rule.support:
             if not {rule.before, rule.after} <= {TASK_FOR[d] for d in combo}:
-                names = sorted(DEGRADATION_VALUE[d] for d in combo)
-                raise ValueError(
-                    f"support {names} lacks the degradation of {before!r} or {after!r}")
+                raise ValueError(f"support {sorted(map(str, combo))} "
+                                 f"lacks the degradation of {before!r} or {after!r}")
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return rule

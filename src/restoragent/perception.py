@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from .core import (
     ALL_DEGRADATIONS,
     DEGRADATION_FOR,
-    DEGRADATION_VALUE,
     MEDIUM,
     PRESENCE_THRESHOLD,
     TASK_FOR,
@@ -57,7 +56,7 @@ class NoiseModel:
 
     def to_dict(self) -> dict:
         return {
-            key: {DEGRADATION_VALUE[d]: table[d] for d in sorted(table, key=DEGRADATION_VALUE.__getitem__)}
+            key: dict(sorted(table.items()))
             for key, table in (("p_miss", self.p_miss), ("p_false", self.p_false))
         }
 

@@ -7,17 +7,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import TASK_VALUE
 from .knowledge import KnowledgeBase, retrieve
 from .rng import Stream
 
 
 class Unschedulable(ValueError):
     """No feasible plan exists under the banned-first constraint."""
-
-
-def _names(plan) -> tuple:
-    return tuple(TASK_VALUE[t] for t in plan)
 
 
 def _schedulable(agenda, banned_first) -> tuple:
@@ -46,11 +41,11 @@ class ExperienceScheduler:
     def __init__(self, kb: KnowledgeBase | None = None):
         self.kb = kb or KnowledgeBase()
         # Task set -> its exact-match record orders, best first.  The sort is
-        # stable, so orders tied on (total_fail, names) keep their KB order,
+        # stable, so orders tied on (total_fail, order) keep their KB order,
         # and the first one whose head is not banned is the min of the
         # feasible records.
         self._orders = {}
-        for record in sorted(self.kb.records, key=lambda r: (r.total_fail, _names(r.order))):
+        for record in sorted(self.kb.records, key=lambda r: (r.total_fail, r.order)):
             self._orders.setdefault(record.tasks, []).append(record.order)
         self._plans = {}  # (agenda, banned & agenda) -> plan
 
@@ -61,7 +56,8 @@ class ExperienceScheduler:
         if plan is None:
             plan = self._plan(agenda_set, banned)
             if len(plan) != len(agenda_set) or frozenset(plan) != agenda_set:
-                raise RuntimeError(f"plan {_names(plan)} is not a permutation of its agenda")
+                raise RuntimeError(
+                    f"plan {tuple(map(str, plan))} is not a permutation of its agenda")
             self._plans[key] = plan
         return plan
 
@@ -77,7 +73,7 @@ class ExperienceScheduler:
         # plan by name.  Margins are >= 0, so no later plan beats one that
         # violates nothing: the scan stops there.  Each plan's margin is summed
         # from 0 over the strict rules in rule order, so float ties stay ties.
-        tasks = sorted(agenda_set, key=TASK_VALUE.__getitem__)
+        tasks = sorted(agenda_set)
         best, best_margin = None, math.inf
         for plan in itertools.permutations(tasks):
             if plan[0] in banned:
@@ -100,9 +96,9 @@ class RandomScheduler:
         agenda_set, banned = _schedulable(agenda, banned_first)
         # integers(1) and a shuffle of at most one task take no draw, so they
         # are skipped: a lazy Stream then never builds its substream.
-        eligible = sorted(agenda_set - banned, key=TASK_VALUE.__getitem__)
+        eligible = sorted(agenda_set - banned)
         first = eligible[int(rng.integers(len(eligible)))] if len(eligible) > 1 else eligible[0]
-        rest = sorted(agenda_set - {first}, key=TASK_VALUE.__getitem__)
+        rest = sorted(agenda_set - {first})
         if len(rest) > 1:
             rng.shuffle(rest)
         return (first, *rest)
@@ -156,9 +152,7 @@ def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 
     if n_per_presentation < 1:
         raise ValueError("n_per_presentation must be >= 1")
     agenda_set = frozenset(agenda)
-    presentations = list(
-        itertools.permutations(sorted(agenda_set, key=TASK_VALUE.__getitem__))
-    )
+    presentations = list(itertools.permutations(sorted(agenda_set)))
     streams = [Stream(seed, "consistency", i) for i in range(len(presentations))]
     per_presentation = [
         Counter(

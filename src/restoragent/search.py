@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DEGRADATION_FOR, LOW, TASK_VALUE, DegradationProfile, Severity
+from .core import DEGRADATION_FOR, LOW, DegradationProfile, Severity
 from .envsim import Environment, FailBoost, SideEffect, apply_tool
 from .execution import (
     SUCCESS,
@@ -64,8 +64,8 @@ def _step(plan, profile, deps, stream, counters, children):
                               deps.accept_candidate, stream, use_reflection=deps.use_reflection)
     counters["invocations"] += outcome.invocations
     node = {
-        "plan": [TASK_VALUE[t] for t in plan],
-        "subtask": TASK_VALUE[plan[0]],
+        "plan": list(plan),
+        "subtask": plan[0],
         "tools_tried": list(outcome.tools_tried),
         "invocations": outcome.invocations,
         "status": outcome.status,
@@ -146,7 +146,7 @@ def run_workflow(initial: DegradationProfile, deps: WorkflowDeps, seed: int, run
     profile = initial
     try:
         agenda = evaluate_agenda(deps.evaluator, initial, stream.child("evaluate"))
-        trace["agenda"] = sorted(TASK_VALUE[t] for t in agenda)
+        trace["agenda"] = sorted(agenda)
         if agenda:
             run = _search if deps.use_rollback and deps.use_reflection else _run_straight_line
             profile = run(initial, agenda, deps, stream, trace)
@@ -223,7 +223,7 @@ def brute_force_oracle(profile, agenda, env: Environment, accept_candidate: Seve
     keeps every addressed degradation at or below ``accept_candidate``.
     """
     _check_deterministic(env)
-    agenda = sorted(frozenset(agenda), key=lambda t: t.value)
+    agenda = sorted(frozenset(agenda))
     if len(agenda) > 4:
         raise ValueError("oracle enumeration is limited to agendas of size 4")
     rng = _HalfRng()

@@ -10,16 +10,27 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from restoragent import cli, knowledge
+from restoragent import cli, harness, knowledge
 from restoragent.cli import main
-from restoragent.core import Degradation, TaskKind, builtin_combinations, combinations_in_group
+from restoragent.core import (
+    LOW,
+    Degradation,
+    DegradationCombination,
+    TaskKind,
+    builtin_combinations,
+    combinations_in_group,
+    initial_profile,
+)
 from restoragent.envsim import (
+    Environment,
+    OrderStats,
     TabularCalibration,
     default_mechanistic_env,
     env_to_dict,
     reference_tabular_env,
 )
-from restoragent.explore import ExplorationConfig
+from restoragent.execution import execute_subtask
+from restoragent.explore import ExplorationConfig, explore
 from restoragent.harness import (
     RUN_MODES,
     make_deps,
@@ -28,8 +39,18 @@ from restoragent.harness import (
     report_cells,
     run_batch,
 )
-from restoragent.knowledge import kb_to_dict, load_kb, reference_kb
+from restoragent.knowledge import (
+    ExperienceRecord,
+    KnowledgeBase,
+    aggregate,
+    kb_from_dict,
+    kb_to_dict,
+    load_kb,
+    reference_kb,
+)
 from restoragent.perception import PerfectOracle
+from restoragent.rng import Stream
+from restoragent.scheduling import ExperienceScheduler
 
 DELETE = object()
 TOOL = {"id": "a", "task": "denoising", "outcome": {"full": 1.0, "partial": 0.0, "none": 0.0}}
@@ -113,6 +134,71 @@ def test_explore_then_summarize_pipeline(runner, tmp_path):
         (TaskKind.DEHAZING, TaskKind.DERAINING),
         (TaskKind.DERAINING, TaskKind.DEHAZING),
     }
+
+
+def test_explore_and_summarize_print_plain_names(runner, tmp_path):
+    """A member's repr is ``<TaskKind.X: 'x'>``; the experience text formats
+    lists of names, which must read as the names alone."""
+    config = _write_json(tmp_path / "explore.json", {
+        "combinations": "group-C", "samples_per_combination": 1, "trials_per_sample": 2})
+    tuples = tmp_path / "tuples.jsonl"
+    explored = runner.invoke(main, ["explore", "--config", str(config), "--out", str(tuples)])
+    summarized = runner.invoke(
+        main, ["summarize", "--tuples", str(tuples), "--out", str(tmp_path / "kb.json")])
+    for result in (explored, summarized):
+        assert result.exit_code == 0, result.output
+        assert "the fail rates of addressing ['haze', 'low resolution', 'motion blur']" in (
+            result.output)
+        assert "<TaskKind" not in result.output and "<Degradation" not in result.output
+
+
+RAIN_HAZE = DegradationCombination("A", (Degradation.RAIN, Degradation.HAZE))
+_T, _D = TaskKind, Degradation
+
+
+def _twice_in_a_calibration():
+    calibration = TabularCalibration()
+    for _ in range(2):
+        calibration.add(OrderStats((_T.DERAINING,), {_D.RAIN: 0.1}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: aggregate([(RAIN_HAZE.key, (_T.DERAINING,), {_T.DERAINING: True})]),
+                     "flags/order ['deraining'] do not match combination ['haze', 'rain']",
+                     id="aggregate-mismatch"),
+        pytest.param(lambda: OrderStats((_T.DERAINING, _T.DERAINING), {_D.RAIN: 0.1}),
+                     "order ['deraining', 'deraining'] is empty or repeats a task",
+                     id="order-stats-repeat"),
+        pytest.param(lambda: OrderStats((_T.DERAINING,), {_D.HAZE: 0.1}),
+                     "fail rates of order ['deraining'] must name exactly its degradations",
+                     id="order-stats-fail-rates"),
+        pytest.param(_twice_in_a_calibration, "order ['deraining'] is given twice",
+                     id="order-stats-twice"),
+        pytest.param(lambda: explore(Environment("mechanistic"), ExplorationConfig(
+                         combinations=[RAIN_HAZE], samples_per_combination=1,
+                         trials_per_sample=1)),
+                     "no tools for 'deraining'", id="missing-tools"),
+        pytest.param(lambda: execute_subtask(_T.DEHAZING, initial_profile(RAIN_HAZE, 0), {},
+                                             PerfectOracle(), LOW, Stream(0)),
+                     "no tools registered for 'dehazing'", id="no-tools"),
+        pytest.param(lambda: ExperienceScheduler(KnowledgeBase([ExperienceRecord(
+                         RAIN_HAZE.key, (_T.DEHAZING,), {_T.DERAINING: 0.1, _T.DEHAZING: 0.2},
+                         0.15, 100)])).schedule({_T.DERAINING, _T.DEHAZING}),
+                     "plan ('dehazing',) is not a permutation of its agenda",
+                     id="scheduler-bad-record"),
+        pytest.param(lambda: kb_from_dict({"version": 1, "records": [], "rules": [
+                         {"before": "deraining", "after": "dehazing", "margin": 0.1,
+                          "support": [["noise", "haze"]]}]}),
+                     "rules[0]: support ['haze', 'noise'] lacks the degradation of "
+                     "'deraining' or 'dehazing'", id="kb-rule-support"),
+    ],
+)
+def test_an_error_names_tasks_and_degradations_plainly(call, message):
+    with pytest.raises(Exception) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_run_writes_report_traces_and_timings(runner, tmp_path, env_config):
@@ -281,7 +367,7 @@ def test_a_bug_in_report_cells_is_not_a_mismatch(runner, tmp_path, env_config, m
     result = runner.invoke(
         main, ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
     )
-    assert isinstance(result.exception, KeyError), result.output
+    _assert_internal_error(result, "KeyError: 'bug inside report_cells'")
     assert "MISMATCH" not in result.output
 
 
@@ -597,18 +683,25 @@ def test_an_unknown_member_name_is_an_error_naming_its_path(
     assert not (tmp_path / "out").exists()
 
 
+def _assert_internal_error(result, text):
+    """Exit 70 (EX_SOFTWARE), with ``internal error:`` and the traceback of
+    the exception, whose last line holds ``text``, on stderr."""
+    assert result.exit_code == cli.EXIT_SOFTWARE, result.output
+    assert result.stderr.startswith("internal error:\nTraceback (most recent call last):\n")
+    assert result.stderr.rstrip().endswith(text), result.stderr
+
+
 @pytest.mark.parametrize("error", [KeyError, AttributeError])
 def test_a_bug_in_a_parser_is_not_a_user_error(runner, tmp_path, env_config, monkeypatch, error):
     """Parsers read fields through ``read_field``, so a KeyError or an
-    AttributeError from one is a programming error and ends in a traceback,
-    not in ``sys.exit(1)``.  An uncaught exception exits 1 too, so the test
-    checks what escaped, not the exit code."""
+    AttributeError from one is a programming error: it exits 70 with its
+    traceback, not 1 with ``error: bad ...``."""
     def buggy(*args):
         raise error("bug inside a parser")
 
     monkeypatch.setattr(knowledge, "_record_from_dict", buggy)
     result, _, _ = _invoke(runner, tmp_path, env_config, "run --kb", kb_to_dict(reference_kb()))
-    assert type(result.exception) is error, result.output
+    _assert_internal_error(result, f"{error.__name__}: {error('bug inside a parser')}")
     assert "error: bad" not in result.output
 
 
@@ -620,8 +713,21 @@ def test_run_lets_an_error_in_the_planner_propagate(runner, tmp_path, env_config
     result = runner.invoke(
         main, ["run", "--config", str(env_config), "--out", str(tmp_path / "out")]
     )
-    assert isinstance(result.exception, TypeError)
+    _assert_internal_error(result, "TypeError: planner bug")
     assert "error: bad" not in result.output
+
+
+def test_a_key_error_in_a_workflow_run_exits_70(runner, tmp_path, env_config, monkeypatch):
+    """A KeyError inside the planner is a bug, not a bad input file."""
+    def buggy(*args, **kwargs):
+        raise KeyError("bug inside run_workflow")
+
+    monkeypatch.setattr(harness, "run_workflow", buggy)
+    result = runner.invoke(main, ["run", "--config", str(env_config), "--runs", "1",
+                                  "--combinations", "group-A", "--out", str(tmp_path / "out")])
+    _assert_internal_error(result, "KeyError: 'bug inside run_workflow'")
+    assert "error: bad" not in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["explore", "summarize"])
@@ -641,7 +747,7 @@ def test_an_error_inside_explore_or_aggregate_propagates(runner, tmp_path, monke
                                     "flags": {"deraining": True}}) + "\n", encoding="utf-8")
         args = ["summarize", "--tuples", str(path)]
     result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
-    assert isinstance(result.exception, KeyError), result.output
+    _assert_internal_error(result, f"KeyError: 'bug inside {command}'")
     assert "error: bad" not in result.output
 
 

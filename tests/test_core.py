@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,10 +8,8 @@ from restoragent import core
 from restoragent.core import (
     ALL_DEGRADATIONS,
     DEGRADATION_FOR,
-    DEGRADATION_VALUE,
     PRESENCE_THRESHOLD,
     TASK_FOR,
-    TASK_VALUE,
     Degradation,
     DegradationProfile,
     Severity,
@@ -66,10 +65,11 @@ def test_module_constants_are_the_members_they_name():
     for s in Severity:
         assert getattr(core, s.name) is s
     assert PRESENCE_THRESHOLD is Severity.MEDIUM
-    for d in Degradation:
-        assert DEGRADATION_VALUE[d] is d.value
-    for t in TaskKind:
-        assert TASK_VALUE[t] is t.value
+    for cls in (Degradation, TaskKind):
+        for m in cls:
+            assert m == m.value and hash(m) == hash(m.value)
+            assert json.dumps(m) == json.dumps(m.value)
+        assert [m.value for m in sorted(cls)] == sorted(m.value for m in cls)
 
 
 @pytest.mark.parametrize("cls", [Degradation, TaskKind])

@@ -75,7 +75,7 @@ def test_missing_tools_detected():
 
 
 def test_missing_tools_names_the_first_task_in_synthesis_order():
-    """Not the first of a set of tasks, whose order follows memory addresses."""
+    """Not the first of a set of tasks, whose order follows the hash seed."""
     env = Environment("mechanistic", [ToolSpec("blur", T.MOTION_DEBLURRING, 1.0, 0.0, 0.0)], [])
     for combo, first in [(RAIN_HAZE, "deraining"),
                          (DegradationCombination("custom", (D.HAZE, D.RAIN)), "dehazing")]:
