@@ -109,7 +109,7 @@ def execute_subtask(
     if not tools:
         raise NoTools(f"no tools registered for {str(task)!r}")
 
-    # Shuffling one element takes no draw, so a single tool needs no stream.
+    # A one-tool shuffle draws nothing; skipping it saves a list copy and a child stream.
     if len(tools) > 1:
         tools = list(tools)
         stream.child("tool-order").shuffle(tools)

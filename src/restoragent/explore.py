@@ -51,12 +51,6 @@ class _Replay:
         return u
 
 
-def _pick(tools: list, rng):
-    """A uniform choice among a step's tools; integers(1) consumes no draw,
-    so a task with one tool skips it and keeps the stream."""
-    return tools[int(rng.integers(len(tools)))] if len(tools) > 1 else tools[0]
-
-
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:
     """Run every permutation of every combination straight through.
 
@@ -148,7 +142,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                         rng = per_order.child(ti)
                         state = base.copy()
                         for tools in tool_lists:
-                            state = apply_tool(env, state, _pick(tools, rng), rng)
+                            state = apply_tool(env, state, tools[int(rng.integers(len(tools)))], rng)
                         trials.append((key, order, judge(state, rng)))
     return trials
 

@@ -229,15 +229,19 @@ class Stream:
         return self._generator
 
     # A built substream (always truthy) is called directly; only the first
-    # draw goes through generator().
+    # draw goes through generator().  numpy takes no draw for integers(1) or
+    # a shuffle of at most one item, so neither builds the substream.
     def random(self, size=None):
         return (self._generator or self.generator()).random(size)
 
     def integers(self, high):
+        if high == 1:
+            return 0
         return (self._generator or self.generator()).integers(high)
 
     def shuffle(self, items: list):
-        (self._generator or self.generator()).shuffle(items)
+        if len(items) > 1:
+            (self._generator or self.generator()).shuffle(items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts, stream = (), self

@@ -94,13 +94,10 @@ class RandomScheduler:
         if rng is None:
             raise ValueError("RandomScheduler.schedule requires an rng substream")
         agenda_set, banned = _schedulable(agenda, banned_first)
-        # integers(1) and a shuffle of at most one task take no draw, so they
-        # are skipped: a lazy Stream then never builds its substream.
         eligible = sorted(agenda_set - banned)
-        first = eligible[int(rng.integers(len(eligible)))] if len(eligible) > 1 else eligible[0]
+        first = eligible[int(rng.integers(len(eligible)))]
         rest = sorted(agenda_set - {first})
-        if len(rest) > 1:
-            rng.shuffle(rest)
+        rng.shuffle(rest)
         return (first, *rest)
 
 

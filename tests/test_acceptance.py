@@ -9,6 +9,7 @@ import time
 import pytest
 
 import conftest
+from perception_metrics import classification_metrics
 from restoragent.core import (
     DEGRADATION_FOR,
     TASK_FOR,
@@ -42,7 +43,7 @@ from restoragent.knowledge import (
     reference_records,
     save_kb,
 )
-from restoragent.perception import PerfectOracle, classification_metrics
+from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream, substream
 from restoragent.scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
 from restoragent.search import WorkflowDeps, brute_force_oracle, dfs, run_workflow

@@ -903,7 +903,6 @@ def test_every_import_in_the_package_is_used():
 #: Names no ``src`` or benchmark code reads, kept on purpose.
 UNREAD_BY_DESIGN = {
     "search.brute_force_oracle": "criterion 3's exhaustive oracle; to move into tests/",
-    "perception.classification_metrics": "criterion 8's subject, the perception metrics",
 }
 
 
@@ -984,13 +983,14 @@ def test_run_batch_parallel_matches_serial():
 
 
 def test_run_batch_makes_no_call_into_enum():
-    """``run_batch`` reads members and values through ``core``'s constants and
-    dicts, so no Python function of ``enum.py`` runs: no ``member.value``
-    descriptor, no ``Enum.__hash__`` or ``__format__``, no ``TaskKind(name)``
-    call.  Covers the per-batch config round trip and every run, for the
-    tabular env with the perfect oracle in every mode and the mechanistic env
-    with the noisy oracle.  Blind spot: a ``Class.MEMBER`` read goes through
-    EnumType's attribute hook in C and raises no profile event."""
+    """No Python-level function of ``enum.py`` runs inside ``run_batch``:
+    members are ``StrEnum``s whose hash, compare and format are ``str``'s C
+    slots, and a name becomes a member through ``core``'s lookups, never a
+    ``TaskKind(name)`` call.  Covers the per-batch config round trip and every
+    run, for the tabular env with the perfect oracle in every mode and the
+    mechanistic env with the noisy oracle.  Blind spot: a ``Class.MEMBER``
+    read goes through EnumType's attribute hook in C and raises no profile
+    event."""
     noise = {"p_miss": {d.value: 0.1 for d in Degradation},
              "p_false": {d.value: 0.05 for d in Degradation}}
     cases = [(reference_tabular_env(), mode, None) for mode in RUN_MODES]

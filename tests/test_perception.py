@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
+from perception_metrics import EmptyInput, classification_metrics
 from restoragent.perception import (
-    EmptyInput,
     NoiseModel,
     NoisyOracle,
     PerfectOracle,
-    classification_metrics,
     evaluate_agenda,
     reflect,
 )

@@ -19,6 +19,7 @@ from restoragent.execution import adapters_for, execute_subtask
 from restoragent.harness import run_batch
 from restoragent.perception import PerfectOracle
 from restoragent.rng import Stream, stream_key, substream
+from restoragent.scheduling import RandomScheduler
 
 
 def _count_substreams(monkeypatch):
@@ -89,6 +90,59 @@ def test_one_element_permutation_takes_no_draw():
     gen.shuffle(items)
     assert items == ["x"]
     assert _draws(gen) == _draws(substream(2, "p"))
+
+
+# numpy takes no draw for integers(1) or a shuffle of at most one item, so a
+# Stream answers them itself.
+
+def test_integers_of_one_builds_no_substream(monkeypatch):
+    built = _count_substreams(monkeypatch)
+    for stream in (Stream(4, "a"), Stream(4, "a").child("b", 2)):
+        assert stream.integers(1) == 0
+        assert stream._generator is None
+    assert built == []
+
+
+@pytest.mark.parametrize("items", [[], ["x"]], ids=["empty", "one-item"])
+def test_a_shuffle_of_at_most_one_item_builds_no_substream(monkeypatch, items):
+    built = _count_substreams(monkeypatch)
+    for stream in (Stream(4, "a"), Stream(4, "a").child("b", 2)):
+        shuffled = list(items)
+        stream.shuffle(shuffled)
+        assert shuffled == items
+        assert stream._generator is None
+    assert built == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    calls=st.lists(st.one_of(st.tuples(st.just("integers"), st.integers(1, 50)),
+                             st.tuples(st.just("shuffle"), st.integers(0, 6)),
+                             st.tuples(st.just("random"), st.just(0))), max_size=12),
+)
+def test_draws_around_the_no_draw_calls_match_substream(seed, calls):
+    """integers(n) for n >= 2 and shuffles of two or more items draw as
+    ``substream`` does, whatever integers(1) and short shuffles come between."""
+    stream, reference = Stream(seed, "a").child(2), substream(seed, "a", 2)
+    for name, n in calls:
+        if name == "integers":
+            assert int(stream.integers(n)) == int(reference.integers(n))
+        elif name == "shuffle":
+            assert _shuffled(stream, n) == _shuffled(reference, n)
+        else:
+            assert stream.random() == reference.random()
+
+
+@pytest.mark.parametrize("agenda, banned, plan", [
+    ((TaskKind.DERAINING,), set(), (TaskKind.DERAINING,)),
+    ((TaskKind.DERAINING, TaskKind.DEHAZING), {TaskKind.DERAINING}, (TaskKind.DEHAZING, TaskKind.DERAINING)),
+], ids=["no-rest", "one-task-rest"])
+def test_random_schedule_of_one_eligible_task_builds_no_substream(monkeypatch, agenda, banned, plan):
+    built = _count_substreams(monkeypatch)
+    stream = Stream(0, "workflow", 0).child("schedule", 0)
+    assert RandomScheduler().schedule(agenda, banned_first=banned, rng=stream) == plan
+    assert built == [] and stream._generator is None
 
 
 def test_single_tool_subtask_builds_no_tool_order_generator(monkeypatch):
