@@ -15,11 +15,12 @@ import click
 from .core import (
     Severity,
     TaskKind,
+    at_path,
     builtin_combinations,
-    check_keys,
     degradations_named,
     member_of,
     read_field,
+    read_object,
 )
 from .envsim import env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, MissingTools, explore
@@ -44,7 +45,7 @@ EXIT_SOFTWARE = 70  # EX_SOFTWARE: an uncaught exception, which is a bug
 #: What parsing a malformed file raises.  OSError covers a path that exists
 #: but cannot be read, such as a directory; JSONDecodeError and SchemaError
 #: are ValueErrors.  A KeyError or AttributeError is a bug in a parser, since
-#: each reads its fields through ``read_field``, so it exits EXIT_SOFTWARE.
+#: each reads its objects through ``read_object``, so it exits EXIT_SOFTWARE.
 BAD_INPUT = (OSError, TypeError, ValueError)
 
 
@@ -161,30 +162,26 @@ def cmd_explore(config_path: Path, out_path: Path):
 
 
 def _explore_config(path: Path) -> tuple:
-    """(environment, ExplorationConfig, evaluator) of an ``explore`` config."""
-    config = _json_object(path)
-    check_keys(config, ("environment", "combinations", "samples_per_combination",
-                        "trials_per_sample", "success_threshold", "seed", "evaluator"))
-    env_spec = read_field(config, "environment", (str, dict), default="reference-tabular")
-    if env_spec == "reference-tabular":
+    """(environment, ExplorationConfig, evaluator) of an ``explore`` config.
+    A key the config does not set reads as None and is not passed on, so the
+    defaults live in ExplorationConfig."""
+    fields = {"environment": (str, dict), "combinations": (str, list),
+              "samples_per_combination": int, "trials_per_sample": int,
+              "success_threshold": str, "seed": int, "evaluator": (dict, type(None))}
+    settings = dict(zip(fields, read_object(_json_object(path), fields, **dict.fromkeys(fields))))
+    env_spec, evaluator = settings.pop("environment"), settings.pop("evaluator")
+    if env_spec in (None, "reference-tabular"):
         env = reference_tabular_env()
     elif isinstance(env_spec, dict):
         env = env_from_dict(env_spec)
     else:
         raise ValueError(f"unknown environment spec: {env_spec!r}")
-    # Only the keys the config sets, so the defaults live in ExplorationConfig.
-    settings = {
-        key: read_field(config, key, int)
-        for key in ("samples_per_combination", "trials_per_sample", "seed")
-        if key in config
-    }
-    if "combinations" in config:
-        settings["combinations"] = parse_combinations(
-            read_field(config, "combinations", (str, list)))
-    if "success_threshold" in config:
-        settings["success_threshold"] = Severity.from_label(
-            read_field(config, "success_threshold", str))
-    evaluator = read_field(config, "evaluator", (dict, type(None)), default=None)
+    for key, parse in (("combinations", parse_combinations),
+                       ("success_threshold", Severity.from_label)):
+        if settings[key] is not None:
+            with at_path(key):
+                settings[key] = parse(settings[key])
+    settings = {key: value for key, value in settings.items() if value is not None}
     return env, ExplorationConfig(**settings), evaluator_from_model(evaluator)
 
 
@@ -213,20 +210,20 @@ def _tuples_trials(path: Path) -> list:
     trials = []
     with path.open(encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            check_keys(row, ("combination", "order", "flags"), "line %d", n)
-            combination = read_field(row, "combination", list, "line %d", n)
-            order = read_field(row, "order", list, "line %d", n)
-            flags = read_field(row, "flags", dict, "line %d", n)
+            where = f"line {n}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: {exc.msg} at column {exc.colno}") from None
+            combination, order, flags = read_object(
+                row, {"combination": list, "order": list, "flags": dict}, where)
             trials.append((
-                frozenset(degradations_named(combination, "line %d.combination", n)),
-                tuple(member_of(TaskKind, t, "line %d.order[%d]", n, j)
-                      for j, t in enumerate(order)),
-                {member_of(TaskKind, t, "line %d.flags", n):
-                 read_field(flags, t, bool, "line %d.flags", n) for t in flags},
+                frozenset(degradations_named(combination, f"{where}.combination")),
+                tuple(member_of(TaskKind, t, f"{where}.order[{j}]") for j, t in enumerate(order)),
+                {member_of(TaskKind, t, f"{where}.flags"):
+                 read_field(flags, t, bool, f"{where}.flags") for t in flags},
             ))
     return trials
 
@@ -270,10 +267,12 @@ def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_
 
 
 def _environment_config(path: Path) -> tuple:
-    """(environment, evaluator model) of a ``run`` config."""
+    """(environment, evaluator model) of a ``run`` config: an env config that
+    may also hold an ``evaluator``."""
     config = _json_object(path)
-    evaluator_model = read_field(config, "evaluator", (dict, type(None)), default=None)
-    env = env_from_dict({key: value for key, value in config.items() if key != "evaluator"})
+    (evaluator_model,) = read_object({"evaluator": config.pop("evaluator", None)},
+                                     {"evaluator": (dict, type(None))})
+    env = env_from_dict(config)
     evaluator_from_model(evaluator_model)  # validates the model before any run
     return env, evaluator_model
 

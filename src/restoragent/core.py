@@ -69,42 +69,69 @@ class SchemaError(ValueError):
     """An input file is malformed; the message names where."""
 
 
-def check_keys(data, allowed, where: str = "", *args) -> None:
-    """Raises unless ``data`` is a JSON object whose keys are all in
-    ``allowed``: a misspelt optional key is an error, not its default.  The
-    error text names the object as ``where % args``, formatted only on a
-    raise, or not at all if ``where`` is empty."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{_where(where, args)}expected a JSON object, not {data!r}")
-    for key in data:
-        if key not in allowed:
-            raise SchemaError(f"{_where(where, args)}unknown key {key!r}")
+class at_path:
+    """``with at_path(where):`` turns a TypeError or ValueError of its block
+    into a SchemaError naming the path ``where``; a SchemaError already names
+    its path.  A class: a generator would cost each row of a config more."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        if isinstance(error, (TypeError, ValueError)) and not isinstance(error, SchemaError):
+            raise SchemaError(f"{self.where}: {error}") from None
 
 
-_REQUIRED = object()
+_MISSING = object()
 _JSON_TYPE = {dict: "an object", list: "a list", str: "a string", int: "an integer",
               float: "a number", bool: "true or false", type(None): "null"}
+#: The types of a legacy key, which takes any JSON value and is not read.
+ANY_JSON = tuple(_JSON_TYPE)
 
 
-def read_field(data, key: str, types, where: str = "", *args, default=_REQUIRED):
-    """``data[key]``, checked to be one of the JSON ``types``: the one way a
-    parser reads a field.  A missing key without a ``default``, or a value of
-    another type, is a SchemaError naming ``where % args`` and ``key``,
-    formatted only on a raise.  True and false match only ``bool``."""
-    value = data.get(key, _REQUIRED)
-    if value is _REQUIRED and default is not _REQUIRED:
-        return default
-    if isinstance(value, types) and (value.__class__ is not bool or types is bool):
+def read_field(data, key: str, types, where: str = ""):
+    """``data[key]``, checked to be one of the JSON ``types``; a missing key
+    or a value of another type is a SchemaError naming the path ``where.key``.
+    True and false match only ``bool`` and ANY_JSON."""
+    value = data.get(key, _MISSING)
+    if isinstance(value, types) and (value.__class__ is not bool or types in (bool, ANY_JSON)):
         return value
-    path = f"{where % args}.{key}" if where else key
-    if value is _REQUIRED:
+    path = f"{where}.{key}" if where else key
+    if value is _MISSING:
         raise SchemaError(f"{path}: missing key")
     names = " or ".join(map(_JSON_TYPE.get, types if isinstance(types, tuple) else (types,)))
     raise SchemaError(f"{path}: expected {names}, not {value!r}")
 
 
-def _where(where: str, args: tuple) -> str:
-    return f"{where % args}: " if where else ""
+def read_object(data, fields: dict, where: str = "", **defaults) -> list:
+    """The values of the JSON object ``data`` at the path ``where``, one per
+    key of ``fields`` in its order: the one way a parser reads an object.
+    ``fields`` maps each key the object may hold to its JSON types, or to
+    Degradation or TaskKind for a member's name; a key in ``defaults`` may be
+    missing.  A SchemaError names the first problem: not an object, then an
+    unknown key, then field by field a missing key or a wrong type."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{_where(where)}expected a JSON object, not {data!r}")
+    for key in data:
+        if key not in fields:
+            raise SchemaError(f"{_where(where)}unknown key {key!r}")
+    values = []
+    for key, types in fields.items():
+        if key in defaults and key not in data:
+            values.append(defaults[key])
+        elif types in _MEMBER_OF:  # never a truth test: bool(TaskKind) runs enum.py
+            values.append(member_of(types, read_field(data, key, str, where),
+                                    f"{where}.{key}" if where else key))
+        else:
+            values.append(read_field(data, key, types, where))
+    return values
+
+
+def _where(where: str) -> str:
+    return f"{where}: " if where else ""
 
 
 # A degradation or a task is its own name: as ``StrEnum`` members they hash,
@@ -134,29 +161,26 @@ class TaskKind(enum.StrEnum):
 _MEMBER_OF = {cls: {m.value: m for m in cls} for cls in (Degradation, TaskKind)}
 
 
-def member_of(cls, value, where: str = "", *args):
+def member_of(cls, value, where: str = ""):
     """``cls(value)`` for Degradation or TaskKind, through a dict.  A value
     that names no member is a SchemaError naming the value's path
-    ``where % args``, formatted only on a raise; without a path its text is
-    the enum call's."""
+    ``where``; without a path its text is the enum call's."""
     try:
         return _MEMBER_OF[cls][value]
     except (KeyError, TypeError):  # a TypeError: an unhashable JSON value
-        raise SchemaError(
-            f"{_where(where, args)}{value!r} is not a valid {cls.__qualname__}") from None
+        raise SchemaError(f"{_where(where)}{value!r} is not a valid {cls.__qualname__}") from None
 
 
-def degradations_named(names, where: str = "", *args) -> tuple:
+def degradations_named(names, where: str) -> tuple:
     """A combination's Degradations, in order, from a non-empty JSON list of
-    names at the path ``where % args``; anything else, or a repeated name,
-    is a SchemaError naming that path."""
+    names at the path ``where``; anything else, or a repeated name, is a
+    SchemaError naming that path."""
     if not names or not isinstance(names, list):
-        raise SchemaError(f"{_where(where, args)}combination {names!r} "
+        raise SchemaError(f"{where}: combination {names!r} "
                           "is not a non-empty list of degradation names")
-    item = f"{where}[%d]" if where else ""
-    degradations = tuple(member_of(Degradation, n, item, *args, j) for j, n in enumerate(names))
+    degradations = tuple(member_of(Degradation, n, f"{where}[{j}]") for j, n in enumerate(names))
     if len(set(degradations)) != len(degradations):
-        raise SchemaError(f"{_where(where, args)}combination {names!r} repeats a degradation")
+        raise SchemaError(f"{where}: combination {names!r} repeats a degradation")
     return degradations
 
 

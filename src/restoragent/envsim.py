@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    ANY_JSON,
     DEGRADATION_FOR,
     LOW,
     MEDIUM,
@@ -19,10 +20,11 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
-    check_keys,
+    at_path,
     check_probability,
     member_of,
     read_field,
+    read_object,
 )
 
 _PROB_TOL = 1e-9
@@ -362,22 +364,18 @@ def _condition_to_dict(condition) -> dict:
     return {"kind": "task-in-history", "task": condition.task}
 
 
-def _condition_from_dict(data: dict, rule: int):
-    where = "rules[%d].condition"
-    kind = read_field(data, "kind", str, where, rule)
-    if kind == "degradation-present":
-        check_keys(data, ("kind", "degradation", "min_severity"), where, rule)
-        return DegradationPresent(
-            member_of(Degradation, read_field(data, "degradation", str, where, rule),
-                      "rules[%d].condition.degradation", rule),
-            Severity.from_label(
-                read_field(data, "min_severity", str, where, rule, default="medium")),
-        )
-    if kind == "task-in-history":
-        check_keys(data, ("kind", "task"), where, rule)
-        return TaskInHistory(member_of(TaskKind, read_field(data, "task", str, where, rule),
-                                       "rules[%d].condition.task", rule))
-    raise ValueError(f"rules[{rule}].condition: unknown condition kind: {kind!r}")
+def _condition_from_dict(data: dict, where: str):
+    kind = read_field(data, "kind", str, where)
+    with at_path(where):
+        if kind == "degradation-present":
+            _, degradation, label = read_object(
+                data, {"kind": str, "degradation": Degradation, "min_severity": str}, where,
+                min_severity="medium")
+            return DegradationPresent(degradation, Severity.from_label(label))
+        if kind == "task-in-history":
+            _, task = read_object(data, {"kind": str, "task": TaskKind}, where)
+            return TaskInHistory(task)
+        raise ValueError(f"unknown condition kind: {kind!r}")
 
 
 def _effect_to_dict(effect) -> dict:
@@ -391,21 +389,18 @@ def _effect_to_dict(effect) -> dict:
     }
 
 
-def _effect_from_dict(data: dict, rule: int):
-    where = "rules[%d].effect"
-    kind = read_field(data, "kind", str, where, rule)
-    if kind == "fail-boost":
-        check_keys(data, ("kind", "delta"), where, rule)
-        return FailBoost(read_field(data, "delta", (int, float), where, rule))
-    if kind == "side-effect":
-        check_keys(data, ("kind", "degradation", "levels", "p"), where, rule)
-        return SideEffect(
-            member_of(Degradation, read_field(data, "degradation", str, where, rule),
-                      "rules[%d].effect.degradation", rule),
-            read_field(data, "levels", int, where, rule, default=1),
-            read_field(data, "p", (int, float), where, rule, default=1.0),
-        )
-    raise ValueError(f"rules[{rule}].effect: unknown effect kind: {kind!r}")
+def _effect_from_dict(data: dict, where: str):
+    kind = read_field(data, "kind", str, where)
+    with at_path(where):
+        if kind == "fail-boost":
+            _, delta = read_object(data, {"kind": str, "delta": (int, float)}, where)
+            return FailBoost(delta)
+        if kind == "side-effect":
+            _, degradation, levels, p = read_object(
+                data, {"kind": str, "degradation": Degradation, "levels": int, "p": (int, float)},
+                where, levels=1, p=1.0)
+            return SideEffect(degradation, levels, p)
+        raise ValueError(f"unknown effect kind: {kind!r}")
 
 
 def env_to_dict(env: Environment) -> dict:
@@ -433,34 +428,30 @@ def env_to_dict(env: Environment) -> dict:
     }
 
 
-def env_from_dict(data: dict) -> Environment:
+def env_from_dict(data) -> Environment:
     """The environment a config describes; a key it does not read is a
     SchemaError, except the legacy top-level ``seed``, which is ignored."""
-    check_keys(data, ("mode", "tools", "rules", "calibration", "seed"))
-    outcomes = ("full", "partial", "none")
+    mode, tool_rows, rule_rows, calibration, _ = read_object(
+        data, {"mode": str, "tools": list, "rules": list, "calibration": dict, "seed": ANY_JSON},
+        tools=(), rules=(), calibration=None, seed=None)
     tools = []
-    for i, t in enumerate(read_field(data, "tools", list, default=())):
-        check_keys(t, ("id", "task", "outcome"), "tools[%d]", i)
-        outcome = read_field(t, "outcome", dict, "tools[%d]", i)
-        check_keys(outcome, outcomes, "tools[%d].outcome", i)
-        tools.append(ToolSpec(
-            read_field(t, "id", str, "tools[%d]", i),
-            member_of(TaskKind, read_field(t, "task", str, "tools[%d]", i), "tools[%d].task", i),
-            *[read_field(outcome, key, (int, float), "tools[%d].outcome", i) for key in outcomes],
-        ))
+    for i, row in enumerate(tool_rows):
+        where = f"tools[{i}]"
+        tool_id, task, outcome = read_object(
+            row, {"id": str, "task": TaskKind, "outcome": dict}, where)
+        probs = read_object(
+            outcome, dict.fromkeys(("full", "partial", "none"), (int, float)), f"{where}.outcome")
+        with at_path(where):
+            tools.append(ToolSpec(tool_id, task, *probs))
     rules = []
-    for i, r in enumerate(read_field(data, "rules", list, default=())):
-        check_keys(r, ("task", "condition", "effect"), "rules[%d]", i)
-        rules.append(InteractionRule(
-            member_of(TaskKind, read_field(r, "task", str, "rules[%d]", i), "rules[%d].task", i),
-            _condition_from_dict(read_field(r, "condition", dict, "rules[%d]", i), i),
-            _effect_from_dict(read_field(r, "effect", dict, "rules[%d]", i), i),
-        ))
-    calibration = read_field(data, "calibration", dict, default=None)
+    for i, row in enumerate(rule_rows):
+        where = f"rules[{i}]"
+        task, condition, effect = read_object(
+            row, {"task": TaskKind, "condition": dict, "effect": dict}, where)
+        rules.append(InteractionRule(task, _condition_from_dict(condition, f"{where}.condition"),
+                                     _effect_from_dict(effect, f"{where}.effect")))
     return Environment(
-        read_field(data, "mode", str), tools, rules,
-        None if calibration is None else calibration_from_dict(calibration),
-    )
+        mode, tools, rules, None if calibration is None else calibration_from_dict(calibration))
 
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
@@ -471,18 +462,18 @@ def calibration_to_dict(calibration: TabularCalibration) -> dict:
     return {"orders": rows}
 
 
-def calibration_from_dict(data: dict) -> TabularCalibration:
+def calibration_from_dict(data) -> TabularCalibration:
     """A row's legacy ``stated_total_pct`` is ignored; any other key the
     calibration does not read is a SchemaError."""
-    check_keys(data, ("orders",), "calibration")
+    (rows,) = read_object(data, {"orders": list}, "calibration", orders=())
     calibration = TabularCalibration()
-    where = "calibration.orders[%d]"
-    for i, row in enumerate(read_field(data, "orders", list, "calibration", default=())):
-        check_keys(row, ("order", "fail", "stated_total_pct"), where, i)
-        order = read_field(row, "order", list, where, i)
-        fail = read_field(row, "fail", dict, where, i)
-        calibration.add(OrderStats(
-            tuple(member_of(TaskKind, t, where + ".order[%d]", i, j) for j, t in enumerate(order)),
-            {member_of(Degradation, d, where + ".fail", i): p for d, p in fail.items()},
-        ))
+    fields = {"order": list, "fail": dict, "stated_total_pct": ANY_JSON}
+    for i, row in enumerate(rows):
+        where = f"calibration.orders[{i}]"
+        order, fail, _ = read_object(row, fields, where, stated_total_pct=None)
+        with at_path(where):
+            calibration.add(OrderStats(
+                tuple(member_of(TaskKind, t, f"{where}.order[{j}]") for j, t in enumerate(order)),
+                {member_of(Degradation, d, f"{where}.fail"): p for d, p in fail.items()},
+            ))
     return calibration

@@ -157,6 +157,6 @@ def parse_combinations(spec) -> list:
             return combinations_in_group(spec.split("-", 1)[1].upper())
         raise ValueError(f"unknown combination spec: {spec!r}")
     builtin = {c.key: c for c in builtin_combinations()}
-    combos = [DegradationCombination("custom", degradations_named(names, "combinations[%d]", k))
+    combos = [DegradationCombination("custom", degradations_named(names, f"combinations[{k}]"))
               for k, names in enumerate(spec)]
     return [builtin.get(c.key, c) for c in combos]

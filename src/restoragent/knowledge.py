@@ -13,11 +13,11 @@ from .core import (
     TASK_FOR,
     SchemaError,
     TaskKind,
-    check_keys,
+    at_path,
     check_probability,
     degradations_named,
     member_of,
-    read_field,
+    read_object,
 )
 from .envsim import reference_calibration
 
@@ -264,76 +264,60 @@ def kb_to_dict(kb: KnowledgeBase) -> dict:
 def kb_from_dict(data) -> KnowledgeBase:
     """The knowledge base a document holds; a key nothing reads, or a second
     record for one (combination, order), is a SchemaError."""
-    check_keys(data, ("version", "records", "rules", "provenance"))
-    version = read_field(data, "version", int)
+    version, record_rows, rule_rows, provenance = read_object(
+        data, {"version": int, "records": list, "rules": list, "provenance": str},
+        provenance="")
     if version != KB_VERSION:
         raise SchemaError(f"version: expected {KB_VERSION}, not {version!r}")
-    records = [_record_from_dict(row, f"records[{i}]")
-               for i, row in enumerate(read_field(data, "records", list))]
+    records = [_record_from_dict(row, f"records[{i}]") for i, row in enumerate(record_rows)]
     first = {}
     for i, record in enumerate(records):
         j = first.setdefault((record.combination, record.order), i)
         if j != i:
             raise SchemaError(f"records[{i}]: repeats the combination and order of records[{j}]")
-    rules = [_rule_from_dict(row, f"rules[{i}]")
-             for i, row in enumerate(read_field(data, "rules", list))]
-    return KnowledgeBase(records, rules, read_field(data, "provenance", str, default=""))
+    rules = [_rule_from_dict(row, f"rules[{i}]") for i, row in enumerate(rule_rows)]
+    return KnowledgeBase(records, rules, provenance)
 
 
 def _record_from_dict(row, path: str) -> ExperienceRecord:
     """The record of the KB row at ``path``; each error names ``path``."""
-    check_keys(row, ("combination", "order", "per_task_fail", "total_fail", "n_trials"), path)
-    combination = read_field(row, "combination", list, path)
-    order = read_field(row, "order", list, path)
-    rates = read_field(row, "per_task_fail", dict, path)
-    total_fail = read_field(row, "total_fail", (int, float), path)
-    n_trials = read_field(row, "n_trials", int, path)
-    degradations = degradations_named(combination, "%s.combination", path)
-    tasks = tuple(member_of(TaskKind, t, "%s.order[%d]", path, j) for j, t in enumerate(order))
-    rate_tasks = [member_of(TaskKind, t, "%s.per_task_fail", path) for t in rates]
-    try:
+    combination, order, rates, total_fail, n_trials = read_object(
+        row, {"combination": list, "order": list, "per_task_fail": dict,
+              "total_fail": (int, float), "n_trials": int}, path)
+    with at_path(path):
+        degradations = degradations_named(combination, f"{path}.combination")
+        tasks = tuple(member_of(TaskKind, t, f"{path}.order[{j}]") for j, t in enumerate(order))
+        rate_tasks = [member_of(TaskKind, t, f"{path}.per_task_fail") for t in rates]
         for task, p in rates.items():
             check_probability("per_task_fail[%r]", p, task)
         if n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, not {n_trials!r}")
         record = ExperienceRecord(
-            frozenset(degradations),
-            tasks,
+            frozenset(degradations), tasks,
             {task: float(p) for task, p in zip(rate_tasks, rates.values())},
-            float(total_fail),
-            n_trials,
-        )
+            float(total_fail), n_trials)
         _check_shape(record.combination, record.order, record.per_task_fail)
         if not abs(record.total_fail - sum(record.per_task_fail.values()) / len(rates)) <= 1e-9:
             raise ValueError(f"total_fail {record.total_fail} is not the mean of per_task_fail")
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
     return record
 
 
 def _rule_from_dict(row, path: str) -> PrecedenceRule:
     """The rule of the KB row at ``path``; each error names ``path``."""
-    check_keys(row, ("before", "after", "margin", "indifferent", "support"), path)
-    before = read_field(row, "before", str, path)
-    after = read_field(row, "after", str, path)
-    margin = read_field(row, "margin", (int, float), path)
-    indifferent = read_field(row, "indifferent", bool, path, default=False)
-    support = read_field(row, "support", list, path, default=[])
-    before_task = member_of(TaskKind, before, "%s.before", path)
-    after_task = member_of(TaskKind, after, "%s.after", path)
-    combos = tuple(frozenset(degradations_named(combo, "%s.support[%d]", path, k))
-                   for k, combo in enumerate(support))
-    try:
-        rule = PrecedenceRule(before_task, after_task, float(margin), indifferent, combos)
-        if rule.before == rule.after or (rule.indifferent and rule.margin):
-            raise ValueError(f"{before!r} before {after!r} with margin {rule.margin}: "
+    before, after, margin, indifferent, support = read_object(
+        row, {"before": TaskKind, "after": TaskKind, "margin": (int, float),
+              "indifferent": bool, "support": list}, path, indifferent=False, support=[])
+    with at_path(path):
+        rule = PrecedenceRule(before, after, float(margin), indifferent, tuple(
+            frozenset(degradations_named(combo, f"{path}.support[{k}]"))
+            for k, combo in enumerate(support)))
+        if before == after or (indifferent and rule.margin):
+            raise ValueError(f"{str(before)!r} before {str(after)!r} with margin {rule.margin}: "
                              "a rule needs two tasks, and margin 0 if indifferent")
         for combo in rule.support:
-            if not {rule.before, rule.after} <= {TASK_FOR[d] for d in combo}:
-                raise ValueError(f"support {sorted(map(str, combo))} "
-                                 f"lacks the degradation of {before!r} or {after!r}")
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+            if not {before, after} <= {TASK_FOR[d] for d in combo}:
+                raise ValueError(f"support {sorted(map(str, combo))} lacks the degradation "
+                                 f"of {str(before)!r} or {str(after)!r}")
     return rule
 
 

@@ -16,10 +16,10 @@ from .core import (
     DegradationProfile,
     Severity,
     TaskKind,
-    check_keys,
+    at_path,
     check_probability,
     member_of,
-    read_field,
+    read_object,
 )
 
 
@@ -59,12 +59,13 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
-        check_keys(data, ("p_miss", "p_false"), "evaluator")
-        return cls(*[
-            {member_of(Degradation, d, "evaluator.%s", key): p
-             for d, p in read_field(data, key, dict, "evaluator", default={}).items()}
-            for key in ("p_miss", "p_false")
-        ])
+        fields = dict.fromkeys(("p_miss", "p_false"), dict)
+        tables = read_object(data, fields, "evaluator", p_miss={}, p_false={})
+        with at_path("evaluator"):
+            return cls(*[
+                {member_of(Degradation, d, f"evaluator.{key}"): p for d, p in table.items()}
+                for key, table in zip(fields, tables)
+            ])
 
 
 class NoisyOracle:

@@ -26,6 +26,7 @@ from restoragent.envsim import (
     OrderStats,
     TabularCalibration,
     default_mechanistic_env,
+    env_from_dict,
     env_to_dict,
     reference_tabular_env,
 )
@@ -48,7 +49,7 @@ from restoragent.knowledge import (
     load_kb,
     reference_kb,
 )
-from restoragent.perception import PerfectOracle
+from restoragent.perception import NoiseModel, PerfectOracle
 from restoragent.rng import Stream
 from restoragent.scheduling import ExperienceScheduler
 
@@ -1062,3 +1063,156 @@ def test_unusable_out_path_fails_before_any_work(
     assert not isinstance(result.exception, Exception), result.exception
     assert result.exit_code == 1, result.output
     assert "error: --out" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        pytest.param("run", _mechanistic(["rules", 0, "effect", "delta"], 1.5),
+                     "rules[0].effect: FailBoost delta out of range: 1.5", id="run-fail-boost"),
+        pytest.param("run", _mechanistic(["rules", 2, "effect", "p"], 1.5),
+                     "rules[2].effect: SideEffect probability out of range: 1.5",
+                     id="run-side-effect-p"),
+        pytest.param("run", _mechanistic(["rules", 2, "effect", "levels"], 0),
+                     "rules[2].effect: SideEffect must raise severity by at least one level",
+                     id="run-side-effect-levels"),
+        pytest.param("run", _mechanistic(["rules", 0, "condition", "min_severity"], "mid"),
+                     "rules[0].condition: unknown severity label: 'mid'",
+                     id="run-condition-severity"),
+        pytest.param("run", _mechanistic(["rules", 1, "condition", "kind"], "always"),
+                     "rules[1].condition: unknown condition kind: 'always'",
+                     id="run-condition-kind"),
+        pytest.param("run", _mechanistic(["tools", 3, "outcome", "full"], 0.9),
+                     "tools[3]: outcome probabilities of 'denoising:weak' sum to 1.5, not 1",
+                     id="run-tool-outcome-sum"),
+        pytest.param("run", _tabular(["calibration", "orders", 5], CALIBRATION["orders"][4]),
+                     "calibration.orders[5]: order ['deraining', 'dehazing'] is given twice",
+                     id="run-calibration-order-twice"),
+        pytest.param("run", _tabular(["calibration", "orders", 0, "fail", "haze"], 1.7),
+                     "calibration.orders[0]: fail probability of haze out of range: 1.7",
+                     id="run-calibration-fail"),
+        pytest.param("run", _noise("p_miss", {"rain": 2}),
+                     "evaluator: probability for rain out of range: 2", id="run-p-miss"),
+        pytest.param("explore", {"evaluator": {"p_false": {"rain": "high"}}},
+                     "evaluator: probability for rain must be a number, not 'high'",
+                     id="explore-p-false"),
+        pytest.param("explore", {"success_threshold": "mid"},
+                     "success_threshold: unknown severity label: 'mid'",
+                     id="explore-success-threshold"),
+        pytest.param("explore", {"combinations": "group-Z"},
+                     "combinations: unknown combination group: 'Z'", id="explore-combinations"),
+    ],
+)
+def test_a_value_error_names_the_path_of_its_object(
+    runner, tmp_path, env_config, command, config, message
+):
+    """A constructor's ValueError names the object it was read from, and a
+    SchemaError that already names a path is not prefixed again."""
+    if command == "explore":
+        config = {"samples_per_combination": 1, "trials_per_sample": 1, **config}
+    result, path, what = _invoke(runner, tmp_path, env_config, command, config)
+    assert not isinstance(result.exception, Exception), result.exception
+    assert result.exit_code == 1, result.output
+    assert result.output.rstrip().endswith(f"error: bad {what} {path}: {message}"), result.output
+
+
+def test_a_syntax_error_in_a_tuples_file_names_its_line(runner, tmp_path):
+    row = json.dumps(TUPLE)
+    path = tmp_path / "tuples.jsonl"
+    path.write_text(f"{row}\n{row}\n\n{row[:-1]}, 'x': 1}}\n", encoding="utf-8")
+    result = runner.invoke(main, ["summarize", "--tuples", str(path), "--out", str(tmp_path / "kb")])
+    assert result.exit_code == 1, result.output
+    column = len(row) + 2
+    assert result.output.rstrip() == (f"error: bad tuples file {path}: line 4: Expecting property "
+                                      f"name enclosed in double quotes at column {column}")
+
+
+#: Tables of probabilities keyed by name: the constructor that checks their
+#: values names the table's object, not the key, so the matrix does not
+#: descend into them.
+_PROBABILITY_TABLES = {"fail", "per_task_fail", "p_miss", "p_false"}
+#: The JSON types of the keys that take two; any other key takes the type of
+#: its value in the documents below, an integer standing for an integer only.
+_UNION_TYPES = {"environment": {str, dict}, "combinations": {str, list},
+                "evaluator": {dict, type(None)}}
+_SAMPLE_VALUES = (True, 5, 0.5, "x", None, [1], {})
+_MECHANISTIC_DOC = {**env_to_dict(default_mechanistic_env(0)),
+                    "tools": MECHANISTIC_TOOLS[:1]}  # its rules hold every kind
+_TABULAR_DOC = _tabular(["calibration", "orders"], CALIBRATION["orders"][:1])
+_KB_DOC = _kb(["records"], KB_RECORDS[:1])
+_KB_DOC["rules"] = _KB_DOC["rules"][:1]
+_NOISE_DOC = {"p_miss": {"rain": 0.1}, "p_false": {"haze": 0.05}}
+_EXPLORE_DOC = {"environment": "reference-tabular", "combinations": [["rain", "haze"]],
+                "samples_per_combination": 1, "trials_per_sample": 1,
+                "success_threshold": "low", "seed": 1, "evaluator": None}
+
+
+def _values_inside(value, keys=(), path=""):
+    """(keys, path, value) of every value of each object and every item of
+    each list inside ``value``, outside probability tables."""
+    if isinstance(value, dict):
+        items = [(k, f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(j, f"{path}[{j}]", v) for j, v in enumerate(value)]
+    else:
+        items = []
+    for key, item_path, item in items:
+        yield (*keys, key), item_path, item
+        if key not in _PROBABILITY_TABLES:
+            yield from _values_inside(item, (*keys, key), item_path)
+
+
+def _of_another_type(key, value) -> list:
+    accepted = _UNION_TYPES.get(key, {type(value), int} if type(value) is float else {type(value)})
+    return [sample for sample in _SAMPLE_VALUES if type(sample) not in accepted]
+
+
+@pytest.mark.parametrize(
+    "command, config, root, root_path",
+    [
+        pytest.param("run", _MECHANISTIC_DOC, (), "", id="mechanistic-env"),
+        pytest.param("run", _TABULAR_DOC, (), "", id="tabular-env"),
+        pytest.param("run --kb", _KB_DOC, (), "", id="kb"),
+        pytest.param("run", {**_TABULAR_DOC, "evaluator": _NOISE_DOC}, ("evaluator",),
+                     "evaluator", id="noise-model"),
+        pytest.param("explore", _EXPLORE_DOC, (), "", id="explore-config"),
+        pytest.param("summarize", [TUPLE], (0,), "line 1", id="tuples-line"),
+    ],
+)
+def test_a_value_of_another_json_type_is_an_error_naming_its_path(
+    runner, tmp_path, env_config, command, config, root, root_path
+):
+    """Each value of a full document of each input kind, replaced in turn by
+    one of each JSON type its key does not take, exits 1 naming its path."""
+    document = config
+    for key in root:
+        document = document[key]
+    cases = [((*root,), root_path, document)] if root else []
+    cases += _values_inside(document, root, root_path)
+    wrong = []
+    for keys, path, value in cases:
+        for sample in _of_another_type(keys[-1], value):
+            result, file, what = _invoke(runner, tmp_path, env_config, command,
+                                         _edited(config, keys, sample))
+            if result.exit_code != 1 or f"error: bad {what} {file}: {path}: " not in result.output:
+                wrong.append(f"{path} = {sample!r}: exit {result.exit_code}: {result.output}")
+    assert len(cases) >= 3
+    assert wrong == []
+
+
+def test_the_documents_of_the_type_matrix_load(runner, tmp_path, env_config):
+    env_from_dict(_MECHANISTIC_DOC)
+    env_from_dict(_TABULAR_DOC)
+    kb_from_dict(_KB_DOC)
+    NoiseModel.from_dict(_NOISE_DOC)
+    for command, config in (("explore", _EXPLORE_DOC), ("summarize", [TUPLE])):
+        result, _, _ = _invoke(runner, tmp_path, env_config, command, config)
+        assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("value", [True, None, "x", [1], {}])
+def test_the_legacy_keys_take_any_json_value_and_change_nothing(value):
+    for env in (reference_tabular_env(), default_mechanistic_env(0)):
+        assert env_to_dict(env_from_dict({**env_to_dict(env), "seed": value})) == env_to_dict(env)
+    with_total = _tabular(["calibration", "orders", 0, "stated_total_pct"], value)
+    assert env_to_dict(env_from_dict(with_total)) == env_to_dict(reference_tabular_env())
