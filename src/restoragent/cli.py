@@ -3,14 +3,12 @@ consistency studies, and report verification."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import traceback
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-
-import click
 
 from .core import (
     Severity,
@@ -50,7 +48,7 @@ BAD_INPUT = (OSError, TypeError, ValueError)
 
 
 def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_USER_ERROR)
 
 
@@ -96,54 +94,16 @@ def _trace_file(label: str) -> str:
     return label.replace(" ", "_").replace("+", "-") + ".json"
 
 
-class _Group(click.Group):
-    """The command group.  A usage error click rejects (a bad flag value, a
-    missing option, an unknown command) exits EXIT_USER_ERROR with click's
-    message, not click's 2, which is ``verify``'s MISMATCH status.  Any
-    other exception but click's own is a bug: it exits EXIT_SOFTWARE with
-    ``internal error:`` and its traceback on stderr."""
-
-    def make_context(self, *args, **kwargs):
-        with _exit_codes():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx):
-        with _exit_codes():
-            return super().invoke(ctx)
-
-
-@contextmanager
-def _exit_codes():
-    try:
-        yield
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_USER_ERROR
-        raise
-    except (click.ClickException, click.exceptions.Exit, click.Abort):
-        raise
-    except Exception:
-        click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)
-        sys.exit(EXIT_SOFTWARE)
-
-
-@click.group(cls=_Group)
-def main():
-    """Agentic restoration planning over a simulated degradation environment."""
-
-
-@main.command("explore")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), required=True)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-def cmd_explore(config_path: Path, out_path: Path):
+def cmd_explore(config: Path, out: Path):
     """Run self-exploration trials; write one JSON tuple per line."""
-    _check_out(out_path)
-    env, config, evaluator = _load(config_path, "explore config", _explore_config)
+    _check_out(out)
+    env, exploration, evaluator = _load(config, "explore config", _explore_config)
     try:
-        trials = explore(env, config, evaluator)
+        trials = explore(env, exploration, evaluator)
     except MissingTools as exc:
-        _fail(f"bad explore config {config_path}: {exc}")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as fh:
+        _fail(f"bad explore config {config}: {exc}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("w", encoding="utf-8") as fh:
         for combination, order, flags in trials:
             fh.write(
                 json.dumps(
@@ -157,8 +117,8 @@ def cmd_explore(config_path: Path, out_path: Path):
             )
     records = aggregate(trials)
     if records:
-        click.echo(render_experience_text(records))
-    click.echo(f"wrote {len(trials)} trial tuples to {out_path}")
+        print(render_experience_text(records))
+    print(f"wrote {len(trials)} trial tuples to {out}")
 
 
 def _explore_config(path: Path) -> tuple:
@@ -170,12 +130,13 @@ def _explore_config(path: Path) -> tuple:
               "success_threshold": str, "seed": int, "evaluator": (dict, type(None))}
     settings = dict(zip(fields, read_object(_json_object(path), fields, **dict.fromkeys(fields))))
     env_spec, evaluator = settings.pop("environment"), settings.pop("evaluator")
-    if env_spec in (None, "reference-tabular"):
-        env = reference_tabular_env()
-    elif isinstance(env_spec, dict):
-        env = env_from_dict(env_spec)
-    else:
-        raise ValueError(f"unknown environment spec: {env_spec!r}")
+    with at_path("environment"):
+        if env_spec in (None, "reference-tabular"):
+            env = reference_tabular_env()
+        elif isinstance(env_spec, dict):
+            env = env_from_dict(env_spec, "environment")
+        else:
+            raise ValueError(f"unknown environment spec: {env_spec!r}")
     for key, parse in (("combinations", parse_combinations),
                        ("success_threshold", Severity.from_label)):
         if settings[key] is not None:
@@ -185,23 +146,20 @@ def _explore_config(path: Path) -> tuple:
     return env, ExplorationConfig(**settings), evaluator_from_model(evaluator)
 
 
-@main.command("summarize")
-@click.option("--tuples", "tuples_path", type=click.Path(path_type=Path), required=True)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-def cmd_summarize(tuples_path: Path, out_path: Path):
+def cmd_summarize(tuples: Path, out: Path):
     """Aggregate trial tuples and distill precedence rules into a KB."""
-    _check_out(out_path)
-    trials = _load(tuples_path, "tuples file", _tuples_trials)
+    _check_out(out)
+    trials = _load(tuples, "tuples file", _tuples_trials)
     try:
         records = aggregate(trials)
     except InconsistentTrial as exc:
-        _fail(f"bad tuples file {tuples_path}: {exc}")
-    kb = KnowledgeBase(records, distill(records), f"summarized from {tuples_path.name}")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_kb(kb, out_path)
+        _fail(f"bad tuples file {tuples}: {exc}")
+    kb = KnowledgeBase(records, distill(records), f"summarized from {tuples.name}")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_kb(kb, out)
     if records:
-        click.echo(render_experience_text(records))
-    click.echo(f"knowledge base with {len(records)} records, {len(kb.rules)} rules -> {out_path}")
+        print(render_experience_text(records))
+    print(f"knowledge base with {len(records)} records, {len(kb.rules)} rules -> {out}")
 
 
 def _tuples_trials(path: Path) -> list:
@@ -228,42 +186,31 @@ def _tuples_trials(path: Path) -> list:
     return trials
 
 
-@main.command("run")
-@click.option("--config", "config_path", type=click.Path(path_type=Path), required=True,
-              help="Environment JSON (may embed an 'evaluator' noise model).")
-@click.option("--kb", "kb_path", type=click.Path(path_type=Path), default=None)
-@click.option("--mode", type=click.Choice(RUN_MODES), default="full")
-@click.option("--runs", type=int, default=100)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--jobs", type=int, default=1)
-@click.option("--combinations", "combinations_spec", default="all",
-              help='"all", "group-A"/"group-B"/"group-C".')
-def cmd_run(config_path, kb_path, mode, runs, seed, out_dir, jobs, combinations_spec):
+def cmd_run(config, kb, mode, runs, seed, out, jobs, combinations):
     """Execute workflow batches and write traces plus a report."""
-    _check_out(out_dir / "traces", directory=True)
+    _check_out(out / "traces", directory=True)
     for name in ("report.json", "timings.json"):
-        _check_out(out_dir / name)
-    env, evaluator_model = _load(config_path, "environment config", _environment_config)
-    kb = None if kb_path is None else _load_kb(kb_path)
+        _check_out(out / name)
+    env, evaluator_model = _load(config, "environment config", _environment_config)
+    knowledge_base = None if kb is None else _load_kb(kb)
     try:
-        combos = parse_combinations(combinations_spec)
+        combos = parse_combinations(combinations)
     except ValueError as exc:
         _fail(str(exc))
     if runs < 0:
         _fail("--runs must be non-negative")
     report, traces, timings = run_batch(
-        env, kb, mode, combos, runs, seed, evaluator_model, jobs
+        env, knowledge_base, mode, combos, runs, seed, evaluator_model, jobs
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_dir = out_dir / "traces"
+    out.mkdir(parents=True, exist_ok=True)
+    trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for label, combo_traces in traces.items():
         _dump_json(combo_traces, trace_dir / _trace_file(label))
-    _dump_json(report, out_dir / "report.json")
-    _dump_json({"mean_wall_clock_s": timings}, out_dir / "timings.json")
+    _dump_json(report, out / "report.json")
+    _dump_json({"mean_wall_clock_s": timings}, out / "timings.json")
     _print_report_table(report)
-    click.echo(f"report -> {out_dir / 'report.json'}")
+    print(f"report -> {out / 'report.json'}")
 
 
 def _environment_config(path: Path) -> tuple:
@@ -282,82 +229,71 @@ def _load_kb(path: Path) -> KnowledgeBase:
 
 
 def _print_report_table(report: dict):
-    click.echo(f"mode: {report['mode']}   runs/combination: {report['runs_per_combination']}")
-    header = f"{'group':<8}{'success rate':>14}{'mean invocations':>18}{'mean rollbacks':>16}"
-    click.echo(header)
+    print(f"mode: {report['mode']}   runs/combination: {report['runs_per_combination']}")
+    print(f"{'group':<8}{'success rate':>14}{'mean invocations':>18}{'mean rollbacks':>16}")
     for group, stats in report["groups"].items():
-        click.echo(
+        print(
             f"{group:<8}{stats['success_rate']:>14.3f}"
             f"{stats['mean_invocations']:>18.2f}{stats['mean_rollbacks']:>16.2f}"
         )
 
 
-@main.command("consistency")
-@click.option("--scheduler", "scheduler_spec", type=click.Choice(["experience", "random"]),
-              default="experience")
-@click.option("--kb", "kb_path", type=click.Path(path_type=Path), default=None)
-@click.option("--n", "n_per_presentation", type=int, default=60)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
-def cmd_consistency(scheduler_spec, kb_path, n_per_presentation, seed, out_path):
+def cmd_consistency(scheduler, kb, n, seed, out):
     """Scheduling-dispersion study over the built-in combinations."""
-    if n_per_presentation < 1:
+    if n < 1:
         _fail("--n must be >= 1")
-    if out_path is not None:
-        _check_out(out_path)
-    if scheduler_spec == "experience":
-        scheduler = ExperienceScheduler(reference_kb() if kb_path is None else _load_kb(kb_path))
+    if out is not None:
+        _check_out(out)
+    if scheduler == "experience":
+        planner = ExperienceScheduler(reference_kb() if kb is None else _load_kb(kb))
     else:
-        scheduler = RandomScheduler()
+        planner = RandomScheduler()
     rows = {}
-    click.echo(
+    print(
         f"{'group':<7}{'combination':<50}{'entropy':>9}{'var.ratio':>11}"
         f"{'sens(H)':>9}{'sens(VR)':>10}"
     )
     for combo in builtin_combinations():
-        report = measure_consistency(scheduler, combo.tasks, n_per_presentation, seed)
+        report = measure_consistency(planner, combo.tasks, n, seed)
         rows[combo.label()] = {"group": combo.group, **asdict(report)}
-        click.echo(
+        print(
             f"{combo.group:<7}{combo.label():<50}{report.entropy_bits:>9.3f}"
             f"{report.variation_ratio:>11.3f}{report.sensitivity_entropy:>9.3f}"
             f"{report.sensitivity_vr:>10.3f}"
         )
-    if out_path is not None:
-        _dump_json(rows, out_path)
+    if out is not None:
+        _dump_json(rows, out)
 
 
-@main.command("verify")
-@click.option("--report", "report_path", type=click.Path(path_type=Path), required=True)
-@click.option("--traces", "trace_dir", type=click.Path(path_type=Path), required=True)
-def cmd_verify(report_path: Path, trace_dir: Path):
+def cmd_verify(report: Path, traces: Path):
     """Recompute every report cell from the trace file of each report label
     and check each trace's invocation count against its tree and each tree
     node's against its ``tools_tried``; exit 2 on any mismatch."""
-    report = _load(report_path, "report", _json_object)
-    if not trace_dir.is_dir():
-        _fail(f"not a directory: {trace_dir}")
+    document = _load(report, "report", _json_object)
+    if not traces.is_dir():
+        _fail(f"not a directory: {traces}")
     mismatches = [
         f"{section}: not an object of objects"
         for section in ("groups", "combinations")
-        if not isinstance(report.get(section), dict)
-        or not all(isinstance(cell, dict) for cell in report[section].values())
+        if not isinstance(document.get(section), dict)
+        or not all(isinstance(cell, dict) for cell in document[section].values())
     ]
     if mismatches:
         _mismatch(mismatches)
     # Groups come from the report, so a relabelled combination shows up as
     # a group cell the report lacks or gets wrong; str() turns a missing
     # group into a mismatch rather than an unsortable key.
-    group_of = {label: str(cell.get("group")) for label, cell in report["combinations"].items()}
+    group_of = {label: str(cell.get("group")) for label, cell in document["combinations"].items()}
     files = {_trace_file(label): label for label in group_of}
     mismatches = [
         f"{path.name}: no report label names this trace file"
-        for path in sorted(trace_dir.glob("*.json"))
+        for path in sorted(traces.glob("*.json"))
         if path.name not in files
     ]
-    traces = {}
+    loaded = {}
     for name, label in sorted(files.items()):
         try:
-            combo_traces = json.loads((trace_dir / name).read_text(encoding="utf-8"))
+            combo_traces = json.loads((traces / name).read_text(encoding="utf-8"))
             for i, trace in enumerate(combo_traces):
                 if trace["combination"] != label:
                     mismatches.append(f"{name}[{i}]: combination {trace['combination']!r} "
@@ -381,11 +317,11 @@ def cmd_verify(report_path: Path, trace_dir: Path):
                 ):
                     if value.__class__ is not kind:
                         raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")
-            traces[label] = combo_traces
+            loaded[label] = combo_traces
         except (*BAD_INPUT, KeyError, AttributeError) as exc:  # verify indexes traces directly
             mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
-    for section, cells in report_cells(traces, group_of).items():
-        printed = report[section]
+    for section, cells in report_cells(loaded, group_of).items():
+        printed = document[section]
         for name in sorted(set(cells) | set(printed)):
             if printed.get(name) != cells.get(name):
                 mismatches.append(
@@ -393,12 +329,12 @@ def cmd_verify(report_path: Path, trace_dir: Path):
                 )
     if mismatches:
         _mismatch(mismatches)
-    click.echo("report verified: every table cell and trace invocation count matches")
+    print("report verified: every table cell and trace invocation count matches")
 
 
 def _mismatch(lines):
     for line in lines:
-        click.echo(f"MISMATCH {line}", err=True)
+        print(f"MISMATCH {line}", file=sys.stderr)
     sys.exit(EXIT_MISMATCH)
 
 
@@ -407,6 +343,67 @@ def _tree_nodes(nodes):
     for node in nodes:
         yield node
         yield from _tree_nodes(node.get("children", []))
+
+
+_PATH = {"type": Path, "required": True}
+#: Each command's handler and its options; a handler's parameters are named
+#: after its flags.
+COMMANDS = {
+    "explore": (cmd_explore, {"--config": _PATH, "--out": _PATH}),
+    "summarize": (cmd_summarize, {"--tuples": _PATH, "--out": _PATH}),
+    "run": (cmd_run, {
+        "--config": {**_PATH, "help": "Environment JSON (may embed an 'evaluator' noise model)."},
+        "--kb": {"type": Path},
+        "--mode": {"choices": RUN_MODES, "default": "full"},
+        "--runs": {"type": int, "default": 100},
+        "--seed": {"type": int, "default": 0},
+        "--out": _PATH,
+        "--jobs": {"type": int, "default": 1},
+        "--combinations": {"default": "all", "help": '"all", "group-A"/"group-B"/"group-C".'},
+    }),
+    "consistency": (cmd_consistency, {
+        "--scheduler": {"choices": ["experience", "random"], "default": "experience"},
+        "--kb": {"type": Path},
+        "--n": {"type": int, "default": 60},
+        "--seed": {"type": int, "default": 0},
+        "--out": {"type": Path},
+    }),
+    "verify": (cmd_verify, {"--report": _PATH, "--traces": _PATH}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits EXIT_USER_ERROR, not argparse's 2, which is
+    ``verify``'s MISMATCH status."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def main(argv=None):
+    """Agentic restoration planning over a simulated degradation environment.
+
+    Any exception a command raises, other than the SystemExit of a user
+    error, a mismatch or ``--help``, is a bug: it exits EXIT_SOFTWARE with
+    ``internal error:`` and its traceback on stderr."""
+    parser = _Parser(prog="restoragent", description=main.__doc__.partition("\n")[0],
+                     allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (handler, options) in COMMANDS.items():
+        subparser = commands.add_parser(name, help=handler.__doc__.partition(".")[0],
+                                        description=handler.__doc__, allow_abbrev=False)
+        for flag, settings in options.items():
+            subparser.add_argument(flag, **settings)
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    if command is None:
+        parser.error("missing command")
+    try:
+        COMMANDS[command][0](**args)
+    except Exception:
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        sys.exit(EXIT_SOFTWARE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -428,15 +428,17 @@ def env_to_dict(env: Environment) -> dict:
     }
 
 
-def env_from_dict(data) -> Environment:
-    """The environment a config describes; a key it does not read is a
-    SchemaError, except the legacy top-level ``seed``, which is ignored."""
+def env_from_dict(data, root: str = "") -> Environment:
+    """The environment a config describes at the path ``root``; a key it does
+    not read is a SchemaError, except the legacy top-level ``seed``, which is
+    ignored."""
     mode, tool_rows, rule_rows, calibration, _ = read_object(
         data, {"mode": str, "tools": list, "rules": list, "calibration": dict, "seed": ANY_JSON},
-        tools=(), rules=(), calibration=None, seed=None)
+        root, tools=(), rules=(), calibration=None, seed=None)
+    prefix = f"{root}." if root else ""
     tools = []
     for i, row in enumerate(tool_rows):
-        where = f"tools[{i}]"
+        where = f"{prefix}tools[{i}]"
         tool_id, task, outcome = read_object(
             row, {"id": str, "task": TaskKind, "outcome": dict}, where)
         probs = read_object(
@@ -445,13 +447,14 @@ def env_from_dict(data) -> Environment:
             tools.append(ToolSpec(tool_id, task, *probs))
     rules = []
     for i, row in enumerate(rule_rows):
-        where = f"rules[{i}]"
+        where = f"{prefix}rules[{i}]"
         task, condition, effect = read_object(
             row, {"task": TaskKind, "condition": dict, "effect": dict}, where)
         rules.append(InteractionRule(task, _condition_from_dict(condition, f"{where}.condition"),
                                      _effect_from_dict(effect, f"{where}.effect")))
-    return Environment(
-        mode, tools, rules, None if calibration is None else calibration_from_dict(calibration))
+    if calibration is not None:
+        calibration = calibration_from_dict(calibration, f"{prefix}calibration")
+    return Environment(mode, tools, rules, calibration)
 
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
@@ -462,14 +465,15 @@ def calibration_to_dict(calibration: TabularCalibration) -> dict:
     return {"orders": rows}
 
 
-def calibration_from_dict(data) -> TabularCalibration:
-    """A row's legacy ``stated_total_pct`` is ignored; any other key the
-    calibration does not read is a SchemaError."""
-    (rows,) = read_object(data, {"orders": list}, "calibration", orders=())
+def calibration_from_dict(data, root: str = "calibration") -> TabularCalibration:
+    """The calibration at the path ``root``.  A row's legacy
+    ``stated_total_pct`` is ignored; any other key the calibration does not
+    read is a SchemaError."""
+    (rows,) = read_object(data, {"orders": list}, root, orders=())
     calibration = TabularCalibration()
     fields = {"order": list, "fail": dict, "stated_total_pct": ANY_JSON}
     for i, row in enumerate(rows):
-        where = f"calibration.orders[{i}]"
+        where = f"{root}.orders[{i}]"
         order, fail, _ = read_object(row, fields, where, stated_total_pct=None)
         with at_path(where):
             calibration.add(OrderStats(

@@ -102,14 +102,20 @@ class RandomScheduler:
 
 
 def reschedule(scheduler, plan, attempts, rng=None):
-    """New plan over the same tasks whose head avoids all prior attempts."""
+    """New plan over the same tasks whose head avoids all prior attempts.  A
+    scheduler whose plan starts with an attempted task is a bug, which would
+    make the search retry that task for ever."""
     tasks = frozenset(plan)
     attempts = frozenset(attempts)
     if not attempts <= tasks:
         raise Unschedulable("attempts must be a subset of the plan's tasks")
     if attempts >= tasks:
         raise Unschedulable("every task has already been attempted")
-    return scheduler.schedule(tuple(plan), banned_first=attempts, rng=rng)
+    new_plan = scheduler.schedule(tuple(plan), banned_first=attempts, rng=rng)
+    if new_plan[0] in attempts:
+        raise RuntimeError(f"plan {tuple(map(str, new_plan))} starts with "
+                           f"{str(new_plan[0])!r}, which was already attempted")
+    return new_plan
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,11 @@ def _search(profile, remaining, deps, stream, trace):
             return profile
         trace["counters"]["compromises"] += 1
         trace["status"] = "compromise"
-        remaining = frozenset(plan) - result.completed - {result.branch_root}
+        tasks = frozenset(plan)
+        remaining = tasks - result.completed - {result.branch_root}
+        if not remaining < tasks:  # a round that removes no task would repeat for ever
+            raise RuntimeError(f"compromise round {outer} left its agenda "
+                               f"{sorted(map(str, tasks))} whole")
         if not remaining:
             return profile
 

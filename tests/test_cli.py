@@ -1,14 +1,18 @@
 import ast
 import enum
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from restoragent import cli, harness, knowledge
 from restoragent.cli import main
@@ -92,9 +96,25 @@ RULE = {"task": "denoising", "condition": {"kind": "task-in-history", "task": "d
         "effect": {"kind": "fail-boost", "delta": 0.5}}
 
 
+def _invoke_main(main, argv):
+    """``main(argv)`` with stdout and stderr captured: its exit status, the
+    two streams, both of them (stdout first), and the SystemExit of a
+    non-zero status."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            main(argv)
+        except SystemExit as raised:
+            exception = raised if raised.code else None
+    out, err = stdout.getvalue(), stderr.getvalue()
+    return SimpleNamespace(exit_code=exception.code if exception else 0, stdout=out, stderr=err,
+                           output=out + err, exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=_invoke_main)
 
 
 def _write_json(path, data):
@@ -778,31 +798,42 @@ def test_missing_config_is_user_error(runner, tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        pytest.param(["explore", "--config"], "Option '--config' requires an argument",
+        pytest.param(["explore", "--config"],
+                     "restoragent explore: error: argument --config: expected one argument",
                      id="explore-option-without-a-value"),
         pytest.param(["summarize", "--tuples", "t.jsonl", "--out", "kb.json", "--bad"],
-                     "No such option '--bad'", id="summarize-unknown-option"),
+                     "restoragent: error: unrecognized arguments: --bad",
+                     id="summarize-unknown-option"),
         pytest.param(["run", "--config", "env.json", "--out", "o", "--runs", "abc"],
-                     "Invalid value for '--runs'", id="run-runs-not-an-integer"),
+                     "restoragent run: error: argument --runs: invalid int value: 'abc'",
+                     id="run-runs-not-an-integer"),
         pytest.param(["run", "--config", "env.json", "--out", "o", "--mode", "bogus"],
-                     "Invalid value for '--mode'", id="run-unknown-mode"),
-        pytest.param(["run", "--out", "o"], "Missing option '--config'", id="run-missing-option"),
-        pytest.param(["consistency", "--n", "x"], "Invalid value for '--n'",
+                     "restoragent run: error: argument --mode: invalid choice: 'bogus'",
+                     id="run-unknown-mode"),
+        pytest.param(["run", "--out", "o"],
+                     "restoragent run: error: the following arguments are required: --config",
+                     id="run-missing-option"),
+        pytest.param(["consistency", "--n", "x"],
+                     "restoragent consistency: error: argument --n: invalid int value: 'x'",
                      id="consistency-n-not-an-integer"),
-        pytest.param(["verify", "--report", "report.json"], "Missing option '--traces'",
+        pytest.param(["verify", "--report", "report.json"],
+                     "restoragent verify: error: the following arguments are required: --traces",
                      id="verify-missing-option"),
-        pytest.param(["bogus"], "No such command 'bogus'", id="unknown-command"),
-        pytest.param(["--bogus"], "No such option '--bogus'", id="unknown-group-option"),
+        pytest.param(["bogus"], "restoragent: error: argument COMMAND: invalid choice: 'bogus'",
+                     id="unknown-command"),
+        pytest.param(["--bogus"], "restoragent: error: unrecognized arguments: --bogus",
+                     id="unknown-group-option"),
     ],
 )
 def test_a_usage_error_is_a_user_error(runner, args, message):
-    """Exit 1 with click's usage message on stderr, not click's 2, which is
-    verify's MISMATCH status."""
+    """Exit 1 with the usage and argparse's message on stderr, not argparse's
+    2, which is verify's MISMATCH status."""
     result = runner.invoke(main, args)
     assert result.exit_code == cli.EXIT_USER_ERROR, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
-    assert f"Error: {message}" in result.stderr
+    assert result.stderr.startswith("usage: ")
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("command", [[], ["explore"], ["summarize"], ["run"], ["consistency"],
@@ -810,7 +841,7 @@ def test_a_usage_error_is_a_user_error(runner, args, message):
 def test_help_exits_0(runner, command):
     result = runner.invoke(main, [*command, "--help"])
     assert result.exit_code == 0, result.output
-    assert result.stdout.startswith("Usage: ")
+    assert result.stdout.startswith("usage: ")
 
 
 def test_consistency_command_experience_all_zero(runner, tmp_path):
@@ -901,6 +932,24 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
+def test_the_declared_dependencies_are_what_the_package_imports():
+    """``pyproject.toml``'s runtime dependencies are the top-level modules
+    outside the standard library that ``restoragent`` imports: no more, so
+    that a dependency the code no longer uses is dropped, and no fewer."""
+    src = Path(cli.__file__).resolve().parent
+    pyproject = tomllib.loads((src.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[\w.-]+", requirement)[0]
+                for requirement in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names)
+
+
 #: Names no ``src`` or benchmark code reads, kept on purpose.
 UNREAD_BY_DESIGN = {
     "search.brute_force_oracle": "criterion 3's exhaustive oracle; to move into tests/",
@@ -909,18 +958,13 @@ UNREAD_BY_DESIGN = {
 
 def _defined_names(tree):
     """(name, line, is_method) of each module-level function, class and
-    assignment, and of each method, in one module; click commands are left
-    out."""
-    def command(node):
-        return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-                   and d.func.attr in ("command", "group") for d in node.decorator_list)
-
+    assignment, and of each method, in one module."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield node.name, node.lineno, False
             yield from ((m.name, m.lineno, True) for m in node.body
                         if isinstance(m, ast.FunctionDef))
-        elif isinstance(node, ast.FunctionDef) and not command(node):
+        elif isinstance(node, ast.FunctionDef):
             yield node.name, node.lineno, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -1114,6 +1158,36 @@ def test_a_value_error_names_the_path_of_its_object(
     assert not isinstance(result.exception, Exception), result.exception
     assert result.exit_code == 1, result.output
     assert result.output.rstrip().endswith(f"error: bad {what} {path}: {message}"), result.output
+
+
+@pytest.mark.parametrize(
+    "environment, message",
+    [
+        pytest.param({"mode": "tabular", "calibration": {"orders": [
+                         {"order": ["dehazing"], "fail": {"haze": 2}}]}},
+                     "environment.calibration.orders[0]: fail probability of haze out of range: 2",
+                     id="calibration-row"),
+        pytest.param({"mode": "mechanistic", "tools": [{"id": 1}]},
+                     "environment.tools[0].id: expected a string, not 1", id="tool-id"),
+        pytest.param(_mechanistic(["rules", 1, "condition", "kind"], "always"),
+                     "environment.rules[1].condition: unknown condition kind: 'always'",
+                     id="rule-condition"),
+        pytest.param({"mode": "tabular", "seeds": 1}, "environment: unknown key 'seeds'",
+                     id="unknown-key"),
+        pytest.param({"mode": "lookup"}, "environment: unknown environment mode: 'lookup'",
+                     id="mode"),
+        pytest.param("nope", "environment: unknown environment spec: 'nope'", id="spec"),
+    ],
+)
+def test_an_embedded_environment_error_names_its_path(
+    runner, tmp_path, env_config, environment, message
+):
+    """An explore config reads its ``environment`` at that path, so each of
+    its errors names it; a ``run`` config's environment is the file's root."""
+    config = {"environment": environment, "samples_per_combination": 1, "trials_per_sample": 1}
+    result, path, what = _invoke(runner, tmp_path, env_config, "explore", config)
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: bad {what} {path}: {message}\n"
 
 
 def test_a_syntax_error_in_a_tuples_file_names_its_line(runner, tmp_path):

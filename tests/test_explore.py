@@ -191,14 +191,14 @@ class GeneralLoopOracle(PerfectOracle):
         pytest.param(three_task_env(), [RAIN_NOISE_LOWRES], id="three-task"),
     ],
 )
-def test_the_tree_gives_the_trials_of_the_general_loop(env, combinations, threshold):
+def test_the_tabular_fast_path_gives_the_trials_of_the_general_loop(env, combinations, threshold):
     config = ExplorationConfig(combinations=combinations, samples_per_combination=2,
                                trials_per_sample=40, success_threshold=threshold, seed=11)
-    memoised = explore(env, config, PerfectOracle())
+    fast = explore(env, config, PerfectOracle())
     general = explore(env, config, GeneralLoopOracle())
-    assert memoised == general
+    assert fast == general
     # Neither every flag true nor every flag false: both kinds of step occur.
-    assert len({ok for _, _, flags in memoised for ok in flags.values()}) == 2
+    assert len({ok for _, _, flags in fast for ok in flags.values()}) == 2
 
 
 def _count_apply_tool(monkeypatch) -> list:
