@@ -268,7 +268,9 @@ def cmd_consistency(scheduler, kb, n, seed, out):
 def cmd_verify(report: Path, traces: Path):
     """Recompute every report cell from the trace file of each report label
     and check each trace's invocation count against its tree and each tree
-    node's against its ``tools_tried``; exit 2 on any mismatch."""
+    node's against its ``tools_tried``, each trace's ``mode`` against the
+    report's and its ``run`` against its index, and each file's trace count
+    against ``runs_per_combination``; exit 2 on any mismatch."""
     document = _load(report, "report", _json_object)
     if not traces.is_dir():
         _fail(f"not a directory: {traces}")
@@ -290,6 +292,7 @@ def cmd_verify(report: Path, traces: Path):
         for path in sorted(traces.glob("*.json"))
         if path.name not in files
     ]
+    mode, runs = document.get("mode"), document.get("runs_per_combination")
     loaded = {}
     for name, label in sorted(files.items()):
         try:
@@ -298,6 +301,11 @@ def cmd_verify(report: Path, traces: Path):
                 if trace["combination"] != label:
                     mismatches.append(f"{name}[{i}]: combination {trace['combination']!r} "
                                       f"is not this file's label {label!r}")
+                if trace["mode"] != mode:
+                    mismatches.append(f"{name}[{i}]: mode {trace['mode']!r} "
+                                      f"is not the report's {mode!r}")
+                if trace["run"].__class__ is not int or trace["run"] != i:
+                    mismatches.append(f"{name}[{i}]: run {trace['run']!r} is not its index")
                 nodes = list(_tree_nodes(trace["tree"]))
                 for node in nodes:
                     if node["invocations"] != len(node["tools_tried"]):
@@ -317,6 +325,9 @@ def cmd_verify(report: Path, traces: Path):
                 ):
                     if value.__class__ is not kind:
                         raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")
+            if len(combo_traces) != runs:
+                mismatches.append(f"{name}: {len(combo_traces)} traces, but "
+                                  f"runs_per_combination is {runs!r}")
             loaded[label] = combo_traces
         except (*BAD_INPUT, KeyError, AttributeError) as exc:  # verify indexes traces directly
             mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
@@ -381,6 +392,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _unrecognized(argv: list) -> list:
+    """The arguments that name none of their command's flags, as argparse
+    would report them; every flag takes one value.  argparse checks a
+    command's required flags first, so a mistyped ``--conf`` would read as
+    a missing ``--config``.  A help flag leaves argparse to print help."""
+    if not argv or argv[0] not in COMMANDS:
+        return []
+    flags = COMMANDS[argv[0]][1]
+    left, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return []
+        if token in flags:
+            next(tokens, None)
+        elif token.partition("=")[0] not in flags:
+            left.append(token)
+    return left
+
+
 def main(argv=None):
     """Agentic restoration planning over a simulated degradation environment.
 
@@ -395,6 +425,10 @@ def main(argv=None):
                                         description=handler.__doc__, allow_abbrev=False)
         for flag, settings in options.items():
             subparser.add_argument(flag, **settings)
+    argv = sys.argv[1:] if argv is None else argv
+    unrecognized = _unrecognized(argv)
+    if unrecognized:
+        parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
     if command is None:

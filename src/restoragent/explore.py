@@ -8,7 +8,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import TASK_FOR, Severity, combinations_in_group, initial_profile
-from .envsim import Environment, apply_tool, tabular_fail_prob
+from .envsim import Environment, apply_tool
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
 from .rng import Stream, substream
@@ -79,11 +79,17 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     3. The exact ``PerfectOracle`` reads each degradation's stored severity
        on its own.
 
-    So each (combination, order) is simulated once, before the sample loop,
-    along the path on which every step succeeds.  Task k's flag is the one
-    at that path's end if its draw reaches p_k, else the initial profile's;
-    each outcome tuple's flags are built once and copied per trial.  Any
-    other env or evaluator applies every step of every trial.
+    So p_k is read from the calibration at the order's prefix,
+    ``fail_prob(combo.key, order[:k + 1])``, and by facts 2 and 3 every
+    order's all-succeed path ends at the same flags.  One walk per
+    combination, before the sample loop, along its first order with every
+    step succeeding gives those flags.  Task k's flag is the one at the
+    walk's end if its draw reaches p_k, else the initial profile's; each
+    outcome tuple's flags are built once and copied per trial.  The walk
+    stays, although the outcome alone fixes the flags, because the
+    benchmark's trace mode expects this path to call ``apply_tool``, the
+    profile methods and the oracle until ROADMAP item 1.  Any other env or
+    evaluator applies every step of every trial.
     """
     evaluator = evaluator or PerfectOracle()
     for combo in config.combinations:
@@ -111,21 +117,22 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         if memo:
             start = initial_profile(combo, 0)
             initial = judge(start, None)
-            paths = []
-            for order, tool_lists in orders:
-                state, p_fails = start.copy(), []
-                for tool, in tool_lists:  # a tabular env has one tool per task
-                    p_fails.append(tabular_fail_prob(env, state, tool))
-                    state = apply_tool(env, state, tool, _Replay(1.0))
-                paths.append((p_fails, judge(state, None),
-                              [order.index(task) for task in flag_tasks], {}))
+            state = start.copy()
+            for tool, in orders[0][1]:  # a tabular env has one tool per task
+                state = apply_tool(env, state, tool, _Replay(1.0))
+            success = judge(state, None)
+            paths = [
+                ([env.calibration.fail_prob(key, order[:k + 1]) for k in range(len(order))],
+                 [order.index(task) for task in flag_tasks], {})
+                for order, _ in orders
+            ]
         for si in range(config.samples_per_combination):
             if not memo:
                 base = initial_profile(combo, si)
             for pi, (order, tool_lists) in enumerate(orders):
                 per_order = Stream(config.seed, "explore", ci, si, pi)
                 if memo:
-                    p_fails, success, steps_of, flags_by_outcome = paths[pi]
+                    p_fails, steps_of, flags_by_outcome = paths[pi]
                     n_steps = len(p_fails)
                     for ti in range(config.trials_per_sample):
                         draws = substream(config.seed, per_order, ti).random(n_steps).tolist()

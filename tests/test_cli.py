@@ -372,6 +372,41 @@ def test_verify_names_the_trace_whose_counted_field_has_the_wrong_type(
             in result.output)
 
 
+@pytest.mark.parametrize(
+    "relpath, keys, value, line",
+    [
+        pytest.param("traces/rain_-_haze.json", [1, "mode"], "no-rollback",
+                     "rain_-_haze.json[1]: mode 'no-rollback' is not the report's 'full'",
+                     id="trace-mode"),
+        pytest.param("traces/rain_-_haze.json", [1, "run"], 0,
+                     "rain_-_haze.json[1]: run 0 is not its index", id="trace-run"),
+        pytest.param("report.json", ["mode"], "no-rollback",
+                     "rain_-_haze.json[0]: mode 'full' is not the report's 'no-rollback'",
+                     id="report-mode"),
+        pytest.param("report.json", ["runs_per_combination"], 3,
+                     "rain_-_haze.json: 2 traces, but runs_per_combination is 3",
+                     id="report-runs-per-combination"),
+    ],
+)
+def test_verify_names_the_file_whose_mode_run_or_trace_count_is_wrong(
+    runner, tmp_path, env_config, relpath, keys, value, line
+):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(env_config), "--runs", "2", "--seed", "0",
+         "--combinations", "group-A", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    verify = ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
+    assert runner.invoke(main, verify).exit_code == 0
+    path = out / relpath
+    path.write_text(json.dumps(_edited(json.loads(path.read_text()), keys, value)), encoding="utf-8")
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 2, result.output
+    assert f"MISMATCH {line}\n" in result.stderr
+
+
 def test_a_bug_in_report_cells_is_not_a_mismatch(runner, tmp_path, env_config, monkeypatch):
     out = tmp_path / "out"
     result = runner.invoke(
@@ -813,6 +848,9 @@ def test_missing_config_is_user_error(runner, tmp_path):
         pytest.param(["run", "--out", "o"],
                      "restoragent run: error: the following arguments are required: --config",
                      id="run-missing-option"),
+        pytest.param(["run", "--conf", "x", "--out", "o"],
+                     "restoragent: error: unrecognized arguments: --conf x",
+                     id="run-mistyped-option"),
         pytest.param(["consistency", "--n", "x"],
                      "restoragent consistency: error: argument --n: invalid int value: 'x'",
                      id="consistency-n-not-an-integer"),
@@ -834,6 +872,15 @@ def test_a_usage_error_is_a_user_error(runner, args, message):
     assert result.stdout == ""
     assert result.stderr.startswith("usage: ")
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("args", [["run", "--out", "o"], ["run", "--help"]],
+                         ids=["usage-error", "help"])
+def test_the_usage_line_marks_a_required_flag(runner, args):
+    """Required flags are shown without brackets, optional ones with them."""
+    usage = runner.invoke(main, args).output.partition("\n\n")[0]
+    assert " --config CONFIG " in usage and "[--config" not in usage
+    assert "[--kb KB]" in usage
 
 
 @pytest.mark.parametrize("command", [[], ["explore"], ["summarize"], ["run"], ["consistency"],

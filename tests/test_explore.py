@@ -201,18 +201,6 @@ def test_the_tabular_fast_path_gives_the_trials_of_the_general_loop(env, combina
     assert len({ok for _, _, flags in fast for ok in flags.values()}) == 2
 
 
-def _count_apply_tool(monkeypatch) -> list:
-    calls = []
-    original = explore_module.apply_tool
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(explore_module, "apply_tool", counted)
-    return calls
-
-
 def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
@@ -240,29 +228,47 @@ def test_a_memoised_trial_takes_one_substream_and_no_child_stream(monkeypatch, t
 
 
 @pytest.mark.parametrize("trials", [1, 500])
-def test_each_state_is_built_once_whatever_the_trial_count(monkeypatch, trials):
-    calls = _count_apply_tool(monkeypatch)
+def test_the_fast_path_walks_one_path_whatever_the_trial_count(monkeypatch, trials):
+    calls = _count_calls(monkeypatch, explore_module, "apply_tool")
     config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=3,
                                trials_per_sample=trials)
     assert len(explore(certain_env(), config)) == 3 * 2 * trials
-    # One path of two steps per order, shared by the three samples.
-    assert len(calls) == 2 * 2
+    # One walk of two steps, shared by both orders and the three samples.
+    assert len(calls) == 2
     explore(certain_env(), config, GeneralLoopOracle())
-    assert len(calls) == 2 * 2 + 3 * 2 * 2 * trials
+    assert len(calls) == 2 + 3 * 2 * 2 * trials
 
 
-def test_apply_tool_runs_at_most_once_per_edge_of_each_tree(monkeypatch):
-    calls = _count_apply_tool(monkeypatch)
+def test_the_fast_path_walks_each_combination_once(monkeypatch):
+    calls = _count_calls(monkeypatch, explore_module, "apply_tool")
     config = ExplorationConfig(samples_per_combination=2, trials_per_sample=500)
     explore(reference_tabular_env(), config)
-    # 8 combinations of 2 orders, each simulated once along its 2 steps.
-    assert len(calls) == 8 * 2 * 2
+    # 8 combinations, each walked once along its 2 steps.
+    assert len(calls) == 8 * 2
 
 
-def test_the_default_config_applies_each_step_of_each_order_once(monkeypatch):
-    calls = _count_apply_tool(monkeypatch)
+def test_the_default_config_walks_each_combination_once(monkeypatch):
+    calls = _count_calls(monkeypatch, explore_module, "apply_tool")
     assert len(explore(reference_tabular_env(), ExplorationConfig())) == 8 * 2 * 20 * 25
-    assert len(calls) == 8 * 2 * 2
+    assert len(calls) == 8 * 2
+
+
+@pytest.mark.parametrize("samples, trials", [(1, 1), (3, 40)])
+@pytest.mark.parametrize(
+    "env, combination, lookups",
+    [
+        # n * n! rates at the orders' prefixes, plus the walk's n.
+        pytest.param(reference_tabular_env(), RAIN_HAZE, 2 * 2 + 2, id="rain-haze"),
+        pytest.param(three_task_env(), RAIN_NOISE_LOWRES, 3 * 6 + 3, id="three-task"),
+    ],
+)
+def test_the_fast_path_reads_each_rate_once(monkeypatch, env, combination, lookups,
+                                            samples, trials):
+    calls = _count_calls(monkeypatch, TabularCalibration, "fail_prob")
+    config = ExplorationConfig(combinations=[combination], samples_per_combination=samples,
+                               trials_per_sample=trials)
+    explore(env, config)
+    assert len(calls) == lookups
 
 
 def test_the_fast_path_builds_one_initial_profile_per_combination(monkeypatch):
