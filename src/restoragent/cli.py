@@ -20,8 +20,8 @@ from .core import (
     read_field,
     read_object,
 )
-from .envsim import env_from_dict, reference_tabular_env
-from .explore import ExplorationConfig, MissingTools, explore
+from .envsim import NoTools, env_from_dict, reference_tabular_env
+from .explore import ExplorationConfig, explore
 from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
 from .knowledge import (
     InconsistentTrial,
@@ -100,7 +100,7 @@ def cmd_explore(config: Path, out: Path):
     env, exploration, evaluator = _load(config, "explore config", _explore_config)
     try:
         trials = explore(env, exploration, evaluator)
-    except MissingTools as exc:
+    except NoTools as exc:
         _fail(f"bad explore config {config}: {exc}")
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:

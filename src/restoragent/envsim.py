@@ -30,8 +30,8 @@ from .core import (
 _PROB_TOL = 1e-9
 
 
-class UnknownTool(KeyError):
-    """Raised when a tool is applied through an environment it is not part of."""
+class NoTools(ValueError):
+    """No tool is available for the requested subtask."""
 
 
 @dataclass(frozen=True)
@@ -260,10 +260,8 @@ class Environment:
         return list(self._by_task.get(task, ()))
 
     def tool(self, tool_id: str) -> ToolSpec:
-        try:
-            return self._by_id[tool_id]
-        except KeyError:
-            raise UnknownTool(tool_id) from None
+        """The tool of this id; a KeyError for a tool of another environment."""
+        return self._by_id[tool_id]
 
 
 def tabular_fail_prob(env: Environment, state: DegradationProfile, tool: ToolSpec) -> float:

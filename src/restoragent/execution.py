@@ -5,16 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import ALL_DEGRADATIONS, VERY_LOW, DegradationProfile, Severity, TaskKind
-from .envsim import Environment, apply_tool
+from .envsim import Environment, NoTools, apply_tool
 from .perception import reflect
-
-
-class NoTools(ValueError):
-    """No tool is available for the requested subtask."""
-
-
-class EmptyCandidates(ValueError):
-    """pick_best was called without candidates."""
 
 
 class _Status(str):
@@ -66,8 +58,6 @@ def pick_best(candidates, comparator):
     maximum.
     """
     candidates = list(candidates)
-    if not candidates:
-        raise EmptyCandidates("pick_best needs at least one candidate")
     best = candidates[0]
     for challenger in candidates[1:]:
         best = comparator(best, challenger)

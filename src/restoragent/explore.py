@@ -8,14 +8,10 @@ import operator
 from dataclasses import dataclass, field
 
 from .core import TASK_FOR, Severity, combinations_in_group, initial_profile
-from .envsim import Environment, apply_tool
+from .envsim import Environment, NoTools, apply_tool
 from .knowledge import KnowledgeBase, aggregate, distill
 from .perception import PerfectOracle
 from .rng import Stream, substream
-
-
-class MissingTools(ValueError):
-    """The environment lacks tools for a combination's tasks."""
 
 
 @dataclass
@@ -96,7 +92,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         # In synthesis order: a set of tasks iterates in hash-seed order.
         for task in map(TASK_FOR.__getitem__, combo.degradations):
             if not env.tools_for(task):
-                raise MissingTools(f"no tools for {str(task)!r}")
+                raise NoTools(f"no tools for {str(task)!r}")
     memo = env.mode == "tabular" and type(evaluator) is PerfectOracle
     threshold = config.success_threshold
     trials = []

@@ -53,23 +53,17 @@ _SMALL_INTS = tuple(b"i" + n.to_bytes(16, "little", signed=True) for n in range(
 
 
 def _encode(part) -> bytes:
+    """A key part is an int or a str; a bool or an enum member is neither."""
     if part.__class__ is int:
         if 0 <= part < 256:
             return _SMALL_INTS[part]
         return b"i" + part.to_bytes(16, "little", signed=True)
-    encoded = _encoded.get(part) if part.__class__ is str else None
+    if part.__class__ is not str:
+        raise TypeError(f"unsupported substream key part: {part!r}")
+    encoded = _encoded.get(part)
     if encoded is None:
-        encoded = _encoded[part] = _encode_part(part)
+        encoded = _encoded[part] = b"s" + part.encode("utf-8") + b"\x00"
     return encoded
-
-
-def _encode_part(part) -> bytes:
-    """A key part is an int or a str; a bool or an enum member is neither."""
-    if part.__class__ is int:
-        return b"i" + part.to_bytes(16, "little", signed=True)
-    if part.__class__ is str:
-        return b"s" + part.encode("utf-8") + b"\x00"
-    raise TypeError(f"unsupported substream key part: {part!r}")
 
 
 def stream_key(seed: int, *parts) -> tuple:

@@ -129,8 +129,6 @@ class ConsistencyReport:
 
 def entropy_bits(counts) -> float:
     total = sum(counts)
-    if total == 0:
-        return 0.0
     h = 0.0
     for c in counts:
         if c:

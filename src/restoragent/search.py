@@ -7,14 +7,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import DEGRADATION_FOR, LOW, DegradationProfile, Severity
-from .envsim import Environment, FailBoost, SideEffect, apply_tool
-from .execution import (
-    SUCCESS,
-    NoTools,
-    default_comparator,
-    execute_subtask,
-    pick_best,
-)
+from .envsim import Environment, FailBoost, NoTools, SideEffect, apply_tool
+from .execution import SUCCESS, default_comparator, execute_subtask, pick_best
 from .perception import evaluate_agenda
 from .rng import Stream
 from .scheduling import Unschedulable, reschedule

@@ -18,7 +18,6 @@ from restoragent.envsim import (
     SideEffect,
     TaskInHistory,
     ToolSpec,
-    UnknownTool,
     apply_tool,
     compose_failboosts,
     default_mechanistic_env,
@@ -72,7 +71,7 @@ def test_unknown_tool_rejected():
     tool = ToolSpec("denoise", TaskKind.DENOISING, 1.0, 0.0, 0.0)
     stranger = ToolSpec("other", TaskKind.DENOISING, 1.0, 0.0, 0.0)
     env = _env([tool])
-    with pytest.raises(UnknownTool):
+    with pytest.raises(KeyError):
         apply_tool(env, DegradationProfile(), stranger, substream(0, "t"))
 
 
@@ -228,6 +227,13 @@ def test_reference_calibration_shape():
     )
     assert dark_noise.fail[Degradation.LOW_LIGHT] == 0.22
     assert dark_noise.fail[Degradation.NOISE] == 0.43
+
+
+def test_a_task_outside_every_order_of_its_mixture_never_fails():
+    """A noisy evaluator's false positive can put a task on the agenda whose
+    degradation the mixture lacks; no order names it, so it fails with 0."""
+    rain_haze = frozenset({Degradation.RAIN, Degradation.HAZE})
+    assert reference_calibration().fail_prob(rain_haze, (TaskKind.DENOISING,)) == 0.0
 
 
 def test_tabular_rain_haze_fail_rate_within_3_sigma():

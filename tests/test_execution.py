@@ -4,12 +4,10 @@ import json
 import pytest
 
 from restoragent.core import Degradation, DegradationProfile, Severity, TaskKind
-from restoragent.envsim import Environment, ToolSpec, reference_tabular_env
+from restoragent.envsim import Environment, NoTools, ToolSpec, reference_tabular_env
 from restoragent.execution import (
     FAILURE,
     SUCCESS,
-    EmptyCandidates,
-    NoTools,
     SimulatorToolAdapter,
     adapters_for,
     default_comparator,
@@ -138,7 +136,7 @@ def test_pick_best_linear_scan_semantics():
 
     assert pick_best([1, 2, 3, 4], first_wins) == 1
     assert len(calls) == 3
-    with pytest.raises(EmptyCandidates):
+    with pytest.raises(IndexError):
         pick_best([], first_wins)
 
 

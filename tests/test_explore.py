@@ -22,6 +22,7 @@ from restoragent.envsim import (
     Environment,
     FailBoost,
     InteractionRule,
+    NoTools,
     OrderStats,
     TabularCalibration,
     TaskInHistory,
@@ -30,7 +31,6 @@ from restoragent.envsim import (
 )
 from restoragent.explore import (
     ExplorationConfig,
-    MissingTools,
     explore,
     explore_and_build_kb,
 )
@@ -70,7 +70,7 @@ def test_missing_tools_detected():
     )
     config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=1,
                                trials_per_sample=1)
-    with pytest.raises(MissingTools):
+    with pytest.raises(NoTools):
         explore(env, config)
 
 
@@ -81,7 +81,7 @@ def test_missing_tools_names_the_first_task_in_synthesis_order():
                          (DegradationCombination("custom", (D.HAZE, D.RAIN)), "dehazing")]:
         config = ExplorationConfig(combinations=[combo], samples_per_combination=1,
                                    trials_per_sample=1)
-        with pytest.raises(MissingTools, match=f"^no tools for '{first}'$"):
+        with pytest.raises(NoTools, match=f"^no tools for '{first}'$"):
             explore(env, config)
 
 

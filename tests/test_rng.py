@@ -418,17 +418,16 @@ def test_run_batch_rejects_a_fractional_seed(runs):
      *Degradation, *TaskKind, *Severity],
 )
 def test_cached_encoding_equals_the_uncached_one(part):
-    """An int or a str part encodes alike with and without the cache; both
-    refuse a bool or an enum member, and only str parts are cached."""
+    """An int or a str part keys a stream as the from-scratch encoding does,
+    before and after its first use fills the cache; a bool or an enum member
+    is refused, and only str parts are cached."""
     if part.__class__ in (int, str):
-        uncached = rng_module._encode_part(part)
-        assert rng_module._encode(part) == uncached  # fills the cache for a str
-        assert rng_module._encode(part) == uncached
+        rng_module._encoded.pop(part, None)
+        assert stream_key(3, part) == _scratch_key(3, part)  # fills the cache for a str
         assert stream_key(3, part) == _scratch_key(3, part)
     else:
-        for encode in (rng_module._encode_part, rng_module._encode):
-            with pytest.raises(TypeError, match="unsupported substream key part"):
-                encode(part)
+        with pytest.raises(TypeError, match="unsupported substream key part"):
+            rng_module._encode(part)
     assert all(key.__class__ is str for key in rng_module._encoded)
 
 

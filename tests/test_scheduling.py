@@ -157,6 +157,14 @@ def test_reschedule_contract():
         reschedule(scheduler, plan, {T.BRIGHTENING})
 
 
+def test_reschedule_rejects_a_plan_that_starts_with_an_attempted_task():
+    """A scheduler that ignores ``banned_first`` would make the search retry
+    its first task for ever, so reschedule raises instead."""
+    plan = (T.DERAINING, T.DEHAZING)
+    with pytest.raises(RuntimeError, match="starts with 'deraining', which was already attempted"):
+        reschedule(PresentationEchoScheduler(), plan, {T.DERAINING})
+
+
 def test_random_reschedule_with_one_eligible_task_builds_no_substream(monkeypatch):
     """integers(1) and a one-task shuffle take no draw, so they are skipped
     and the stream's substream is never built; the plan is unchanged."""

@@ -13,7 +13,7 @@ from restoragent.envsim import (
     reference_tabular_env,
 )
 from restoragent import search
-from restoragent.execution import EmptyCandidates, adapters_for
+from restoragent.execution import adapters_for
 from restoragent.harness import run_batch
 from restoragent.knowledge import reference_kb
 from restoragent.perception import PerfectOracle
@@ -252,13 +252,25 @@ def test_run_workflow_error_trace_holds_only_executed_subtasks():
 
 
 def test_run_workflow_propagates_a_pick_best_bug(monkeypatch):
-    # every pick_best call passes a non-empty list, so EmptyCandidates is a bug
+    # every pick_best call passes a non-empty list, so an IndexError is a bug
     def buggy_pick_best(candidates, better):
-        raise EmptyCandidates("a bug, not a failed run")
+        raise IndexError("a bug, not a failed run")
 
     monkeypatch.setattr(search, "pick_best", buggy_pick_best)
-    with pytest.raises(EmptyCandidates, match="a bug"):
+    with pytest.raises(IndexError, match="a bug"):
         run_workflow(RAIN_HAZE, _deps(dehaze_hopeless_env()), seed=0)
+
+
+def test_a_compromise_round_that_removes_no_task_raises(monkeypatch):
+    """A failed round with nothing completed and no branch root would leave
+    the next round the same agenda, so the search raises rather than loop or
+    write an error trace."""
+    def stuck_dfs(profile, plan, deps, stream, trace):
+        return search.SearchResult(profile, frozenset(), None), False
+
+    monkeypatch.setattr(search, "dfs", stuck_dfs)
+    with pytest.raises(RuntimeError, match=r"compromise round 0 left its agenda .* whole"):
+        run_workflow(RAIN_HAZE, _deps(order_sensitive_env()), seed=0)
 
 
 def test_run_workflow_propagates_programming_errors():
