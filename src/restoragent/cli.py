@@ -11,6 +11,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .core import (
+    PRESENCE_THRESHOLD,
     Severity,
     TaskKind,
     at_path,
@@ -269,8 +270,9 @@ def cmd_verify(report: Path, traces: Path):
     """Recompute every report cell from the trace file of each report label
     and check each trace's invocation count against its tree and each tree
     node's against its ``tools_tried``, each trace's ``mode`` against the
-    report's and its ``run`` against its index, and each file's trace count
-    against ``runs_per_combination``; exit 2 on any mismatch."""
+    report's, its ``run`` against its index and its ``true_success``
+    against its ``final`` severities, and each file's trace count against
+    ``runs_per_combination``; exit 2 on any mismatch."""
     document = _load(report, "report", _json_object)
     if not traces.is_dir():
         _fail(f"not a directory: {traces}")
@@ -325,6 +327,11 @@ def cmd_verify(report: Path, traces: Path):
                 ):
                     if value.__class__ is not kind:
                         raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")
+                present = [d for d, label in trace["final"]["severities"].items()
+                           if Severity.from_label(label) >= PRESENCE_THRESHOLD]
+                if trace["true_success"] is not (not present):
+                    mismatches.append(f"{name}[{i}]: true_success {trace['true_success']} but "
+                                      f"final holds {present or 'nothing'} at medium or above")
             if len(combo_traces) != runs:
                 mismatches.append(f"{name}: {len(combo_traces)} traces, but "
                                   f"runs_per_combination is {runs!r}")

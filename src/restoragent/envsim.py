@@ -225,7 +225,10 @@ _TABULAR_TOOLS = tuple(
 @dataclass
 class Environment:
     """Immutable after construction; apply_tool is reentrant given distinct streams.
-    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS."""
+    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS.
+    ``explore`` keeps each combination's table in ``_explored``: every new
+    env starts with it empty, and no entry can go stale, since the env does
+    not change."""
 
     mode: str  # "mechanistic" | "tabular"
     tools: list = field(default_factory=list)  # [ToolSpec]
@@ -254,6 +257,7 @@ class Environment:
         self._by_task = {}
         for tool in self.tools:
             self._by_task.setdefault(tool.task, []).append(tool)
+        self._explored = {}  # combination degradations -> explore's table
 
     def tools_for(self, task: TaskKind) -> list:
         """The task's tools in registry order, as a fresh list."""

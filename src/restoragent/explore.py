@@ -47,6 +47,22 @@ class _Replay:
         return u
 
 
+def _exploration_table(env: Environment, combo, flag_tasks: list) -> list:
+    """Per order of ``combo`` on a tabular env: the order, its tool lists,
+    its step fail rates, the step that decides each flag task, and a dict of
+    flags by the walk's flags and then by outcome.  Built on the env's first
+    ``explore`` of these degradations and kept on the env."""
+    table = env._explored.get(combo.degradations)
+    if table is None:
+        table = env._explored[combo.degradations] = [
+            (order, [env.tools_for(task) for task in order],
+             [env.calibration.fail_prob(combo.key, order[:k + 1]) for k in range(len(order))],
+             [order.index(task) for task in flag_tasks], {})
+            for order in itertools.permutations(sorted(combo.tasks))
+        ]
+    return table
+
+
 def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list:
     """Run every permutation of every combination straight through.
 
@@ -77,14 +93,18 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
 
     So p_k is read from the calibration at the order's prefix,
     ``fail_prob(combo.key, order[:k + 1])``, and by facts 2 and 3 every
-    order's all-succeed path ends at the same flags.  One walk per
-    combination, before the sample loop, along its first order with every
-    step succeeding gives those flags.  Task k's flag is the one at the
-    walk's end if its draw reaches p_k, else the initial profile's; each
-    outcome tuple's flags are built once and copied per trial.  The walk
-    stays, although the outcome alone fixes the flags, because the
-    benchmark's trace mode expects this path to call ``apply_tool``, the
-    profile methods and the oracle until ROADMAP item 1.  Any other env or
+    order's all-succeed path ends at the same flags.  Task k's flag is the
+    one at that path's end if its draw reaches p_k, else the initial
+    profile's.  The orders with their tool lists and rates, the step that
+    decides each flag, and the flags of each outcome tuple make one table
+    per (env, combination degradations), built on the env's first call and
+    kept on the env: an env must not be mutated once it has explored.  The
+    flags are keyed by the initial and all-succeed flags, which one walk per
+    call and combination gives, along the first order with every step
+    succeeding; each trial copies its outcome's flags.  The walk stays,
+    although the outcome alone fixes the flags, because the benchmark's
+    trace mode expects this path to call ``apply_tool``, the profile
+    methods and the oracle until ROADMAP item 1.  Any other env or
     evaluator applies every step of every trial.
     """
     evaluator = evaluator or PerfectOracle()
@@ -100,35 +120,24 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
         key = combo.key
         degradations = combo.degradations
         flag_tasks = [TASK_FOR[d] for d in degradations]
-        tasks = sorted(combo.tasks)
-        orders = [
-            (order, [env.tools_for(task) for task in order])
-            for order in itertools.permutations(tasks)
-        ]
 
         def judge(state, rng):
             severities = evaluator.assess(state, degradations, rng)
             return {task: s <= threshold for task, s in zip(flag_tasks, severities)}
 
         if memo:
+            table = _exploration_table(env, combo, flag_tasks)
             start = initial_profile(combo, 0)
             initial = judge(start, None)
             state = start.copy()
-            for tool, in orders[0][1]:  # a tabular env has one tool per task
+            for tool, in table[0][1]:  # a tabular env has one tool per task
                 state = apply_tool(env, state, tool, _Replay(1.0))
             success = judge(state, None)
-            paths = [
-                ([env.calibration.fail_prob(key, order[:k + 1]) for k in range(len(order))],
-                 [order.index(task) for task in flag_tasks], {})
-                for order, _ in orders
-            ]
-        for si in range(config.samples_per_combination):
-            if not memo:
-                base = initial_profile(combo, si)
-            for pi, (order, tool_lists) in enumerate(orders):
-                per_order = Stream(config.seed, "explore", ci, si, pi)
-                if memo:
-                    p_fails, steps_of, flags_by_outcome = paths[pi]
+            walked = (*initial.values(), *success.values())
+            for si in range(config.samples_per_combination):
+                for pi, (order, _, p_fails, steps_of, flags_by_walk) in enumerate(table):
+                    per_order = Stream(config.seed, "explore", ci, si, pi)
+                    flags_by_outcome = flags_by_walk.setdefault(walked, {})
                     n_steps = len(p_fails)
                     for ti in range(config.trials_per_sample):
                         draws = substream(config.seed, per_order, ti).random(n_steps).tolist()
@@ -140,13 +149,22 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                                 for task, k in zip(flag_tasks, steps_of)
                             }
                         trials.append((key, order, flags.copy()))
-                else:
-                    for ti in range(config.trials_per_sample):
-                        rng = per_order.child(ti)
-                        state = base.copy()
-                        for tools in tool_lists:
-                            state = apply_tool(env, state, tools[int(rng.integers(len(tools)))], rng)
-                        trials.append((key, order, judge(state, rng)))
+            continue
+        tasks = sorted(combo.tasks)
+        orders = [
+            (order, [env.tools_for(task) for task in order])
+            for order in itertools.permutations(tasks)
+        ]
+        for si in range(config.samples_per_combination):
+            base = initial_profile(combo, si)
+            for pi, (order, tool_lists) in enumerate(orders):
+                per_order = Stream(config.seed, "explore", ci, si, pi)
+                for ti in range(config.trials_per_sample):
+                    rng = per_order.child(ti)
+                    state = base.copy()
+                    for tools in tool_lists:
+                        state = apply_tool(env, state, tools[int(rng.integers(len(tools)))], rng)
+                    trials.append((key, order, judge(state, rng)))
     return trials
 
 

@@ -381,6 +381,15 @@ def test_verify_names_the_trace_whose_counted_field_has_the_wrong_type(
                      id="trace-mode"),
         pytest.param("traces/rain_-_haze.json", [1, "run"], 0,
                      "rain_-_haze.json[1]: run 0 is not its index", id="trace-run"),
+        pytest.param("traces/rain_-_haze.json", [1, "true_success"], False,
+                     "rain_-_haze.json[1]: true_success False but final holds nothing "
+                     "at medium or above", id="trace-success-flag-not-its-final"),
+        # The report's cells read only true_success, so this one is the
+        # true_success check's alone.
+        pytest.param("traces/rain_-_haze.json", [1, "final", "severities"],
+                     {"haze": "medium", "rain": "low"},
+                     "rain_-_haze.json[1]: true_success True but final holds ['haze'] "
+                     "at medium or above", id="trace-final-not-its-success-flag"),
         pytest.param("report.json", ["mode"], "no-rollback",
                      "rain_-_haze.json[0]: mode 'full' is not the report's 'no-rollback'",
                      id="report-mode"),

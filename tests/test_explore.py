@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -255,20 +256,24 @@ def test_the_default_config_walks_each_combination_once(monkeypatch):
 
 @pytest.mark.parametrize("samples, trials", [(1, 1), (3, 40)])
 @pytest.mark.parametrize(
-    "env, combination, lookups",
+    "make_env, combination, n",
     [
-        # n * n! rates at the orders' prefixes, plus the walk's n.
-        pytest.param(reference_tabular_env(), RAIN_HAZE, 2 * 2 + 2, id="rain-haze"),
-        pytest.param(three_task_env(), RAIN_NOISE_LOWRES, 3 * 6 + 3, id="three-task"),
+        pytest.param(reference_tabular_env, RAIN_HAZE, 2, id="rain-haze"),
+        pytest.param(three_task_env, RAIN_NOISE_LOWRES, 3, id="three-task"),
     ],
 )
-def test_the_fast_path_reads_each_rate_once(monkeypatch, env, combination, lookups,
+def test_the_fast_path_reads_each_rate_once(monkeypatch, make_env, combination, n,
                                             samples, trials):
+    env = make_env()
     calls = _count_calls(monkeypatch, TabularCalibration, "fail_prob")
     config = ExplorationConfig(combinations=[combination], samples_per_combination=samples,
                                trials_per_sample=trials)
     explore(env, config)
-    assert len(calls) == lookups
+    # n * n! rates at the orders' prefixes, plus the walk's n.
+    assert len(calls) == n * math.factorial(n) + n
+    # The env keeps the rates: a second call reads only the walk's n.
+    explore(env, config)
+    assert len(calls) == n * math.factorial(n) + 2 * n
 
 
 def test_the_fast_path_builds_one_initial_profile_per_combination(monkeypatch):
@@ -294,6 +299,41 @@ def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
                                trials_per_sample=1)
     with pytest.raises(RuntimeError, match="drew more than once"):
         explore(reference_tabular_env(), config)
+
+
+def test_the_kept_table_is_copied_per_trial_and_kept_per_env():
+    config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=2,
+                               trials_per_sample=5, seed=3)
+    env = reference_tabular_env()
+    first = explore(env, config)
+    expected = explore(reference_tabular_env(), config)
+    for _, _, flags in first:
+        flags.clear()
+    assert explore(env, config) == expected
+    # Two envs on one combination, alternately: neither reads the other's table.
+    certain, reference = certain_env(), reference_tabular_env()
+    certain_trials = explore(certain_env(), config)
+    assert certain_trials != expected
+    for _ in range(2):
+        assert explore(certain, config) == certain_trials
+        assert explore(reference, config) == expected
+
+
+def test_the_kept_flags_follow_the_walk(monkeypatch):
+    """The kept flags are keyed by what the walk judged, so an oracle that
+    judges otherwise on a later call gets flags of its own."""
+    config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=1,
+                               trials_per_sample=20)
+    env = reference_tabular_env()
+    assert any(ok for _, _, flags in explore(env, config) for ok in flags.values())
+
+    def assess(self, profile, degradations, rng=None):
+        return [Severity.HIGH] * len(degradations)
+
+    monkeypatch.setattr(PerfectOracle, "assess", assess)
+    trials = explore(env, config)
+    assert trials == explore(env, config, GeneralLoopOracle())
+    assert not any(ok for _, _, flags in trials for ok in flags.values())
 
 
 # --- random calibrations ----------------------------------------------------
@@ -339,3 +379,10 @@ def test_the_fast_path_gives_the_trials_of_the_general_loop(
     assert fast == general
     # Flags in synthesis order on both paths, not only equal as dicts.
     assert [list(flags) for _, _, flags in fast] == [list(flags) for _, _, flags in general]
+    # A second call on the same env reads the kept table: it must give what a
+    # fresh env over the same calibration gives, at another threshold too.
+    other = Severity.LOW if threshold is Severity.VERY_LOW else Severity.VERY_LOW
+    again = ExplorationConfig(combinations=combinations, samples_per_combination=samples,
+                              trials_per_sample=trials, success_threshold=other, seed=seed + 1)
+    fresh = Environment("tabular", calibration=env.calibration)
+    assert explore(env, again) == explore(fresh, again)
