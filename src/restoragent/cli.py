@@ -266,11 +266,19 @@ def cmd_consistency(scheduler, kb, n, seed, out):
         _dump_json(rows, out)
 
 
+#: The (status, verdict) pairs a trace node may hold.  A succeeded node has
+#: no verdict only in an error trace, whose search stopped below it.
+_VERDICTS = {("failure", "rejected"), ("failure", "kept-best-effort"),
+             ("success", "accepted"), ("success", "subtree-failed")}
+
+
 def cmd_verify(report: Path, traces: Path):
     """Recompute every report cell from the trace file of each report label
     and check each trace's invocation count against its tree and each tree
-    node's against its ``tools_tried``, each trace's ``mode`` against the
-    report's, its ``run`` against its index and its ``true_success``
+    node's against its ``tools_tried``, each node's subtask against its
+    plan's head and its verdict against its status, each trace's ``mode``
+    against the report's, its ``run`` against its index, its
+    ``reschedules`` against its ``rollbacks`` and its ``true_success``
     against its ``final`` severities, and each file's trace count against
     ``runs_per_combination``; exit 2 on any mismatch."""
     document = _load(report, "report", _json_object)
@@ -314,7 +322,19 @@ def cmd_verify(report: Path, traces: Path):
                         mismatches.append(f"{name}[{i}]: node {node['subtask']!r} has invocations "
                                           f"{node['invocations']} but tools_tried "
                                           f"{node['tools_tried']}")
-                counted = trace["counters"]["invocations"]
+                    if node["plan"][:1] != [node["subtask"]]:
+                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} is not the "
+                                          f"head of its plan {node['plan']}")
+                    status, verdict = node["status"], node.get("verdict")
+                    if (status, verdict) not in _VERDICTS and (
+                            status, verdict, trace["status"]) != ("success", None, "error"):
+                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} has status "
+                                          f"{status!r} but verdict {verdict!r}")
+                counters = trace["counters"]
+                if counters["reschedules"] != counters["rollbacks"]:
+                    mismatches.append(f"{name}[{i}]: counters.reschedules "
+                                      f"{counters['reschedules']} != rollbacks {counters['rollbacks']}")
+                counted = counters["invocations"]
                 in_tree = sum(node["invocations"] for node in nodes)
                 if counted != in_tree:
                     mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
@@ -323,7 +343,7 @@ def cmd_verify(report: Path, traces: Path):
                 for field, value, kind in (
                     ("true_success", trace["true_success"], bool),
                     ("counters.invocations", counted, int),
-                    ("counters.rollbacks", trace["counters"]["rollbacks"], int),
+                    ("counters.rollbacks", counters["rollbacks"], int),
                 ):
                     if value.__class__ is not kind:
                         raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")

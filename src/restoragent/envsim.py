@@ -147,19 +147,24 @@ class OrderStats:
             check_probability("fail probability of %s", p, degradation)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TabularCalibration:
-    """Fail statistics keyed by (degradation set, execution order)."""
+    """Fail statistics, one row per execution order; ``rows`` is kept sorted
+    by degradation set, each set's rows in the order they were given."""
 
-    entries: dict = field(default_factory=dict)  # frozenset[Degradation] -> [OrderStats]
+    rows: tuple  # (OrderStats, ...)
 
-    def add(self, stats: OrderStats):
-        """A second row for one order is a ValueError: only the first is read."""
-        key = frozenset(DEGRADATION_FOR[t] for t in stats.order)
-        rows = self.entries.setdefault(key, [])
-        if any(row.order == stats.order for row in rows):
-            raise ValueError(f"order {list(map(str, stats.order))} is given twice")
-        rows.append(stats)
+    def __post_init__(self):
+        rows = tuple(sorted(self.rows, key=lambda stats: sorted(stats.fail)))  # stable
+        entries = {}  # frozenset[Degradation] -> [OrderStats], as fail_prob reads them
+        for stats in rows:
+            orders = entries.setdefault(frozenset(stats.fail), [])
+            if any(row.order == stats.order for row in orders):
+                raise ValueError(f"order {list(map(str, stats.order))} is given twice")
+            orders.append(stats)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_explored", {})  # combination degradations -> explore's table
 
     def fail_prob(self, combo_key: frozenset, prefix: tuple) -> float:
         """Fail probability of the last task in ``prefix`` under this order.
@@ -207,10 +212,7 @@ def reference_calibration() -> TabularCalibration:
         ((T.DERAINING, T.SUPER_RESOLUTION), {D.RAIN: 0.26, D.LOW_RESOLUTION: 0.02}),
         ((T.SUPER_RESOLUTION, T.DERAINING), {D.RAIN: 0.63, D.LOW_RESOLUTION: 0.00}),
     ]
-    calibration = TabularCalibration()
-    for order, fail in rows:
-        calibration.add(OrderStats(order, fail))
-    return calibration
+    return TabularCalibration(tuple(OrderStats(order, fail) for order, fail in rows))
 
 
 # --- environment ------------------------------------------------------------
@@ -225,10 +227,7 @@ _TABULAR_TOOLS = tuple(
 @dataclass
 class Environment:
     """Immutable after construction; apply_tool is reentrant given distinct streams.
-    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS.
-    ``explore`` keeps each combination's table in ``_explored``: every new
-    env starts with it empty, and no entry can go stale, since the env does
-    not change."""
+    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS."""
 
     mode: str  # "mechanistic" | "tabular"
     tools: list = field(default_factory=list)  # [ToolSpec]
@@ -257,7 +256,6 @@ class Environment:
         self._by_task = {}
         for tool in self.tools:
             self._by_task.setdefault(tool.task, []).append(tool)
-        self._explored = {}  # combination degradations -> explore's table
 
     def tools_for(self, task: TaskKind) -> list:
         """The task's tools in registry order, as a fresh list."""
@@ -460,11 +458,8 @@ def env_from_dict(data, root: str = "") -> Environment:
 
 
 def calibration_to_dict(calibration: TabularCalibration) -> dict:
-    rows = []
-    for key in sorted(calibration.entries, key=sorted):
-        for stats in calibration.entries[key]:
-            rows.append({"order": list(stats.order), "fail": dict(sorted(stats.fail.items()))})
-    return {"orders": rows}
+    return {"orders": [{"order": list(stats.order), "fail": dict(sorted(stats.fail.items()))}
+                       for stats in calibration.rows]}
 
 
 def calibration_from_dict(data, root: str = "calibration") -> TabularCalibration:
@@ -472,14 +467,17 @@ def calibration_from_dict(data, root: str = "calibration") -> TabularCalibration
     ``stated_total_pct`` is ignored; any other key the calibration does not
     read is a SchemaError."""
     (rows,) = read_object(data, {"orders": list}, root, orders=())
-    calibration = TabularCalibration()
+    given = {}  # order -> OrderStats, in row order
     fields = {"order": list, "fail": dict, "stated_total_pct": ANY_JSON}
     for i, row in enumerate(rows):
         where = f"{root}.orders[{i}]"
         order, fail, _ = read_object(row, fields, where, stated_total_pct=None)
         with at_path(where):
-            calibration.add(OrderStats(
+            stats = OrderStats(
                 tuple(member_of(TaskKind, t, f"{where}.order[{j}]") for j, t in enumerate(order)),
                 {member_of(Degradation, d, f"{where}.fail"): p for d, p in fail.items()},
-            ))
-    return calibration
+            )
+            if stats.order in given:  # named here, where the row's path is known
+                raise ValueError(f"order {list(map(str, stats.order))} is given twice")
+            given[stats.order] = stats
+    return TabularCalibration(tuple(given.values()))

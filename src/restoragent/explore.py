@@ -47,16 +47,15 @@ class _Replay:
         return u
 
 
-def _exploration_table(env: Environment, combo, flag_tasks: list) -> list:
-    """Per order of ``combo`` on a tabular env: the order, its tool lists,
-    its step fail rates, the step that decides each flag task, and a dict of
-    flags by the walk's flags and then by outcome.  Built on the env's first
-    ``explore`` of these degradations and kept on the env."""
-    table = env._explored.get(combo.degradations)
+def _exploration_table(calibration, combo, flag_tasks: list) -> list:
+    """Per order of ``combo``: the order, its step fail rates, the step that
+    decides each flag task, and a dict of flags by the walk's flags and then
+    by outcome.  Built on the first ``explore`` of these degradations over
+    ``calibration`` and kept on it."""
+    table = calibration._explored.get(combo.degradations)
     if table is None:
-        table = env._explored[combo.degradations] = [
-            (order, [env.tools_for(task) for task in order],
-             [env.calibration.fail_prob(combo.key, order[:k + 1]) for k in range(len(order))],
+        table = calibration._explored[combo.degradations] = [
+            (order, [calibration.fail_prob(combo.key, order[:k + 1]) for k in range(len(order))],
              [order.index(task) for task in flag_tasks], {})
             for order in itertools.permutations(sorted(combo.tasks))
         ]
@@ -95,10 +94,10 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
     ``fail_prob(combo.key, order[:k + 1])``, and by facts 2 and 3 every
     order's all-succeed path ends at the same flags.  Task k's flag is the
     one at that path's end if its draw reaches p_k, else the initial
-    profile's.  The orders with their tool lists and rates, the step that
-    decides each flag, and the flags of each outcome tuple make one table
-    per (env, combination degradations), built on the env's first call and
-    kept on the env: an env must not be mutated once it has explored.  The
+    profile's.  The orders with their rates, the step that decides each
+    flag, and the flags of each outcome tuple depend on the calibration
+    alone, not on tool lists: they make one table per combination's
+    degradations, built on the first call and kept on the calibration.  The
     flags are keyed by the initial and all-succeed flags, which one walk per
     call and combination gives, along the first order with every step
     succeeding; each trial copies its outcome's flags.  The walk stays,
@@ -126,16 +125,17 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
             return {task: s <= threshold for task, s in zip(flag_tasks, severities)}
 
         if memo:
-            table = _exploration_table(env, combo, flag_tasks)
+            table = _exploration_table(env.calibration, combo, flag_tasks)
             start = initial_profile(combo, 0)
             initial = judge(start, None)
             state = start.copy()
-            for tool, in table[0][1]:  # a tabular env has one tool per task
+            for task in table[0][0]:
+                tool, = env.tools_for(task)  # a tabular env has one tool per task
                 state = apply_tool(env, state, tool, _Replay(1.0))
             success = judge(state, None)
             walked = (*initial.values(), *success.values())
             for si in range(config.samples_per_combination):
-                for pi, (order, _, p_fails, steps_of, flags_by_walk) in enumerate(table):
+                for pi, (order, p_fails, steps_of, flags_by_walk) in enumerate(table):
                     per_order = Stream(config.seed, "explore", ci, si, pi)
                     flags_by_outcome = flags_by_walk.setdefault(walked, {})
                     n_steps = len(p_fails)
@@ -161,7 +161,7 @@ def explore(env: Environment, config: ExplorationConfig, evaluator=None) -> list
                 per_order = Stream(config.seed, "explore", ci, si, pi)
                 for ti in range(config.trials_per_sample):
                     rng = per_order.child(ti)
-                    state = base.copy()
+                    state = base
                     for tools in tool_lists:
                         state = apply_tool(env, state, tools[int(rng.integers(len(tools)))], rng)
                     trials.append((key, order, judge(state, rng)))

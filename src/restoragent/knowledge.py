@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_DOWN, Decimal
 from functools import cached_property
 from typing import NamedTuple
@@ -60,11 +60,15 @@ class PrecedenceRule:
         check_probability("margin", self.margin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    records: list = field(default_factory=list)
-    rules: list = field(default_factory=list)
+    records: tuple = ()  # (ExperienceRecord, ...); a list is stored as a tuple
+    rules: tuple = ()  # (PrecedenceRule, ...); likewise
     provenance: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "rules", tuple(self.rules))
 
     def exact_records(self, agenda) -> list:
         agenda = frozenset(agenda)
@@ -184,15 +188,11 @@ def retrieve(kb: KnowledgeBase, agenda) -> Retrieval:
 def reference_records() -> list:
     """Exact ExperienceRecords carrying the published calibration rates,
     each counted as 100 trials."""
-    calibration = reference_calibration()
     records = []
-    for combination in sorted(calibration.entries, key=sorted):
-        for stats in calibration.entries[combination]:
-            per_task = {TASK_FOR[d]: p for d, p in stats.fail.items()}
-            total = sum(per_task.values()) / len(per_task)
-            records.append(
-                ExperienceRecord(frozenset(combination), stats.order, per_task, total, 100)
-            )
+    for stats in reference_calibration().rows:
+        per_task = {TASK_FOR[d]: p for d, p in stats.fail.items()}
+        total = sum(per_task.values()) / len(per_task)
+        records.append(ExperienceRecord(frozenset(stats.fail), stats.order, per_task, total, 100))
     return records
 
 

@@ -34,8 +34,7 @@ class ExperienceScheduler:
     lexicographic default; the output never depends on the presentation
     order of the agenda.  The records are indexed by task set when the
     scheduler is built, and a plan is a function of the KB, the agenda and
-    the banned firsts, so each is memoised per (agenda, banned & agenda):
-    the KB must not be mutated once the scheduler is built.
+    the banned firsts, so each is memoised per (agenda, banned & agenda).
     """
 
     def __init__(self, kb: KnowledgeBase | None = None):

@@ -179,9 +179,7 @@ _T, _D = TaskKind, Degradation
 
 
 def _twice_in_a_calibration():
-    calibration = TabularCalibration()
-    for _ in range(2):
-        calibration.add(OrderStats((_T.DERAINING,), {_D.RAIN: 0.1}))
+    TabularCalibration((OrderStats((_T.DERAINING,), {_D.RAIN: 0.1}),) * 2)
 
 
 @pytest.mark.parametrize(
@@ -390,6 +388,22 @@ def test_verify_names_the_trace_whose_counted_field_has_the_wrong_type(
                      {"haze": "medium", "rain": "low"},
                      "rain_-_haze.json[1]: true_success True but final holds ['haze'] "
                      "at medium or above", id="trace-final-not-its-success-flag"),
+        pytest.param("traces/rain_-_haze.json", [1, "tree", 0, "subtask"], "deraining",
+                     "rain_-_haze.json[1]: node 'deraining' is not the head of its plan "
+                     "['dehazing', 'deraining']", id="node-subtask-not-its-plan-head"),
+        pytest.param("traces/rain_-_haze.json", [1, "counters", "reschedules"], 1,
+                     "rain_-_haze.json[1]: counters.reschedules 1 != rollbacks 0",
+                     id="trace-reschedules-not-its-rollbacks"),
+        pytest.param("traces/rain_-_haze.json", [1, "tree", 0, "status"], "failure",
+                     "rain_-_haze.json[1]: node 'dehazing' has status 'failure' but verdict "
+                     "'accepted'", id="node-status-flipped"),
+        pytest.param("traces/rain_-_haze.json", [1, "tree", 0, "verdict"], "rejected",
+                     "rain_-_haze.json[1]: node 'dehazing' has status 'success' but verdict "
+                     "'rejected'", id="node-verdict-rejected"),
+        # Only a trace that ended in an error holds a succeeded node with no verdict.
+        pytest.param("traces/rain_-_haze.json", [1, "tree", 0, "verdict"], DELETE,
+                     "rain_-_haze.json[1]: node 'dehazing' has status 'success' but verdict "
+                     "None", id="node-verdict-missing"),
         pytest.param("report.json", ["mode"], "no-rollback",
                      "rain_-_haze.json[0]: mode 'full' is not the report's 'no-rollback'",
                      id="report-mode"),
@@ -415,6 +429,28 @@ def test_verify_names_the_file_whose_mode_run_or_trace_count_is_wrong(
     result = runner.invoke(main, verify)
     assert result.exit_code == 2, result.output
     assert f"MISMATCH {line}\n" in result.stderr
+
+
+def test_verify_takes_a_succeeded_node_with_no_verdict_only_in_an_error_trace(runner, tmp_path):
+    # Only dehazing has a tool: rain + haze runs it first, by name with no
+    # KB, and then raises NoTools below that node.
+    config = _write_json(tmp_path / "env.json", {"mode": "mechanistic", "tools": [
+        {**TOOL, "id": "dehaze", "task": "dehazing"}]})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(config), "--runs", "2", "--seed", "0",
+                                  "--combinations", "group-A", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    path = out / "traces" / "rain_-_haze.json"
+    traces = json.loads(path.read_text())
+    assert [(t["status"], t["tree"][0]["status"], "verdict" in t["tree"][0]) for t in traces] == [
+        ("error", "success", False)] * 2
+    verify = ["verify", "--report", str(out / "report.json"), "--traces", str(out / "traces")]
+    assert runner.invoke(main, verify).exit_code == 0
+    path.write_text(json.dumps(_edited(traces, [1, "status"], "success")), encoding="utf-8")
+    result = runner.invoke(main, verify)
+    assert result.exit_code == 2, result.output
+    assert ("MISMATCH rain_-_haze.json[1]: node 'dehazing' has status 'success' but verdict "
+            "None\n") in result.stderr
 
 
 def test_a_bug_in_report_cells_is_not_a_mismatch(runner, tmp_path, env_config, monkeypatch):

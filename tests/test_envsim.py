@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import pytest
@@ -16,9 +17,11 @@ from restoragent.envsim import (
     FailBoost,
     InteractionRule,
     SideEffect,
+    TabularCalibration,
     TaskInHistory,
     ToolSpec,
     apply_tool,
+    calibration_to_dict,
     compose_failboosts,
     default_mechanistic_env,
     env_from_dict,
@@ -202,6 +205,27 @@ def test_dehazing_fails_more_with_noise_present():
         fails_plain += a.severity(Degradation.HAZE) >= Severity.MEDIUM
         fails_noisy += b.severity(Degradation.HAZE) >= Severity.MEDIUM
     assert fails_noisy > fails_plain
+
+
+def test_a_calibration_is_built_whole_and_never_changes():
+    calibration = reference_calibration()
+    assert not hasattr(TabularCalibration, "add")
+    for field in dataclasses.fields(calibration):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(calibration, field.name, getattr(calibration, field.name))
+
+
+def test_a_calibration_keeps_each_sets_rows_in_the_order_they_are_given_in():
+    reference = reference_calibration()
+    pairs = [reference.rows[i:i + 2] for i in range(0, len(reference.rows), 2)]
+    assert all(len({frozenset(s.fail) for s in pair}) == 1 for pair in pairs)
+    # The sets come sorted whatever order they are given in ...
+    sets_reversed = TabularCalibration(tuple(s for pair in pairs[::-1] for s in pair))
+    assert sets_reversed == reference
+    assert calibration_to_dict(sets_reversed) == calibration_to_dict(reference)
+    # ... and each set's rows keep theirs.
+    assert TabularCalibration(reference.rows[::-1]).rows == tuple(
+        s for pair in pairs for s in pair[::-1])
 
 
 def test_reference_calibration_shape():

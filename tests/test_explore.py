@@ -28,6 +28,7 @@ from restoragent.envsim import (
     TabularCalibration,
     TaskInHistory,
     ToolSpec,
+    reference_calibration,
     reference_tabular_env,
 )
 from restoragent.explore import (
@@ -154,9 +155,7 @@ RAIN_NOISE_LOWRES = DegradationCombination("C", (D.RAIN, D.NOISE, D.LOW_RESOLUTI
 
 
 def tabular_env(rows) -> Environment:
-    calibration = TabularCalibration()
-    for order, fail in rows:
-        calibration.add(OrderStats(order, fail))
+    calibration = TabularCalibration(tuple(OrderStats(order, fail) for order, fail in rows))
     return Environment("tabular", calibration=calibration)
 
 
@@ -301,6 +300,15 @@ def test_a_tabular_step_that_draws_twice_fails_loudly(monkeypatch):
         explore(reference_tabular_env(), config)
 
 
+def test_a_calibration_explores_the_same_trials_whatever_order_its_rows_are_given_in():
+    reference = reference_calibration()
+    config = ExplorationConfig(samples_per_combination=2, trials_per_sample=5, seed=4)
+    # Given reversed, each set's two rows swap places; they differ in their
+    # first task, so no prefix matches both and no rate changes.
+    flipped = Environment("tabular", calibration=TabularCalibration(reference.rows[::-1]))
+    assert explore(flipped, config) == explore(Environment("tabular", calibration=reference), config)
+
+
 def test_the_kept_table_is_copied_per_trial_and_kept_per_env():
     config = ExplorationConfig(combinations=[RAIN_HAZE], samples_per_combination=2,
                                trials_per_sample=5, seed=3)
@@ -347,7 +355,7 @@ def _calibrated_combinations(draw):
     random subset of its orders recorded at random rates.  An order left out
     falls back to the marginal rate, a mixture with no row to 0.0."""
     combinations = []
-    calibration = TabularCalibration()
+    rows = []
     keys = draw(st.lists(
         st.lists(st.sampled_from(list(Degradation)), min_size=1, max_size=3, unique=True),
         min_size=1, max_size=2, unique_by=frozenset,
@@ -356,8 +364,8 @@ def _calibrated_combinations(draw):
         combinations.append(DegradationCombination("custom", tuple(degradations)))
         orders = list(itertools.permutations(TASK_FOR[d] for d in degradations))
         for order in draw(st.lists(st.sampled_from(orders), unique=True)):
-            calibration.add(OrderStats(order, {DEGRADATION_FOR[t]: draw(_RATES) for t in order}))
-    return Environment("tabular", calibration=calibration), combinations
+            rows.append(OrderStats(order, {DEGRADATION_FOR[t]: draw(_RATES) for t in order}))
+    return Environment("tabular", calibration=TabularCalibration(tuple(rows))), combinations
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,9 +388,10 @@ def test_the_fast_path_gives_the_trials_of_the_general_loop(
     # Flags in synthesis order on both paths, not only equal as dicts.
     assert [list(flags) for _, _, flags in fast] == [list(flags) for _, _, flags in general]
     # A second call on the same env reads the kept table: it must give what a
-    # fresh env over the same calibration gives, at another threshold too.
+    # fresh env over a new calibration of the same rows gives, at another
+    # threshold too.
     other = Severity.LOW if threshold is Severity.VERY_LOW else Severity.VERY_LOW
     again = ExplorationConfig(combinations=combinations, samples_per_combination=samples,
                               trials_per_sample=trials, success_threshold=other, seed=seed + 1)
-    fresh = Environment("tabular", calibration=env.calibration)
+    fresh = Environment("tabular", calibration=TabularCalibration(env.calibration.rows))
     assert explore(env, again) == explore(fresh, again)

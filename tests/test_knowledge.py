@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -212,7 +213,7 @@ def test_a_records_task_set_is_its_fail_rates_keys_built_once_and_pickled():
     trials = (_trials(RAIN_HAZE, (T.DERAINING, T.DEHAZING), {T.DEHAZING: 3}, 10)
               + _trials(RAIN_HAZE, (T.DEHAZING, T.DERAINING), {T.DERAINING: 1}, 10))
     records = (aggregate(trials) + reference_records()
-               + kb_from_dict(kb_to_dict(reference_kb())).records)
+               + list(kb_from_dict(kb_to_dict(reference_kb())).records))
     for record in records:
         before_use = pickle.loads(pickle.dumps(record))  # task set not built yet
         assert record.tasks == frozenset(record.per_task_fail)
@@ -232,11 +233,21 @@ def test_a_precedence_rule_margin_must_be_a_number_in_0_1(margin, error):
         PrecedenceRule(T.DERAINING, T.DEHAZING, margin)
 
 
+def test_a_knowledge_base_is_built_whole_and_never_changes():
+    record, rule = reference_records()[0], reference_kb().rules[0]
+    kb = KnowledgeBase([record], [rule])
+    assert kb.records == (record,) and kb.rules == (rule,)
+    assert type(kb.records) is tuple and type(kb.rules) is tuple
+    for field in dataclasses.fields(kb):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(kb, field.name, getattr(kb, field.name))
+
+
 def test_kb_roundtrip_empty(tmp_path):
     path = tmp_path / "kb.json"
     save_kb(KnowledgeBase(), path)
     kb = load_kb(path)
-    assert kb.records == [] and kb.rules == []
+    assert kb.records == () and kb.rules == ()
 
 
 def test_kb_roundtrip_reference(tmp_path):
