@@ -11,7 +11,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .core import (
-    PRESENCE_THRESHOLD,
     Severity,
     TaskKind,
     at_path,
@@ -23,7 +22,7 @@ from .core import (
 )
 from .envsim import NoTools, env_from_dict, reference_tabular_env
 from .explore import ExplorationConfig, explore
-from .harness import RUN_MODES, parse_combinations, report_cells, run_batch
+from .harness import RUN_MODES, parse_combinations, run_batch
 from .knowledge import (
     InconsistentTrial,
     KnowledgeBase,
@@ -36,6 +35,7 @@ from .knowledge import (
 )
 from .perception import evaluator_from_model
 from .scheduling import ExperienceScheduler, RandomScheduler, measure_consistency
+from .verify import mismatches, trace_file
 
 EXIT_USER_ERROR = 1
 EXIT_MISMATCH = 2
@@ -88,11 +88,6 @@ def _json_object(path: Path) -> dict:
 def _dump_json(data, path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _trace_file(label: str) -> str:
-    """The name of the file in ``traces/`` that holds one combination's traces."""
-    return label.replace(" ", "_").replace("+", "-") + ".json"
 
 
 def cmd_explore(config: Path, out: Path):
@@ -207,7 +202,7 @@ def cmd_run(config, kb, mode, runs, seed, out, jobs, combinations):
     trace_dir = out / "traces"
     trace_dir.mkdir(exist_ok=True)
     for label, combo_traces in traces.items():
-        _dump_json(combo_traces, trace_dir / _trace_file(label))
+        _dump_json(combo_traces, trace_dir / trace_file(label))
     _dump_json(report, out / "report.json")
     _dump_json({"mean_wall_clock_s": timings}, out / "timings.json")
     _print_report_table(report)
@@ -266,121 +261,19 @@ def cmd_consistency(scheduler, kb, n, seed, out):
         _dump_json(rows, out)
 
 
-#: The (status, verdict) pairs a trace node may hold.  A succeeded node has
-#: no verdict only in an error trace, whose search stopped below it.
-_VERDICTS = {("failure", "rejected"), ("failure", "kept-best-effort"),
-             ("success", "accepted"), ("success", "subtree-failed")}
-
-
 def cmd_verify(report: Path, traces: Path):
-    """Recompute every report cell from the trace file of each report label
-    and check each trace's invocation count against its tree and each tree
-    node's against its ``tools_tried``, each node's subtask against its
-    plan's head and its verdict against its status, each trace's ``mode``
-    against the report's, its ``run`` against its index, its
-    ``reschedules`` against its ``rollbacks`` and its ``true_success``
-    against its ``final`` severities, and each file's trace count against
-    ``runs_per_combination``; exit 2 on any mismatch."""
+    """Check a run's report and its trace files against their declared schema
+    and recompute every value that follows from others, the report's cells
+    included; exit 2 on any mismatch."""
     document = _load(report, "report", _json_object)
     if not traces.is_dir():
         _fail(f"not a directory: {traces}")
-    mismatches = [
-        f"{section}: not an object of objects"
-        for section in ("groups", "combinations")
-        if not isinstance(document.get(section), dict)
-        or not all(isinstance(cell, dict) for cell in document[section].values())
-    ]
-    if mismatches:
-        _mismatch(mismatches)
-    # Groups come from the report, so a relabelled combination shows up as
-    # a group cell the report lacks or gets wrong; str() turns a missing
-    # group into a mismatch rather than an unsortable key.
-    group_of = {label: str(cell.get("group")) for label, cell in document["combinations"].items()}
-    files = {_trace_file(label): label for label in group_of}
-    mismatches = [
-        f"{path.name}: no report label names this trace file"
-        for path in sorted(traces.glob("*.json"))
-        if path.name not in files
-    ]
-    mode, runs = document.get("mode"), document.get("runs_per_combination")
-    loaded = {}
-    for name, label in sorted(files.items()):
-        try:
-            combo_traces = json.loads((traces / name).read_text(encoding="utf-8"))
-            for i, trace in enumerate(combo_traces):
-                if trace["combination"] != label:
-                    mismatches.append(f"{name}[{i}]: combination {trace['combination']!r} "
-                                      f"is not this file's label {label!r}")
-                if trace["mode"] != mode:
-                    mismatches.append(f"{name}[{i}]: mode {trace['mode']!r} "
-                                      f"is not the report's {mode!r}")
-                if trace["run"].__class__ is not int or trace["run"] != i:
-                    mismatches.append(f"{name}[{i}]: run {trace['run']!r} is not its index")
-                nodes = list(_tree_nodes(trace["tree"]))
-                for node in nodes:
-                    if node["invocations"] != len(node["tools_tried"]):
-                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} has invocations "
-                                          f"{node['invocations']} but tools_tried "
-                                          f"{node['tools_tried']}")
-                    if node["plan"][:1] != [node["subtask"]]:
-                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} is not the "
-                                          f"head of its plan {node['plan']}")
-                    status, verdict = node["status"], node.get("verdict")
-                    if (status, verdict) not in _VERDICTS and (
-                            status, verdict, trace["status"]) != ("success", None, "error"):
-                        mismatches.append(f"{name}[{i}]: node {node['subtask']!r} has status "
-                                          f"{status!r} but verdict {verdict!r}")
-                counters = trace["counters"]
-                if counters["reschedules"] != counters["rollbacks"]:
-                    mismatches.append(f"{name}[{i}]: counters.reschedules "
-                                      f"{counters['reschedules']} != rollbacks {counters['rollbacks']}")
-                counted = counters["invocations"]
-                in_tree = sum(node["invocations"] for node in nodes)
-                if counted != in_tree:
-                    mismatches.append(f"{name}[{i}]: counters.invocations {counted} "
-                                      f"!= {in_tree} over its tree")
-                # The fields report_cells reads, checked so that it cannot fail on a trace.
-                for field, value, kind in (
-                    ("true_success", trace["true_success"], bool),
-                    ("counters.invocations", counted, int),
-                    ("counters.rollbacks", counters["rollbacks"], int),
-                ):
-                    if value.__class__ is not kind:
-                        raise ValueError(f"trace {i}: {field} {value!r} is not of type {kind.__name__}")
-                present = [d for d, label in trace["final"]["severities"].items()
-                           if Severity.from_label(label) >= PRESENCE_THRESHOLD]
-                if trace["true_success"] is not (not present):
-                    mismatches.append(f"{name}[{i}]: true_success {trace['true_success']} but "
-                                      f"final holds {present or 'nothing'} at medium or above")
-            if len(combo_traces) != runs:
-                mismatches.append(f"{name}: {len(combo_traces)} traces, but "
-                                  f"runs_per_combination is {runs!r}")
-            loaded[label] = combo_traces
-        except (*BAD_INPUT, KeyError, AttributeError) as exc:  # verify indexes traces directly
-            mismatches.append(f"{name}: malformed trace file: {type(exc).__name__}: {exc}")
-    for section, cells in report_cells(loaded, group_of).items():
-        printed = document[section]
-        for name in sorted(set(cells) | set(printed)):
-            if printed.get(name) != cells.get(name):
-                mismatches.append(
-                    f"{section}.{name}: report {printed.get(name)} != traces {cells.get(name)}"
-                )
-    if mismatches:
-        _mismatch(mismatches)
-    print("report verified: every table cell and trace invocation count matches")
-
-
-def _mismatch(lines):
-    for line in lines:
-        print(f"MISMATCH {line}", file=sys.stderr)
-    sys.exit(EXIT_MISMATCH)
-
-
-def _tree_nodes(nodes):
-    """Every node of a trace tree, parents before their children."""
-    for node in nodes:
-        yield node
-        yield from _tree_nodes(node.get("children", []))
+    files = {p.name: _load(p, "trace file", Path.read_bytes) for p in traces.glob("*.json")}
+    lines = mismatches(report.name, document, files)
+    if lines:
+        print("\n".join(f"MISMATCH {line}" for line in lines), file=sys.stderr)
+        sys.exit(EXIT_MISMATCH)
+    print("report verified: every key has its declared type and every derived value matches")
 
 
 _PATH = {"type": Path, "required": True}

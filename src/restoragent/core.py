@@ -88,7 +88,8 @@ class at_path:
 _MISSING = object()
 _JSON_TYPE = {dict: "an object", list: "a list", str: "a string", int: "an integer",
               float: "a number", bool: "true or false", type(None): "null"}
-#: The types of a legacy key, which takes any JSON value and is not read.
+#: Every JSON type: a legacy key's, which is not read, or a key's whose
+#: reader checks the value itself.
 ANY_JSON = tuple(_JSON_TYPE)
 
 
@@ -102,6 +103,14 @@ def read_field(data, key: str, types, where: str = ""):
     path = f"{where}.{key}" if where else key
     if value is _MISSING:
         raise SchemaError(f"{path}: missing key")
+    return json_typed(value, types, path)
+
+
+def json_typed(value, types, path: str):
+    """``value``, checked as ``read_field`` checks a field to be one of the
+    JSON ``types``; a value of another type is a SchemaError naming ``path``."""
+    if isinstance(value, types) and (value.__class__ is not bool or types in (bool, ANY_JSON)):
+        return value
     names = " or ".join(map(_JSON_TYPE.get, types if isinstance(types, tuple) else (types,)))
     raise SchemaError(f"{path}: expected {names}, not {value!r}")
 

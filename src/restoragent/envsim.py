@@ -8,7 +8,7 @@ published per-order fail statistics directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     ANY_JSON,
@@ -224,14 +224,15 @@ _TABULAR_TOOLS = tuple(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Environment:
-    """Immutable after construction; apply_tool is reentrant given distinct streams.
-    A tabular env reads only its calibration, and its tools are _TABULAR_TOOLS."""
+    """A value whose tools and rules are tuples (a list given is stored as
+    one); apply_tool is reentrant given distinct streams.  A tabular env
+    reads only its calibration, and its tools are _TABULAR_TOOLS."""
 
     mode: str  # "mechanistic" | "tabular"
-    tools: list = field(default_factory=list)  # [ToolSpec]
-    rules: list = field(default_factory=list)  # [InteractionRule]
+    tools: tuple = ()  # (ToolSpec, ...)
+    rules: tuple = ()  # (InteractionRule, ...)
     calibration: TabularCalibration | None = None
 
     def __post_init__(self):
@@ -244,22 +245,25 @@ class Environment:
                 raise ValueError("a tabular environment reads no interaction rules")
             if self.tools:
                 raise ValueError("a tabular environment takes no tools")
-            self.tools = list(_TABULAR_TOOLS)
         elif self.calibration is not None:
             raise ValueError("a mechanistic environment reads no calibration")
-        ids = [tool.id for tool in self.tools]
+        tools = _TABULAR_TOOLS if self.mode == "tabular" else tuple(self.tools)
+        ids = [tool.id for tool in tools]
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
             # apply_tool looks a tool up by id, so one id must name one tool.
             raise ValueError(f"tool ids given more than once: {repeated}")
-        self._by_id = {tool.id: tool for tool in self.tools}
-        self._by_task = {}
-        for tool in self.tools:
-            self._by_task.setdefault(tool.task, []).append(tool)
+        by_task = {}
+        for tool in tools:
+            by_task[tool.task] = by_task.get(tool.task, ()) + (tool,)
+        object.__setattr__(self, "tools", tools)
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "_by_id", {tool.id: tool for tool in tools})
+        object.__setattr__(self, "_by_task", by_task)
 
-    def tools_for(self, task: TaskKind) -> list:
-        """The task's tools in registry order, as a fresh list."""
-        return list(self._by_task.get(task, ()))
+    def tools_for(self, task: TaskKind) -> tuple:
+        """The task's tools in registry order."""
+        return self._by_task.get(task, ())
 
     def tool(self, tool_id: str) -> ToolSpec:
         """The tool of this id; a KeyError for a tool of another environment."""

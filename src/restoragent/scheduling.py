@@ -137,10 +137,7 @@ def entropy_bits(counts) -> float:
 
 
 def variation_ratio(counts) -> float:
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    return 1.0 - max(counts) / total
+    return 1.0 - max(counts) / sum(counts)
 
 
 def measure_consistency(scheduler, agenda, n_per_presentation: int, seed: int = 0) -> ConsistencyReport:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -213,6 +214,23 @@ def test_a_calibration_is_built_whole_and_never_changes():
     for field in dataclasses.fields(calibration):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(calibration, field.name, getattr(calibration, field.name))
+
+
+def test_an_environment_is_a_value_whose_tools_and_rules_are_tuples():
+    env = default_mechanistic_env(0)
+    assert type(env.tools) is tuple and type(env.rules) is tuple
+    assert _env(env.tools, env.rules) == env  # lists given are stored as tuples
+    with pytest.raises(AttributeError):
+        env.tools.append(env.tools[0])
+    for field in dataclasses.fields(env):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(env, field.name, getattr(env, field.name))
+    assert env.tools_for(TaskKind.DERAINING) == tuple(
+        t for t in env.tools if t.task == TaskKind.DERAINING)
+    for original in (env, reference_tabular_env()):
+        copied = pickle.loads(pickle.dumps(original))  # as run_batch's workers get it
+        assert copied == original
+        assert all(copied.tools_for(t) == original.tools_for(t) for t in TaskKind)
 
 
 def test_a_calibration_keeps_each_sets_rows_in_the_order_they_are_given_in():

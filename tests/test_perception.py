@@ -130,6 +130,14 @@ def test_metrics_harmonic_identity(tp, fp, fn):
         )
 
 
+def test_a_noise_model_survives_its_json_round_trip():
+    model = NoiseModel({Degradation.HAZE: 0.12, Degradation.RAIN: 0.3},
+                       {Degradation.NOISE: 0.05})
+    assert model.to_dict() == {"p_miss": {"haze": 0.12, "rain": 0.3}, "p_false": {"noise": 0.05}}
+    assert NoiseModel.from_dict(model.to_dict()) == model
+    assert NoiseModel.from_dict(NoiseModel().to_dict()) == NoiseModel()
+
+
 def test_calibration_round_trip_monte_carlo():
     target_precision, target_recall = 0.88, 0.91
     # Half the population is positive at MEDIUM, where one miss flips

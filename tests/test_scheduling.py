@@ -234,6 +234,16 @@ def test_entropy_helpers():
     assert variation_ratio([5, 5]) == pytest.approx(0.5)
 
 
+def test_a_random_schedule_without_a_stream_is_an_error():
+    with pytest.raises(ValueError, match="requires an rng substream"):
+        RandomScheduler().schedule((T.DERAINING, T.DEHAZING), rng=None)
+
+
+def test_consistency_with_no_samples_is_an_error():
+    with pytest.raises(ValueError, match="n_per_presentation must be >= 1"):
+        measure_consistency(RandomScheduler(), {T.DERAINING, T.DEHAZING}, 0)
+
+
 def test_entropy_bounded_by_permutation_count():
     report = measure_consistency(RandomScheduler(),
                                  {T.DERAINING, T.DEHAZING, T.DENOISING}, 50)
